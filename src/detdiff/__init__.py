@@ -34,7 +34,6 @@ from .density import (
 )
 from .errors import (
     ConsistencyError,
-    DerivativeInstabilityError,
     DetdiffError,
     EigenConvergenceError,
     GrazingReflectionError,

@@ -31,11 +31,7 @@ class RootSolveError(DetdiffError):
 
 
 class EigenConvergenceError(DetdiffError):
-    """Dominant-eigenpair iteration failed to converge."""
-
-
-class DerivativeInstabilityError(DetdiffError):
-    """Finite-difference derivative estimates disagree beyond tolerance."""
+    """The dense eigensolver failed to converge."""
 
 
 class IrreducibilityError(DetdiffError):
@@ -63,7 +59,6 @@ VALIDATION_ERRORS = (
 NUMERICAL_ERRORS = (
     RootSolveError,
     EigenConvergenceError,
-    DerivativeInstabilityError,
     IrreducibilityError,
     GrazingReflectionError,
 )

@@ -173,15 +173,6 @@ class PiecewiseLinearLiftMap:
             return float(out)
         return out
 
-    def fundamental(self, u):
-        """Evaluate the defining branch on I0 (no lift applied)."""
-        arr = np.asarray(u, dtype=float)
-        if np.any(arr < -_HALF) or np.any(arr >= _HALF):
-            raise ValueError("fundamental() expects arguments in [-1/2, 1/2)")
-        j = self._piece_of(arr)
-        out = self.slopes[j] * arr + self.intercepts[j]
-        return float(out) if arr.ndim == 0 else out
-
     def shift(self, x):
         """Shift function s(x) = f(x) - x; 1-periodic by construction."""
         arr = np.asarray(x, dtype=float)

@@ -18,12 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    PartitionError,
-    RootSolveError,
-    SystemStructureError,
-)
+from .errors import PartitionError, RootSolveError, SystemStructureError
 from .maps import PiecewiseLinearLiftMap
 
 __all__ = [
@@ -509,16 +504,3 @@ def validate_consistency(lift_map: PiecewiseLinearLiftMap,
     return ConsistencyReport(passed=not messages, worst_violation=worst,
                              messages=tuple(messages))
 
-
-def partition_from_solution(solution: SolvedPartition,
-                            include_zero: bool) -> MarkovPartition:
-    """Symmetric partition from a solved system (parity chosen by the caller)."""
-    return MarkovPartition.symmetric(solution.breakpoints, include_zero)
-
-
-def _raise_if_inconsistent(lift_map, partition, tol=1e-9):
-    report = validate_consistency(lift_map, partition, tol)
-    if not report:
-        raise ConsistencyError(
-            f"map/partition inconsistent (worst violation {report.worst_violation:.3g}): "
-            + "; ".join(report.messages[:3]))

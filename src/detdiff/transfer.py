@@ -9,7 +9,11 @@ unit density on cell l of the fundamental interval.
 
 The characteristic matrix P(t) = sum_j p_j e^(i j t) governs the lattice
 dynamics; its leading eigenvalue z(t) carries the transport
-coefficients via D = -Re z''(0) / 2 and drift = Im z'(0).
+coefficients via D = -Re z''(0) / 2 and drift = Im z'(0).  The z(t)
+curve comes from the dense spectrum of P(t); D, the drift and the
+stationary density come from one bordered linear system at t = 0
+(second-order eigenvalue perturbation), with no step size and no
+iteration.
 """
 
 from __future__ import annotations
@@ -20,12 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DerivativeInstabilityError,
-    EigenConvergenceError,
-    IrreducibilityError,
-)
+from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError
 from .maps import PiecewiseLinearLiftMap
 from .partition import MarkovPartition
 
@@ -172,86 +171,29 @@ def characteristic_matrix(tset: TransitionMatrixSet, t: float) -> np.ndarray:
 
 
 def leading_eigenpair(matrix: np.ndarray,
-                      warm_start: Optional[np.ndarray] = None,
-                      tol: float = 1e-13,
-                      max_iter: int = 400):
-    """Dominant eigenpair by power iteration with Rayleigh-quotient refinement.
+                      warm_start: Optional[np.ndarray] = None):
+    """Dominant eigenpair from the dense spectrum.
 
-    Convergence requires the relative residual ||A v - z v|| / ||A|| to
-    drop below `tol`.  A warm-start vector selects the branch connected
-    to a previous solution, which keeps z(t) continuous along a sweep in
-    t; without one the modulus-dominant eigenvalue is verified against a
-    dense spectrum computation and the iteration is restarted if it
-    stalled on a subdominant branch.
+    Without a warm start the eigenvalue of largest modulus is returned.
+    With one, the eigenvector that overlaps the warm vector most selects
+    the branch, which keeps z(t) continuous along a sweep in t.
 
     Returns
     -------
     (z, v) : complex eigenvalue and unit eigenvector with a fixed phase
         convention (largest component real positive).
     """
-    A = np.asarray(matrix, dtype=complex)
-    n = A.shape[0]
-    eye = np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(A))) * n)
-
-    def iterate(v0):
-        """Power steps with Rayleigh-quotient acceleration from v0."""
-        v = np.asarray(v0, dtype=complex)
-        v = v / np.linalg.norm(v)
-        z = complex(v.conj() @ (A @ v))
-        resid = np.inf
-        for it in range(max_iter):
-            if it < 2:
-                w = A @ v          # a couple of power steps settle the direction
-            else:
-                try:
-                    w = np.linalg.solve(A - z * eye, v)
-                except np.linalg.LinAlgError:
-                    w = np.linalg.solve(A - (z * (1.0 + 1e-12) + 1e-290) * eye, v)
-                if not np.all(np.isfinite(w)):
-                    w = A @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                raise EigenConvergenceError("iterate vanished; matrix is nilpotent here")
-            v = w / nw
-            z = complex(v.conj() @ (A @ v))
-            resid = np.linalg.norm(A @ v - z * v)
-            if resid <= tol * scale:
-                return z, v, resid
-        raise EigenConvergenceError(
-            f"no convergence after {max_iter} iterations (residual {resid:.3g}); "
-            "possible eigenvalue crossing, try a smaller t step")
-
-    if warm_start is not None:
-        # Rayleigh iteration from the warm vector continues its branch
-        z, v, _ = iterate(np.asarray(warm_start, dtype=complex))
-    else:
-        z, v, _ = iterate(np.ones(n, dtype=complex))
-        radius = float(np.max(np.abs(np.linalg.eigvals(A))))
-        if abs(z) < radius - 1e-10 * scale:
-            # stalled on a subdominant branch; deterministic restart
-            seed = np.cos(np.arange(1, n + 1)) + 1j * np.sin(0.7 * np.arange(n))
-            z, v, _ = iterate(seed)
-            if abs(z) < radius - 1e-10 * scale:
-                raise EigenConvergenceError(
-                    f"iteration stalled below the spectral radius ({abs(z)!r} < {radius!r})")
-
-    # two-sided Rayleigh quotient: for non-normal matrices the one-sided
-    # quotient is only first-order accurate in the eigenvector error
     try:
-        u = np.linalg.solve((A - z * np.eye(n)).conj().T, v)
-        nu = np.linalg.norm(u)
-        if np.all(np.isfinite(u)) and nu > 0:
-            u = u / nu
-            denom = complex(u.conj() @ v)
-            if abs(denom) > 1e-6:
-                z = complex(u.conj() @ (A @ v) / denom)
-    except np.linalg.LinAlgError:
-        pass
-
+        vals, vecs = np.linalg.eig(np.asarray(matrix, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(f"dense eigensolver failed: {exc}") from exc
+    if warm_start is None:
+        k = int(np.argmax(np.abs(vals)))
+    else:
+        k = int(np.argmax(np.abs(np.conj(warm_start) @ vecs)))
+    v = vecs[:, k]
     top = int(np.argmax(np.abs(v)))
-    phase = v[top] / abs(v[top])
-    return z, v * phase.conjugate()
+    return complex(vals[k]), v * (abs(v[top]) / v[top])
 
 
 def leading_eigenvalue(matrix: np.ndarray,
@@ -261,30 +203,64 @@ def leading_eigenvalue(matrix: np.ndarray,
     return z
 
 
-def stationary_density(tset: TransitionMatrixSet, tol: float = 1e-10) -> np.ndarray:
+def _spectral_core(tset: TransitionMatrixSet):
+    """Stationary density, drift and raw D from one bordered matrix.
+
+    With cell lengths l (the left eigenvector of E = sum_j p_j), P1 =
+    sum_j j p_j and P2 = sum_j j^2 p_j, the bordered matrix
+    K = [[I - E, l], [l^T, 0]] is solved twice.  Right-hand side [0; 1]
+    gives alpha (E alpha = alpha, l.alpha = 1) and [P1 alpha - drift
+    alpha; 0] gives y (the group inverse of I - E applied to the
+    centred current).  The border multiplier vanishes in both because
+    l^T (I - E) = 0.  Then drift = l P1 alpha = Im z'(0) and
+    D = l P2 alpha / 2 + l P1 y = -Re z''(0) / 2: second-order
+    perturbation of the unit eigenvalue, the matrix form of the
+    Taylor-Green-Kubo formula.
+
+    Returns (alpha, drift, d, solve_residual).
+    """
+    m = tset.m
+    lengths = tset.cell_lengths
+    E = tset.total()
+    near_one = int(np.sum(np.abs(np.linalg.eigvals(E) - 1.0) < 1e-8))
+    if near_one != 1:
+        raise IrreducibilityError(
+            f"eigenvalue-1 eigenspace has dimension {near_one}; matrix not irreducible")
+
+    shifts = np.asarray(tset.shifts, dtype=float)
+    P1 = np.tensordot(shifts, tset.matrices, axes=(0, 0))
+    P2 = np.tensordot(shifts**2, tset.matrices, axes=(0, 0))
+    K = np.zeros((m + 1, m + 1))
+    K[:m, :m] = np.eye(m) - E
+    K[:m, m] = lengths
+    K[m, :m] = lengths
+
+    rhs_alpha = np.zeros(m + 1)
+    rhs_alpha[m] = 1.0
+    sol_alpha = np.linalg.solve(K, rhs_alpha)
+    alpha = sol_alpha[:m]
+    if np.min(alpha) <= 0:
+        raise IrreducibilityError("stationary density is not strictly positive")
+    drift = float(lengths @ P1 @ alpha)
+
+    rhs_y = np.append(P1 @ alpha - drift * alpha, 0.0)
+    sol_y = np.linalg.solve(K, rhs_y)
+    d = float(0.5 * lengths @ P2 @ alpha + lengths @ P1 @ sol_y[:m])
+
+    residual = max(float(np.max(np.abs(K @ sol - rhs)))
+                   for sol, rhs in ((sol_alpha, rhs_alpha), (sol_y, rhs_y)))
+    return alpha, drift, d, residual
+
+
+def stationary_density(tset: TransitionMatrixSet) -> np.ndarray:
     """Per-cell stationary density of the compactified dynamics.
 
     The positive right eigenvector of E = sum_j p_j at eigenvalue 1,
     normalised so that sum_j alpha_j * len_j = 1 (unit mass over one
-    period).
+    period).  Raises IrreducibilityError unless eigenvalue 1 is simple
+    and its eigenvector strictly positive.
     """
-    E = tset.total()
-    eigvals = np.linalg.eigvals(E)
-    near_one = np.sum(np.abs(eigvals - 1.0) < 1e-8)
-    if near_one != 1:
-        raise IrreducibilityError(
-            f"eigenvalue-1 eigenspace has dimension {near_one}; matrix not irreducible")
-    z, v = leading_eigenpair(E)
-    if abs(z - 1.0) > tol:
-        raise IrreducibilityError(f"leading eigenvalue {z!r} differs from 1 beyond {tol}")
-    alpha = np.real(v)
-    if np.max(np.abs(np.imag(v))) > 1e-12:
-        raise IrreducibilityError("stationary eigenvector has a nonreal component")
-    if alpha.sum() < 0:
-        alpha = -alpha
-    if np.min(alpha) <= 0:
-        raise IrreducibilityError("stationary eigenvector is not strictly positive")
-    return alpha / float(alpha @ tset.cell_lengths)
+    return _spectral_core(tset)[0]
 
 
 @dataclass
@@ -310,80 +286,23 @@ class DiffusionReport:
         return out
 
 
-def _richardson(values, order=2):
-    """Iterated Richardson extrapolation over a step-halving ladder.
+def diffusion_spectral(tset: TransitionMatrixSet) -> DiffusionReport:
+    """Diffusion coefficient and drift from the leading eigenvalue z(t) of P(t).
 
-    `values` are estimates at steps s, s/2, s/4, ...; the leading error
-    term has the given `order` and successive terms gain two orders.
-    Returns the final extrapolant and the spread of the last level.
+    D = -Re z''(0) / 2 (raw, not centred by the drift) and drift =
+    Im z'(0), exact up to rounding: second-order perturbation of the
+    unit eigenvalue of E by two solves with one bordered matrix, not
+    differences of z(t).  The `solve_residual` diagnostic is the max-abs
+    residual of those two solves.
     """
-    level = list(values)
-    power = order
-    while len(level) > 1:
-        factor = 2.0**power
-        level = [(factor * b - a) / (factor - 1.0) for a, b in zip(level, level[1:])]
-        power += 2
-    # spread of the previous level measures the remaining uncertainty
-    return level[0]
-
-
-def _derivatives_at_zero(tset, h, depth=4):
-    """Extrapolated z'(0) and z''(0) from a warm-started step ladder."""
-    steps = [h / 2**i for i in range(depth)]
-    z0, v0 = leading_eigenpair(characteristic_matrix(tset, 0.0))
-    zs = {0.0: z0}
-    for sign in (1.0, -1.0):
-        v = v0
-        for t in reversed(steps):
-            z, v = leading_eigenpair(characteristic_matrix(tset, sign * t), warm_start=v)
-            zs[sign * t] = z
-
-    seconds = [(zs[s] - 2.0 * z0 + zs[-s]) / s**2 for s in steps]
-    firsts = [(zs[s] - zs[-s]) / (2.0 * s) for s in steps]
-    d2_full = _richardson(seconds)
-    d2_drop = _richardson(seconds[:-1])
-    d1_full = _richardson(firsts)
-    d1_drop = _richardson(firsts[:-1])
-    gap = max(abs(d2_full - d2_drop), abs(d1_full - d1_drop))
-    return d1_full, d2_full, gap, abs(z0 - 1.0)
-
-
-def diffusion_spectral(tset: TransitionMatrixSet,
-                       h: float = 1e-3,
-                       agreement_target: float = 1e-13,
-                       failure_threshold: float = 1e-7) -> DiffusionReport:
-    """Diffusion coefficient and drift from the leading-eigenvalue curvature.
-
-    D = -Re z''(0) / 2 and drift = Im z'(0), with both derivatives taken
-    by central differences at steps h and h/2 combined by Richardson
-    extrapolation.  The step is adapted away from the default, coarser
-    first since eigen-solver roundoff grows like 1/h^2, until the two
-    extrapolation levels agree to `agreement_target`; disagreement
-    beyond `failure_threshold` raises DerivativeInstabilityError.
-    """
-    best = None
-    for factor in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 0.5, 0.25):
-        step = h * factor
-        d1, d2, gap, z0_err = _derivatives_at_zero(tset, step)
-        if best is None or gap < best[2]:
-            best = (d1, d2, gap, z0_err, step)
-        if gap <= agreement_target:
-            break
-    d1, d2, gap, z0_err, step = best
-    if gap > failure_threshold:
-        raise DerivativeInstabilityError(
-            f"finite-difference levels disagree by {gap:.3g} (threshold {failure_threshold})")
-
-    alpha = stationary_density(tset)
+    alpha, drift, d, residual = _spectral_core(tset)
     return DiffusionReport(
-        d=-0.5 * d2.real,
-        drift=d1.imag,
+        d=d,
+        drift=drift,
         method="spectral",
         alpha=alpha,
         diagnostics={
-            "fd_step": step,
-            "fd_disagreement": gap,
-            "z0_error": z0_err,
+            "solve_residual": residual,
             "mass_residual": tset.mass_residual(),
         },
     )

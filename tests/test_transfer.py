@@ -6,6 +6,7 @@ import pytest
 from detdiff import (
     CASES,
     ConsistencyError,
+    EigenConvergenceError,
     IrreducibilityError,
     MarkovPartition,
     PiecewiseLinearLiftMap,
@@ -171,6 +172,11 @@ def test_eigenvalue_polynomial_residual_three_plus_sqrt6():
     assert checked == 20
 
 
+def test_leading_eigenpair_solver_failure_is_eigen_convergence_error():
+    with pytest.raises(EigenConvergenceError):
+        leading_eigenpair(np.full((2, 2), np.nan))
+
+
 def test_symmetry_conjugate_eigenvalue(golden_tsets):
     tset = golden_tsets["two-plus-sqrt7"]
     for t in (0.3, 0.9):
@@ -203,18 +209,21 @@ def test_spectral_diffusion_golden(name, golden_tsets):
     assert rep.d == pytest.approx(case.d, abs=1e-8)
     assert abs(rep.drift) < 1e-10
     assert rep.method == "spectral"
-    assert rep.diagnostics["fd_disagreement"] < 1e-7
+    assert rep.diagnostics["solve_residual"] <= 1e-12
     assert rep.d > 0
 
 
-def test_spectral_diffusion_with_drift():
+def _drift_map_tset():
     # jumps: stay with prob 3/4, move right with prob 1/4
     lift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
-    tset = build_transition_matrices(lift, MarkovPartition.unit())
-    rep = diffusion_spectral(tset)
-    assert rep.drift == pytest.approx(0.25, abs=1e-11)
+    return build_transition_matrices(lift, MarkovPartition.unit())
+
+
+def test_spectral_diffusion_with_drift():
+    rep = diffusion_spectral(_drift_map_tset())
+    assert rep.drift == pytest.approx(0.25, abs=1e-14)
     # raw-moment convention: D = sigma2 / 2 for the unit partition
-    assert rep.d == pytest.approx(0.125, abs=1e-10)
+    assert rep.d == pytest.approx(0.125, abs=1e-14)
 
 
 def test_scalar_degeneration_matches_moments(unit_tset_lam3):
@@ -227,10 +236,29 @@ def test_scalar_degeneration_matches_moments(unit_tset_lam3):
 
 def test_spectral_zigzag_matches_closed_form():
     from detdiff import closed_form_d
-    zz = zigzag_map(1, 0.3)
-    part = MarkovPartition((-0.5, -0.3, 0.3, 0.5))
-    rep = diffusion_spectral(build_transition_matrices(zz, part))
-    assert rep.d == pytest.approx(closed_form_d(zz), abs=1e-9)
+    # odd map with pieces (-1/2, 5/2) on [0, 1/4] and (-3/2, -5/2) on
+    # [1/4, 1/2], mirrored onto [-1/2, 0]
+    odd_quarter = PiecewiseLinearLiftMap(
+        [-0.5, -0.25, 0.0, 0.25, 0.5],
+        [(2.5, 1.5), (-2.5, 0.5), (-0.5, 2.5), (-1.5, -2.5)])
+    for lift, part in ((zigzag_map(1, 0.3), MarkovPartition((-0.5, -0.3, 0.3, 0.5))),
+                       (odd_quarter, MarkovPartition(tuple(odd_quarter.breakpoints)))):
+        rep = diffusion_spectral(build_transition_matrices(lift, part))
+        assert rep.d == pytest.approx(closed_form_d(lift), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", list(CASES) + ["drift"])
+def test_spectral_matches_z_curve_differences(name, golden_tsets):
+    # D and drift are defined by the leading eigenvalue z(t) of P(t);
+    # central differences of the public z(t) path must reproduce them
+    tset = _drift_map_tset() if name == "drift" else golden_tsets[name]
+    h = 1e-3
+    z = {t: leading_eigenvalue(characteristic_matrix(tset, t)) for t in (-h, 0.0, h)}
+    d_fd = -0.5 * ((z[h] - 2.0 * z[0.0] + z[-h]) / h**2).real
+    drift_fd = ((z[h] - z[-h]) / (2.0 * h)).imag
+    rep = diffusion_spectral(tset)
+    assert rep.d == pytest.approx(d_fd, abs=1e-6)
+    assert rep.drift == pytest.approx(drift_fd, abs=1e-6)
 
 
 def test_to_json_dict_round_trip(unit_tset_lam3):
