@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import GrazingReflectionError
 from .maps import fractional_part
-from .montecarlo import EnsembleStats, estimate_stats
-from .rng import resolve_threads, uniform_stream
+from .montecarlo import EnsembleStats, _mark_overflow, _run_chunks, estimate_stats
+from .rng import uniform_stream
 
 __all__ = [
     "BilliardState",
@@ -35,7 +35,6 @@ __all__ = [
     "simulate_channel",
 ]
 
-OVERFLOW_LIMIT = 1e9
 _GRAZE_TOL = 1e-12
 
 
@@ -189,46 +188,31 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
         raise ValueError("checkpoints must lie in [1, n_steps]")
 
     lam = getattr(kick, "lam", None)
-    ranges = [(s, min(s + chunk_size, n_samples)) for s in range(0, n_samples, chunk_size)]
     # accumulate sum, sum of squares and counts per checkpoint, in chunk order
     acc = {c: [0.0, 0.0, 0] for c in cps}
     finals = np.empty(n_samples)
     discarded = 0
 
-    def run(rng_pair):
-        start, stop = rng_pair
+    def run(start, stop):
         x_prev = np.zeros(stop - start)
         x = float(x1_cell) + uniform_stream(seed, start, stop - start)
         dead = np.zeros(stop - start, dtype=bool)
         partial = {}
         for step in range(1, n_steps + 1):
             if step > 1:
-                x_next = 2.0 * x - x_prev + kick(x)
-                bad = ~np.isfinite(x_next) | (np.abs(x_next) > OVERFLOW_LIMIT)
-                if bad.any():
-                    dead |= bad
-                    x_next[dead] = 0.0
+                x_next = 2.0 * x
+                x_next -= x_prev
+                x_next += kick(x)
+                _mark_overflow(x_next, dead)
                 x_prev, x = x, x_next
             if step in acc:
                 alive = x[~dead]
                 partial[step] = (float(alive.sum()), float((alive**2).sum()),
                                  int(alive.size))
-        out = x.copy()
-        out[dead] = np.nan
-        finals[start:stop] = out
+        finals[start:stop] = np.where(dead, np.nan, x)
         return partial, int(dead.sum())
 
-    workers = resolve_threads(threads)
-    results = []
-    if workers == 1 or len(ranges) == 1:
-        for pair in ranges:
-            results.append(run(pair))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, ranges))
-
-    for partial, n_dead in results:
+    for partial, n_dead in _run_chunks(run, n_samples, chunk_size, threads):
         discarded += n_dead
         for c, (s1, s2, cnt) in partial.items():
             acc[c][0] += s1

@@ -152,17 +152,29 @@ class PiecewiseLinearLiftMap:
     # -- evaluation ---------------------------------------------------
 
     def _piece_of(self, u):
-        # u must lie in [-1/2, 1/2); right-open cells
-        return np.clip(
-            np.searchsorted(self.breakpoints[1:-1], u, side="right"), 0, self.n_pieces - 1
-        )
+        """Piece index of u in [-1/2, 1/2): the number of interior breakpoints <= u.
 
-    def _eval_array(self, x):
-        """Vectorised evaluation without finiteness checks (hot path)."""
+        One comparison per interior breakpoint (maps have a handful) beats
+        a binary search; one-piece maps get the plain int 0.
+        """
+        j = 0
+        for b in self.breakpoints[1:-1]:
+            j += u >= b
+        return j
+
+    def _eval_array(self, x, out=None):
+        """Vectorised evaluation without finiteness checks (hot path).
+
+        Rounds exactly as k + slopes[j]*u + intercepts[j].  `out` may be
+        `x` itself, which saves the ensemble step one allocation.
+        """
         k = np.floor(x + _HALF)
-        u = x - k
+        u = np.subtract(x, k, out=out)
         j = self._piece_of(u)
-        return k + self.slopes[j] * u + self.intercepts[j]
+        u *= self.slopes.take(j)
+        u += k
+        u += self.intercepts.take(j)
+        return u
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)

@@ -19,6 +19,12 @@ freeze on the dyadic lattice after ~26 steps.  For those maps (only) a
 seeded dither at the rounding floor is injected each step; it plays the
 role of the rounding noise that every other slope generates naturally
 and keeps the ensemble statistics faithful.
+
+`simulate_ensemble`, `estimate_d_increment` and the billiard channel
+share one chunk runner: the sample range is cut into chunks that are
+iterated independently, in place, optionally on a thread pool, with one
+overflow guard.  The normal CDF behind `ks_normal` is a numpy port of
+the Cephes rational approximations, so the package needs only numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .density import heuristic_d, omega_approx_d
 from .maps import PiecewiseLinearLiftMap, linear_map
@@ -74,29 +79,46 @@ class EnsembleStats:
     ks_statistic: float
 
 
-def _chunk_ranges(n, size):
-    return [(s, min(s + size, n)) for s in range(0, n, size)]
+def _run_chunks(run, n_samples, chunk_size, threads):
+    """Call run(start, stop) on each chunk of [0, n_samples); results in chunk order.
 
-
-def _iterate_chunk(lift_map, x, n_steps, dither=None, step_offset=0):
-    """Iterate one chunk in place; overflowed samples come back as NaN.
-
-    `dither` is (key, amplitude, chunk_start, total_samples); the noise
-    for sample i at step t is word t*total + i of the keyed stream, so
-    results do not depend on the chunking.
+    The one chunk runner of every ensemble simulator.  Chunks share no
+    state, so the worker count changes only the schedule, never a sample.
     """
-    dead = np.zeros(x.shape, dtype=bool)
-    for t in range(n_steps):
-        x = lift_map._eval_array(x)
+    ranges = [(s, min(s + chunk_size, n_samples)) for s in range(0, n_samples, chunk_size)]
+    workers = min(resolve_threads(threads), len(ranges))
+    if workers <= 1:
+        return [run(*r) for r in ranges]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda r: run(*r), ranges))
+
+
+def _mark_overflow(x, dead):
+    """Flag samples beyond +-OVERFLOW_LIMIT or non-finite in `dead`; park them at 0.
+
+    The common step costs one read-only min/max test, which NaN fails
+    too; the masked bookkeeping runs only when some sample is out of range.
+    """
+    if x.min() >= -OVERFLOW_LIMIT and x.max() <= OVERFLOW_LIMIT:
+        return
+    dead |= ~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)
+    x[dead] = 0.0
+
+
+def _iterate_chunk(lift_map, x, dead, n_steps, dither, start, step_offset=0):
+    """Apply map steps step_offset .. step_offset + n_steps - 1 to one chunk in place.
+
+    `x` holds samples start, start + 1, ...; overflowed samples are
+    flagged in `dead`.  `dither` is None or (key, amplitude,
+    total_samples); the noise for sample i at step t is word t*total + i
+    of the keyed stream, so results do not depend on the chunking.
+    """
+    for t in range(step_offset, step_offset + n_steps):
+        x = lift_map._eval_array(x, out=x)
         if dither is not None:
-            key, amp, start, total = dither
-            x += uniform_stream(key, (step_offset + t) * total + start, x.size,
-                                low=-amp / 2, high=amp / 2)
-        bad = ~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)
-        if bad.any():
-            dead |= bad
-            x[dead] = 0.0
-    x[dead] = np.nan
+            key, amp, total = dither
+            x += uniform_stream(key, t * total + start, x.size, low=-amp / 2, high=amp / 2)
+        _mark_overflow(x, dead)
     return x
 
 
@@ -107,7 +129,7 @@ def _dither_context(lift_map, seed, n_samples, dither):
         amp = float(dither or 0.0)
     if amp == 0.0:
         return None
-    return (int(seed) ^ _DITHER_KEY_SALT, amp, 0, int(n_samples))
+    return (int(seed) ^ _DITHER_KEY_SALT, amp, int(n_samples))
 
 
 def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
@@ -126,35 +148,109 @@ def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
     out = np.empty(n_samples)
-    ranges = _chunk_ranges(n_samples, chunk_size)
     dctx = _dither_context(lift_map, seed, n_samples, dither)
 
-    def run(rng_pair):
-        start, stop = rng_pair
-        x0 = uniform_stream(seed, start, stop - start)
-        chunk_dither = None if dctx is None else (dctx[0], dctx[1], start, dctx[3])
-        out[start:stop] = _iterate_chunk(lift_map, x0, n_steps, chunk_dither)
+    def run(start, stop):
+        dead = np.zeros(stop - start, dtype=bool)
+        x = _iterate_chunk(lift_map, uniform_stream(seed, start, stop - start), dead,
+                           n_steps, dctx, start)
+        out[start:stop] = np.where(dead, np.nan, x)
 
-    workers = resolve_threads(threads)
-    if workers == 1 or len(ranges) == 1:
-        for pair in ranges:
-            run(pair)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, ranges))
+    _run_chunks(run, n_samples, chunk_size, threads)
     return out
 
 
+# Cephes `ndtr` (S. L. Moshier) rational approximations to erf and erfc,
+# after Cody, Math. Comp. 23 (1969); the leading 1 of each *_Q, *_S and *_U
+# denominator is implicit.
+_SQRTH = 7.07106781186547524401e-1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+#: erfc(x) is below the smallest subnormal double for x >= 28
+_ERFC_ZERO = 28.0
+
+
+def _ratio(scale, x, num, den):
+    """scale * num(x) / den(x) by Horner's rule; den has an implicit leading 1."""
+    p = np.full_like(x, num[0])
+    for c in num[1:]:
+        p *= x
+        p += c
+    q = x + den[0]
+    for c in den[1:]:
+        q *= x
+        q += c
+    p *= scale
+    p /= q
+    return p
+
+
+def _erf(x):
+    """erf(x) for |x| <= 1."""
+    return _ratio(x, x * x, _ERF_T, _ERF_U)
+
+
+def _erfc(x):
+    """erfc(x) for x >= 1 (NaN stays NaN)."""
+    x = np.minimum(x, _ERFC_ZERO)
+    out = np.exp(-x * x)
+    near = x < 8.0
+    out[near] = _ratio(out[near], x[near], _ERFC_P, _ERFC_Q)
+    out[~near] = _ratio(out[~near], x[~near], _ERFC_R, _ERFC_S)
+    return out
+
+
+def _ndtr(a):
+    """Standard normal CDF of an array, branch for branch as Cephes `ndtr`.
+
+    With x = a/sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), otherwise
+    0.5 erfc(|x|), reflected for x > 0; erfc is 1 - erf below |x| = 1 and
+    one of two rational approximations times exp(-x^2) below and above 8.
+    """
+    x = a * _SQRTH
+    z = np.abs(x)
+    y = np.empty_like(z)
+    inner = z < _SQRTH
+    y[inner] = 0.5 + 0.5 * _erf(x[inner])
+    outer = ~inner
+    zo = z[outer]
+    tail = np.empty_like(zo)
+    small = zo < 1.0
+    tail[small] = 1.0 - _erf(zo[small])
+    tail[~small] = _erfc(zo[~small])
+    tail *= 0.5
+    y[outer] = np.where(x[outer] > 0, 1.0 - tail, tail)
+    return y
+
+
 def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
-    """Kolmogorov statistic of the empirical CDF against Normal(mean, std^2)."""
+    """Kolmogorov statistic of the empirical CDF against Normal(mean, std^2).
+
+    The normal CDF is evaluated over the sorted samples in fixed-size
+    blocks, so no temporary beyond the sorted copy spans all samples.
+    """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
         raise ValueError("need at least one sample")
-    cdf = ndtr((s - mean) / std)
-    upper = np.max(np.arange(1, n + 1) / n - cdf)
-    lower = np.max(cdf - np.arange(0, n) / n)
-    return float(max(upper, lower))
+    gaps = []
+    for lo in range(0, n, _CHUNK):
+        cdf = _ndtr((s[lo:lo + _CHUNK] - mean) / std)
+        i = np.arange(lo, lo + cdf.size)
+        gaps += [np.max((i + 1) / n - cdf), np.max(cdf - i / n)]
+    return float(np.max(gaps))
 
 
 def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
@@ -212,24 +308,15 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     out_full = np.empty(n_samples)
     dctx = _dither_context(lift_map, seed, n_samples, "auto")
 
-    def run(rng_pair):
-        start, stop = rng_pair
-        chunk_dither = None if dctx is None else (dctx[0], dctx[1], start, dctx[3])
-        x = uniform_stream(seed, start, stop - start)
-        x = _iterate_chunk(lift_map, x, half, chunk_dither)
-        out_half[start:stop] = x
-        x = np.where(np.isfinite(x), x, 0.0)
-        x = _iterate_chunk(lift_map, x, n_steps - half, chunk_dither, step_offset=half)
-        out_full[start:stop] = np.where(np.isfinite(out_half[start:stop]), x, np.nan)
+    def run(start, stop):
+        dead = np.zeros(stop - start, dtype=bool)
+        x = _iterate_chunk(lift_map, uniform_stream(seed, start, stop - start), dead,
+                           half, dctx, start)
+        out_half[start:stop] = np.where(dead, np.nan, x)
+        x = _iterate_chunk(lift_map, x, dead, n_steps - half, dctx, start, step_offset=half)
+        out_full[start:stop] = np.where(dead, np.nan, x)
 
-    ranges = _chunk_ranges(n_samples, chunk_size)
-    workers = resolve_threads(threads)
-    if workers == 1 or len(ranges) == 1:
-        for pair in ranges:
-            run(pair)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, ranges))
+    _run_chunks(run, n_samples, chunk_size, threads)
 
     edges = np.linspace(0, n_samples, batches + 1, dtype=int)
     ds = []

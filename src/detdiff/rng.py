@@ -24,7 +24,8 @@ def uniform_stream(seed: int, start: int, count: int,
     """Uniform doubles for sample indices [start, start + count).
 
     Independent of how the index range is chunked: the stream is keyed
-    by `seed` and advanced to `start`.
+    by `seed` and advanced to `start`.  The array is freshly drawn and
+    scaled in place, so the caller owns it and may overwrite it.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
@@ -34,7 +35,10 @@ def uniform_stream(seed: int, start: int, count: int,
     bitgen = np.random.Philox(key=int(seed))
     bitgen.advance(block)
     u = np.random.Generator(bitgen).random(lead + int(count))[lead:]
-    return low + (high - low) * u
+    # in place, rounding exactly as low + (high - low) * u
+    u *= high - low
+    u += low
+    return u
 
 
 def resolve_threads(threads=None) -> int:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import detdiff
 from detdiff.cli import main, parse_algebraic
 
 EXAMPLE_SYSTEM = {
@@ -224,3 +229,14 @@ def test_reports_byte_identical(tmp_path, capsys):
                          "--N", "3000", "--n", "15", "--out", str(path))
         assert code == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(detdiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, detdiff.cli; print(sys.modules.get('scipy') is not None)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detdiff import (
+    CASES,
     EMPTY_INTERVAL,
     MapDefinitionError,
     PiecewiseLinearLiftMap,
@@ -226,3 +227,45 @@ def test_half_integer_detection():
     assert linear_map(3.0).has_half_integer_values()
     assert zigzag_map(1, 0.3).has_half_integer_values()
     assert not linear_map(3.7).has_half_integer_values()
+
+
+def _searchsorted_eval(m, x):
+    """Reference evaluation: binary search for the piece, one expression."""
+    k = np.floor(x + 0.5)
+    u = x - k
+    j = np.clip(np.searchsorted(m.breakpoints[1:-1], u, side="right"), 0, m.n_pieces - 1)
+    return k + m.slopes[j] * u + m.intercepts[j]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_eval_array_bit_identical_to_searchsorted_reference():
+    rng = np.random.default_rng(2024)
+    maps = [case.lift_map() for case in CASES.values()]
+    maps += [zigzag_map(1, 0.25),
+             PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])]
+    # non-dyadic intercepts, where the order of the additions shows
+    maps += [make_random_monotone_map(rng, max_pieces=4) for _ in range(4)]
+    cells = np.array([-1e6, -37.0, -1.0, 0.0, 1.0, 37.0, 1e6])
+    edges = np.add.outer(cells, [-0.5, 0.5]).ravel()
+    for m in maps:
+        inner = np.add.outer(cells, m.breakpoints).ravel()
+        xs = np.concatenate([
+            rng.uniform(-0.5, 0.5, 4000),
+            rng.uniform(-50.0, 50.0, 4000),
+            rng.uniform(-1e6, 1e6, 4000),
+            inner, np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf),
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        ])
+        ref = _searchsorted_eval(m, xs)
+        np.testing.assert_array_equal(_bits(m._eval_array(xs)), _bits(ref))
+        before = xs.copy()
+        m._eval_array(xs)
+        np.testing.assert_array_equal(xs, before)          # input left alone
+        np.testing.assert_array_equal(_bits(m._eval_array(xs, out=xs)), _bits(ref))
+        for x in (xs[0], xs[-1], m.breakpoints[1], -0.5, 1e6 + 0.5):
+            got = m._eval_array(np.asarray(x))
+            assert np.ndim(got) == 0
+            assert _bits(got) == _bits(_searchsorted_eval(m, np.asarray(x)))

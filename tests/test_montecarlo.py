@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,15 @@ from detdiff import (
     evolve,
     ks_normal,
     linear_map,
+    sawtooth_kick,
     scan_lambda,
+    simulate_channel,
     simulate_ensemble,
     uniform_stream,
     unit_pulse,
+    zigzag_map,
 )
+from detdiff.montecarlo import _ndtr
 
 N = 100_000
 STEPS = 50
@@ -26,6 +33,13 @@ def test_uniform_stream_chunk_invariance():
     full = uniform_stream(11, 0, 257)
     parts = [uniform_stream(11, s, min(41, 257 - s)) for s in range(0, 257, 41)]
     np.testing.assert_array_equal(full, np.concatenate(parts))
+
+
+def test_uniform_stream_is_scaled_philox_words():
+    low, high = -1.3, 2.9
+    words = np.random.Generator(np.random.Philox(key=11)).random(300)
+    np.testing.assert_array_equal(uniform_stream(11, 45, 255, low, high),
+                                  low + (high - low) * words[45:])
 
 
 def test_same_seed_bitwise_identical():
@@ -141,9 +155,10 @@ def test_ks_normal_basic():
 
 
 def test_overflow_samples_reported_nan():
-    jumper = PiecewiseLinearLiftMap([-0.5, 0.5], [(1e8 - 0.5, 1e8 + 0.5)])
-    samples = simulate_ensemble(jumper, 100, 30, seed=0)
-    assert np.all(np.isnan(samples))
+    for jump in (1e8, -1e8):
+        jumper = PiecewiseLinearLiftMap([-0.5, 0.5], [(jump - 0.5, jump + 0.5)])
+        samples = simulate_ensemble(jumper, 100, 30, seed=0)
+        assert np.all(np.isnan(samples))
 
 
 def test_scan_lambda_columns_and_values():
@@ -179,3 +194,74 @@ def test_thread_env_cap(monkeypatch):
     a = simulate_ensemble(linear_map(3.0), 10_000, 10, seed=8)
     b = simulate_ensemble(linear_map(3.0), 10_000, 10, seed=8, chunk_size=999)
     np.testing.assert_array_equal(a, b)
+
+
+# sha256 of the output bytes, recorded from the unfused implementation
+# (searchsorted piece lookup, one-expression map step, per-simulator chunk
+# loops); a change that alters samples on purpose must update them
+GOLDEN_DIGESTS = {
+    "ensemble_lambda3": "f024904e523f51a4c136448697948bc25cb6a478a888add546792e44409b4e06",
+    "ensemble_lambda4_dithered": "5ec70ec5299c95014cf8cd7c40a06a4bd2f87fc038c7b5bbee48d1bd1c6d4dd3",
+    "ensemble_multichunk": "f468788b6c63272ab65a0b408d03982e2f0cdce59a01eccb861f1292a4b6772a",
+    "ensemble_threads2": "2987deeae4f6374af1d91c4d3ceea8c799bb274d7d10cda0e90aa3afaa1c985f",
+    "ensemble_partial_overflow": "5be3f7cf9283e283bf3de7639f04591db5b6e4c704257486ea6cb2c22d48e12b",
+    "increment_drift": "023163016a41e5a2077d9047aecee6ab3f72e14397b097d67f952b0e233ca5ca",
+    "increment_partial_overflow": "95a1b73a4b43bb482d1dcce5b149b93178d3dc20175995649cdde704b2e0a4ea",
+    "channel_lambda3": "e65027c20b1fc42adee1de5ab619cf9043ad627d6c69a9b3b662747cc84b3acb",
+}
+
+
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def test_ensemble_outputs_match_golden_digests():
+    drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+    # a walk in jumps of +-1e8: a quarter of the samples leave +-1e9, both
+    # ways, and come back as NaN
+    jumper = PiecewiseLinearLiftMap([-0.5, -1 / 6, 1 / 6, 0.5],
+                                    [(-1e8 - 0.5, -1e8 + 0.5), (-0.5, 0.5),
+                                     (1e8 - 0.5, 1e8 + 0.5)])
+    rep = simulate_channel(sawtooth_kick(3.0), 3000, 40, seed=11, chunk_size=1100)
+    got = {
+        "ensemble_lambda3": simulate_ensemble(linear_map(3.0), 3000, 25, seed=123),
+        "ensemble_lambda4_dithered": simulate_ensemble(linear_map(4.0), 3000, 40, seed=7),
+        "ensemble_multichunk": simulate_ensemble(zigzag_map(1, 0.25), 5000, 30, seed=5,
+                                                 chunk_size=1234),
+        "ensemble_threads2": simulate_ensemble(linear_map(3.0), 5000, 30, seed=5,
+                                               chunk_size=1234, threads=2),
+        "ensemble_partial_overflow": simulate_ensemble(jumper, 3000, 80, seed=3,
+                                                       chunk_size=1100),
+        "increment_drift": estimate_d_increment(drift, 4000, 40, seed=9, batches=10,
+                                                chunk_size=1500),
+        "increment_partial_overflow": estimate_d_increment(jumper, 3000, 80, seed=3,
+                                                           batches=5, chunk_size=1100),
+        "channel_lambda3": [*rep.variances, rep.growth_exponent, rep.stats.mean,
+                            rep.stats.variance, rep.stats.sample_count, rep.discarded],
+    }
+    assert {k: _digest(v) for k, v in got.items()} == GOLDEN_DIGESTS
+
+
+def test_normal_cdf_matches_erfc():
+    pts = np.array([0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 40.0])
+    pts = np.concatenate([pts, -pts])
+    z = np.concatenate([np.linspace(-40.0, 40.0, 160_001), pts,
+                        np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf)])
+    ref = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z])
+    assert np.max(np.abs(_ndtr(z) - ref)) <= 4.4e-16
+    np.testing.assert_array_equal(_ndtr(np.array([-np.inf, np.inf, -1e300, 1e300])),
+                                  [0.0, 1.0, 0.0, 1.0])
+    assert np.isnan(_ndtr(np.array([np.nan]))[0])
+
+
+def test_ks_normal_matches_pointwise_reference():
+    rng = np.random.default_rng(77)
+    # sizes on both sides of the CDF block length
+    for n in (10, 1000, 65536, 70001):
+        s = rng.standard_t(5, size=n) * 2.0 + 0.3
+        mean, std = float(s.mean()), float(s.std())
+        srt = np.sort(s)
+        cdf = np.array([0.5 * math.erfc(-(v - mean) / std / math.sqrt(2.0)) for v in srt])
+        i = np.arange(n)
+        ref = max(np.max((i + 1) / n - cdf), np.max(cdf - i / n))
+        assert ks_normal(s, mean, std) == pytest.approx(ref, abs=1e-12)
