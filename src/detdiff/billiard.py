@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GrazingReflectionError
 from .maps import fractional_part
-from .montecarlo import EnsembleStats, _mark_overflow, _run_chunks, estimate_stats
+from .montecarlo import EnsembleStats, _run_chunks, estimate_stats
 from .rng import uniform_stream
 
 __all__ = [
@@ -36,6 +36,19 @@ __all__ = [
 ]
 
 _GRAZE_TOL = 1e-12
+OVERFLOW_LIMIT = 1e9
+
+
+def _mark_overflow(x, dead):
+    """Flag samples beyond +-OVERFLOW_LIMIT or non-finite in `dead`; park them at 0.
+
+    The common step costs one read-only min/max test, which NaN fails
+    too; the masked bookkeeping runs only when some sample is out of range.
+    """
+    if x.min() >= -OVERFLOW_LIMIT and x.max() <= OVERFLOW_LIMIT:
+        return
+    dead |= ~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)
+    x[dead] = 0.0
 
 
 def _zero_angle(x):

@@ -31,11 +31,10 @@ from .partition import (
     PartitionEquationSystem,
     solve_partition_system,
     solve_three_interval,
-    validate_consistency,
 )
 from .reports import VERSION, canonical_json, provenance_line, render_csv, spec_hash
 from .rng import DEFAULT_SEED
-from .transfer import build_transition_matrices, diffusion_spectral
+from .transfer import TransitionMatrixSet, build_transition_matrices, diffusion_spectral
 
 _SURD_RE = re.compile(
     r"""^\s*
@@ -110,37 +109,31 @@ def _resolve_map(spec: dict) -> PiecewiseLinearLiftMap:
     return map_from_spec(spec)
 
 
-def _partition_for(args, lift_map) -> MarkovPartition:
-    """Partition from --partition, --partition-system, or map breakpoints."""
+def _partition_for(args, lift_map) -> TransitionMatrixSet:
+    """Transfer matrices over --partition, --partition-system, or map breakpoints.
+
+    `build_transition_matrices` is the one consistency check: it raises
+    ConsistencyError naming the first misaligned cell.
+    """
     if getattr(args, "partition", None):
         bps = [parse_algebraic(v) for v in _load_json_arg(args.partition)]
-        part = MarkovPartition(tuple(bps))
-    elif getattr(args, "partition_system", None):
+        return build_transition_matrices(lift_map, MarkovPartition(tuple(bps)))
+    if getattr(args, "partition_system", None):
         system = PartitionEquationSystem.from_dict(_load_json_arg(args.partition_system))
         solved = solve_partition_system(system)
-        part = MarkovPartition.symmetric(solved.breakpoints, args.include_zero)
-    else:
-        candidates = [tuple(lift_map.breakpoints)]
-        if 0.0 not in lift_map.breakpoints:
-            with_zero = tuple(sorted(set(lift_map.breakpoints) | {0.0}))
-            candidates.append(with_zero)
-        part = None
-        for bps in candidates:
-            cand = MarkovPartition(bps)
-            if validate_consistency(lift_map, cand):
-                part = cand
-                break
-        if part is None:
-            raise ConsistencyError(
-                "no consistent partition found from the map breakpoints; "
-                "pass --partition or --partition-system")
-        return part
-    report = validate_consistency(lift_map, part)
-    if not report:
-        raise ConsistencyError(
-            f"partition inconsistent with map (worst violation "
-            f"{report.worst_violation:.3g})")
-    return part
+        return build_transition_matrices(
+            lift_map, MarkovPartition.symmetric(solved.breakpoints, args.include_zero))
+    candidates = [tuple(lift_map.breakpoints)]
+    if 0.0 not in lift_map.breakpoints:
+        candidates.append(tuple(sorted(set(lift_map.breakpoints) | {0.0})))
+    for bps in candidates:
+        try:
+            return build_transition_matrices(lift_map, MarkovPartition(bps))
+        except ConsistencyError:
+            pass
+    raise ConsistencyError(
+        "no consistent partition found from the map breakpoints; "
+        "pass --partition or --partition-system")
 
 
 def _emit(args, text: str):
@@ -189,11 +182,10 @@ def _method_report(name, args, spec, lift_map):
         d = _density.closed_form_d(lift_map)
         return {"d": d, "drift": 0.0, "method": "closed-form", "diagnostics": {}}
     if name == "spectral":
-        part = _partition_for(args, lift_map)
-        tset = build_transition_matrices(lift_map, part)
+        tset = _partition_for(args, lift_map)
         rep = diffusion_spectral(tset)
         out = rep.to_json_dict()
-        out["partition"] = list(part.breakpoints)
+        out["partition"] = list(tset.breakpoints)
         return out
     if name in ("heuristic", "omega"):
         if spec.get("type") != "linear":
@@ -269,14 +261,13 @@ def cmd_scan(args):
 def cmd_evolve(args):
     spec = _map_spec_from_args(args.map)
     lift_map = _resolve_map(spec)
-    part = _partition_for(args, lift_map)
-    tset = build_transition_matrices(lift_map, part)
+    tset = _partition_for(args, lift_map)
     rep = diffusion_spectral(tset)
     checkpoints = sorted({int(c) for c in args.checkpoints.split(",")})
     if any(c < 1 for c in checkpoints):
         raise MapDefinitionError("checkpoints must be positive step counts")
 
-    dens = _density.unit_pulse(part.breakpoints)
+    dens = _density.unit_pulse(tset.breakpoints)
     done = 0
     trace = []
     prov_fields = {"map": spec_hash(spec), "d_spectral": rep.d}
@@ -284,7 +275,7 @@ def cmd_evolve(args):
         dens = _density.evolve(tset, dens, c - done)
         done = c
         profile = _density.gaussian_profile(rep.d, rep.drift, rep.alpha,
-                                            part.breakpoints, c)
+                                            tset.breakpoints, c)
         dist = _density.kolmogorov_distance(dens, profile)
         trace.append({"n": c, "kolmogorov_distance": dist})
         if args.out:

@@ -162,19 +162,17 @@ class PiecewiseLinearLiftMap:
             j += u >= b
         return j
 
-    def _eval_array(self, x, out=None):
-        """Vectorised evaluation without finiteness checks (hot path).
-
-        Rounds exactly as k + slopes[j]*u + intercepts[j].  `out` may be
-        `x` itself, which saves the ensemble step one allocation.
-        """
-        k = np.floor(x + _HALF)
-        u = np.subtract(x, k, out=out)
+    def _map_fraction(self, u):
+        """f on I0 in place, u <- slopes[j]*u + intercepts[j]: the ensemble map step."""
         j = self._piece_of(u)
         u *= self.slopes.take(j)
-        u += k
         u += self.intercepts.take(j)
         return u
+
+    def _eval_array(self, x):
+        """Vectorised evaluation without finiteness checks: k + f(x - k), k the cell of x."""
+        k = np.floor(x + _HALF)
+        return k + self._map_fraction(x - k)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)

@@ -1,10 +1,12 @@
 """Ensemble trajectory simulation and diffusion-coefficient estimation.
 
 Trajectories start uniformly on the fundamental interval and are
-iterated with the exact piecewise-linear map.  Individual orbits lose
-pointwise accuracy at the rate min|slope|^n, but the ensemble
-distribution remains statistically faithful; only distribution-level
-quantities are reported.
+iterated with the exact piecewise-linear map, kept as an integer cell
+plus a fraction in [-1/2, 1/2): by the lift identity f(k + u) = k + f(u)
+the map acts on the fraction only, so positions are non-finite only if
+the map's own arithmetic overflows.  Individual orbits lose pointwise
+accuracy at the rate min|slope|^n, but the ensemble distribution remains
+statistically faithful; only distribution-level quantities are reported.
 
 The single-horizon estimator D = Var(x_n) / (2n) mandated by
 `estimate_stats` carries a finite-n transient: Var(x_n) = 2 D n + c with
@@ -16,15 +18,16 @@ differencing two horizons and is the recommended cross-method check.
 Maps whose slopes are all exact powers of two are iterated exactly in
 binary floating point, so orbits exhaust their 52 fractional bits and
 freeze on the dyadic lattice after ~26 steps.  For those maps (only) a
-seeded dither at the rounding floor is injected each step; it plays the
-role of the rounding noise that every other slope generates naturally
-and keeps the ensemble statistics faithful.
+seeded dither of 2^-48 is added to each image fraction every step, above
+its rounding floor; it plays the role of the rounding noise that every
+other slope generates naturally and keeps the ensemble statistics
+faithful.
 
 `simulate_ensemble`, `estimate_d_increment` and the billiard channel
 share one chunk runner: the sample range is cut into chunks that are
-iterated independently, in place, optionally on a thread pool, with one
-overflow guard.  The normal CDF behind `ks_normal` is a numpy port of
-the Cephes rational approximations, so the package needs only numpy.
+iterated independently, in place, optionally on a thread pool.  The
+normal CDF behind `ks_normal` is a numpy port of the Cephes rational
+approximations, so the package needs only numpy.
 """
 
 from __future__ import annotations
@@ -49,20 +52,19 @@ __all__ = [
     "scan_lambda",
 ]
 
-OVERFLOW_LIMIT = 1e9
 _CHUNK = 1 << 16
 
-#: dither amplitude at the double rounding floor
+#: dither amplitude, above the rounding floor of a fraction in [-1/2, 1/2)
 DITHER_AMPLITUDE = 2.0**-48
 _DITHER_KEY_SALT = 0x9E3779B97F4A7C15
 
 
-def _auto_dither(lift_map) -> float:
-    """Dither amplitude: nonzero only for all-power-of-two-slope stretching maps."""
+def _dither_key(lift_map, seed):
+    """Key of the dither stream; None unless a stretching map has only power-of-two slopes."""
     slopes = np.abs(lift_map.slopes)
     if lift_map.min_slope() > 1.0 and all(math.frexp(s)[0] == 0.5 for s in slopes):
-        return DITHER_AMPLITUDE
-    return 0.0
+        return int(seed) ^ _DITHER_KEY_SALT
+    return None
 
 
 @dataclass(frozen=True)
@@ -93,68 +95,50 @@ def _run_chunks(run, n_samples, chunk_size, threads):
         return list(pool.map(lambda r: run(*r), ranges))
 
 
-def _mark_overflow(x, dead):
-    """Flag samples beyond +-OVERFLOW_LIMIT or non-finite in `dead`; park them at 0.
+def _iterate_chunk(lift_map, seed, start, stop, total, horizons):
+    """Positions of samples start .. stop-1 of `total` after each step count in `horizons`.
 
-    The common step costs one read-only min/max test, which NaN fails
-    too; the masked bookkeeping runs only when some sample is out of range.
+    Each sample is an integer-valued cell plus a fraction u in
+    [-1/2, 1/2): a step maps u through its piece, adds the dither, then
+    moves the whole part floor(u + 1/2) of the image into the cell.  The
+    dither for sample i at step t is word t*total + i of its keyed
+    stream, so results do not depend on the chunking.
     """
-    if x.min() >= -OVERFLOW_LIMIT and x.max() <= OVERFLOW_LIMIT:
-        return
-    dead |= ~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)
-    x[dead] = 0.0
-
-
-def _iterate_chunk(lift_map, x, dead, n_steps, dither, start, step_offset=0):
-    """Apply map steps step_offset .. step_offset + n_steps - 1 to one chunk in place.
-
-    `x` holds samples start, start + 1, ...; overflowed samples are
-    flagged in `dead`.  `dither` is None or (key, amplitude,
-    total_samples); the noise for sample i at step t is word t*total + i
-    of the keyed stream, so results do not depend on the chunking.
-    """
-    for t in range(step_offset, step_offset + n_steps):
-        x = lift_map._eval_array(x, out=x)
-        if dither is not None:
-            key, amp, total = dither
-            x += uniform_stream(key, t * total + start, x.size, low=-amp / 2, high=amp / 2)
-        _mark_overflow(x, dead)
-    return x
-
-
-def _dither_context(lift_map, seed, n_samples, dither):
-    if dither == "auto":
-        amp = _auto_dither(lift_map)
-    else:
-        amp = float(dither or 0.0)
-    if amp == 0.0:
-        return None
-    return (int(seed) ^ _DITHER_KEY_SALT, amp, int(n_samples))
+    key = _dither_key(lift_map, seed)
+    u = uniform_stream(seed, start, stop - start)
+    cell = np.zeros_like(u)
+    carry = np.empty_like(u)
+    done = 0
+    for horizon in horizons:
+        for t in range(done, horizon):
+            lift_map._map_fraction(u)
+            if key is not None:
+                u += uniform_stream(key, t * total + start, u.size,
+                                    low=-DITHER_AMPLITUDE / 2, high=DITHER_AMPLITUDE / 2)
+            np.floor(np.add(u, 0.5, out=carry), out=carry)
+            u -= carry
+            cell += carry
+        done = horizon
+        yield cell + u
 
 
 def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
                       n_samples: int, n_steps: int, seed: int,
-                      threads=None, chunk_size: int = _CHUNK,
-                      dither="auto") -> np.ndarray:
+                      threads=None, chunk_size: int = _CHUNK) -> np.ndarray:
     """Final positions of n_samples trajectories after n_steps iterations.
 
     Starting points are uniform on [-1/2, 1/2), drawn from per-index
     counter-based substreams of `seed`, so the output is bitwise
-    reproducible for any thread count or chunk size.  Samples whose
-    position leaves +-1e9 are reported as NaN.  `dither` is "auto"
-    (rounding-floor noise for power-of-two slopes only), an amplitude,
-    or 0 to disable.
+    reproducible for any thread count or chunk size.  Maps whose slopes
+    are all powers of two get the 2^-48 dither.  Positions are
+    non-finite only if the map's own arithmetic overflows.
     """
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
     out = np.empty(n_samples)
-    dctx = _dither_context(lift_map, seed, n_samples, dither)
 
     def run(start, stop):
-        dead = np.zeros(stop - start, dtype=bool)
-        x = _iterate_chunk(lift_map, uniform_stream(seed, start, stop - start), dead,
-                           n_steps, dctx, start)
-        out[start:stop] = np.where(dead, np.nan, x)
+        out[start:stop], = _iterate_chunk(lift_map, seed, start, stop, n_samples, [n_steps])
 
     _run_chunks(run, n_samples, chunk_size, threads)
     return out
@@ -294,8 +278,10 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     """Transient-free D estimate from the variance increment between n/2 and n.
 
     D = (Var(x_n) - Var(x_{n/2})) / (2 (n - n/2)) cancels the O(1)
-    constant in Var(x_n) = 2 D n + c.  The standard error is taken
-    across `batches` contiguous sample batches.
+    constant in Var(x_n) = 2 D n + c.  The variance is taken about the
+    ensemble mean, so this estimates the centred D = d - drift^2/2, where
+    d and drift are those of `diffusion_spectral`.  The standard error is
+    taken across `batches` contiguous sample batches.
 
     Returns
     -------
@@ -306,15 +292,10 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     half = n_steps // 2
     out_half = np.empty(n_samples)
     out_full = np.empty(n_samples)
-    dctx = _dither_context(lift_map, seed, n_samples, "auto")
 
     def run(start, stop):
-        dead = np.zeros(stop - start, dtype=bool)
-        x = _iterate_chunk(lift_map, uniform_stream(seed, start, stop - start), dead,
-                           half, dctx, start)
-        out_half[start:stop] = np.where(dead, np.nan, x)
-        x = _iterate_chunk(lift_map, x, dead, n_steps - half, dctx, start, step_offset=half)
-        out_full[start:stop] = np.where(dead, np.nan, x)
+        out_half[start:stop], out_full[start:stop] = _iterate_chunk(
+            lift_map, seed, start, stop, n_samples, [half, n_steps])
 
     _run_chunks(run, n_samples, chunk_size, threads)
 
@@ -355,7 +336,7 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
             row.update(d_mc=stats.d_estimate, stderr=stats.d_stderr,
                        ks=stats.ks_statistic)
         except Exception as exc:  # per-point failures must not kill the scan
-            warnings.warn(f"scan point lambda={lam}: {exc}")
+            warnings.warn(f"scan point lambda={lam}: {type(exc).__name__}: {exc}")
         try:
             row["d_heuristic"] = heuristic_d(lam)
         except ValueError:

@@ -115,7 +115,7 @@ def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
     bp_map = lift_map.breakpoints
 
     # maximal linear segments: map pieces refined by the cell boundaries
-    cuts = np.union1d(bp_part, bp_map)
+    cuts = np.union1d(bp_part, bp_map).tolist()
     matrices: dict[int, np.ndarray] = {}
 
     for lo, hi in zip(cuts[:-1], cuts[1:]):

@@ -112,6 +112,15 @@ def test_diffusion_inconsistent_partition(capsys):
     assert "error[validation]:" in err
 
 
+def test_diffusion_explicit_inconsistent_partition(capsys):
+    code, out, err = run(capsys, "diffusion", "--map", '{"type":"linear","lambda":4}',
+                         "--method", "spectral", "--partition", "[-0.5, 0.5]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[validation]:")
+    assert "cell segment" in err
+
+
 def test_solver_failure_exit_code(capsys):
     system = {"unknowns": [], "equations": [{"lhs": "half", "target": {"const": 0}}]}
     code, _, err = run(capsys, "solve-partition", "--system", json.dumps(system))

@@ -114,13 +114,22 @@ def test_increment_estimator_unbiased_cross_check():
 
 def test_power_of_two_slopes_do_not_freeze():
     # exact binary arithmetic would halt the spread of lam = 4 orbits;
-    # the automatic rounding-floor dither keeps the variance growing
+    # the automatic dither keeps the variance growing
     samples = simulate_ensemble(linear_map(4.0), 20_000, STEPS, seed=3)
     stats = estimate_stats(samples, STEPS)
     assert stats.d_estimate > 0.2
-    undithered = simulate_ensemble(linear_map(4.0), 20_000, STEPS, seed=3, dither=0)
-    frozen = estimate_stats(undithered, STEPS)
-    assert frozen.d_estimate < 0.2
+
+
+def test_increment_estimator_long_horizon_power_of_two_slopes():
+    # at n = 1000 most orbits sit far beyond |x| = 16, where a dither added
+    # to the whole position would round away; the cell + fraction state
+    # keeps it, so lam = 4 and the drifting map (slopes 4 and 2, drift 1/4)
+    # reach their exact centred D
+    drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+    for lift_map, d_exact in ((linear_map(4.0), 0.25), (drift, 3.0 / 32.0)):
+        d, stderr = estimate_d_increment(lift_map, 20_000, 1000, seed=DEFAULT_SEED)
+        assert stderr > 0
+        assert abs(d - d_exact) <= 4.0 * stderr, (d, d_exact, stderr)
 
 
 def test_estimate_stats_validation():
@@ -154,11 +163,15 @@ def test_ks_normal_basic():
                      0.0, 1.0) < 0.03
 
 
-def test_overflow_samples_reported_nan():
+def test_far_shift_map_keeps_its_fraction():
+    # f(x) = x + J moves every sample 30*J away; the fraction is rounded
+    # once, at the first step, and the position is the cell plus it
     for jump in (1e8, -1e8):
         jumper = PiecewiseLinearLiftMap([-0.5, 0.5], [(jump - 0.5, jump + 0.5)])
         samples = simulate_ensemble(jumper, 100, 30, seed=0)
-        assert np.all(np.isnan(samples))
+        x0 = uniform_stream(0, 0, 100)
+        assert np.all(np.isfinite(samples))
+        np.testing.assert_array_equal(samples, 30 * jump + ((x0 + jump) - jump))
 
 
 def test_scan_lambda_columns_and_values():
@@ -176,7 +189,7 @@ def test_scan_lambda_columns_and_values():
 
 def test_scan_lambda_empty_and_failures():
     assert scan_lambda([], 100, 10, seed=1) == []
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="MapDefinitionError"):
         rows = scan_lambda([0.0, 3.0], 1000, 10, seed=1)
     assert np.isnan(rows[0]["d_mc"])
     assert not np.isnan(rows[1]["d_mc"])
@@ -196,17 +209,18 @@ def test_thread_env_cap(monkeypatch):
     np.testing.assert_array_equal(a, b)
 
 
-# sha256 of the output bytes, recorded from the unfused implementation
-# (searchsorted piece lookup, one-expression map step, per-simulator chunk
-# loops); a change that alters samples on purpose must update them
+# sha256 of the output bytes, recorded from the integer cell + fraction
+# ensemble state (it left channel_lambda3 and the frozen dyadic zigzag of
+# ensemble_multichunk unchanged); a change that alters samples on purpose
+# must update them
 GOLDEN_DIGESTS = {
-    "ensemble_lambda3": "f024904e523f51a4c136448697948bc25cb6a478a888add546792e44409b4e06",
-    "ensemble_lambda4_dithered": "5ec70ec5299c95014cf8cd7c40a06a4bd2f87fc038c7b5bbee48d1bd1c6d4dd3",
+    "ensemble_lambda3": "53209d6066ea6202305cfea3b7a89c67e773f1d2ebc734c6baf3efe48717b717",
+    "ensemble_lambda4_dithered": "d2fcc5522a7a5b3a22c56eae35b41e2679095d747c0ba51c2e985198d347794c",
     "ensemble_multichunk": "f468788b6c63272ab65a0b408d03982e2f0cdce59a01eccb861f1292a4b6772a",
-    "ensemble_threads2": "2987deeae4f6374af1d91c4d3ceea8c799bb274d7d10cda0e90aa3afaa1c985f",
-    "ensemble_partial_overflow": "5be3f7cf9283e283bf3de7639f04591db5b6e4c704257486ea6cb2c22d48e12b",
-    "increment_drift": "023163016a41e5a2077d9047aecee6ab3f72e14397b097d67f952b0e233ca5ca",
-    "increment_partial_overflow": "95a1b73a4b43bb482d1dcce5b149b93178d3dc20175995649cdde704b2e0a4ea",
+    "ensemble_threads2": "3cd395bf10f3cedee78a7a1cf91f2aef022e3c1ea95377bd05350b7ade48ae44",
+    "ensemble_far_jumps": "0cb1cafbed8a45ce5f65b08a0cd7964797bdecb3db5e66a759f4d471b3b1bf43",
+    "increment_drift": "e1bb2e6bd1d51befb19f3f51ca4db26acad8e4625683b571a757252badc52e0f",
+    "increment_far_jumps": "a8f93f20a7ed3d1ddd29b003bb46ad725fedac877fff1dd8b0027c0022b7f85a",
     "channel_lambda3": "e65027c20b1fc42adee1de5ab619cf9043ad627d6c69a9b3b662747cc84b3acb",
 }
 
@@ -217,8 +231,8 @@ def _digest(values):
 
 def test_ensemble_outputs_match_golden_digests():
     drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
-    # a walk in jumps of +-1e8: a quarter of the samples leave +-1e9, both
-    # ways, and come back as NaN
+    # a walk in jumps of +-1e8: a sixth of the samples end beyond +-1e9,
+    # both ways, with their fractions intact
     jumper = PiecewiseLinearLiftMap([-0.5, -1 / 6, 1 / 6, 0.5],
                                     [(-1e8 - 0.5, -1e8 + 0.5), (-0.5, 0.5),
                                      (1e8 - 0.5, 1e8 + 0.5)])
@@ -230,12 +244,12 @@ def test_ensemble_outputs_match_golden_digests():
                                                  chunk_size=1234),
         "ensemble_threads2": simulate_ensemble(linear_map(3.0), 5000, 30, seed=5,
                                                chunk_size=1234, threads=2),
-        "ensemble_partial_overflow": simulate_ensemble(jumper, 3000, 80, seed=3,
-                                                       chunk_size=1100),
+        "ensemble_far_jumps": simulate_ensemble(jumper, 3000, 80, seed=3,
+                                                chunk_size=1100),
         "increment_drift": estimate_d_increment(drift, 4000, 40, seed=9, batches=10,
                                                 chunk_size=1500),
-        "increment_partial_overflow": estimate_d_increment(jumper, 3000, 80, seed=3,
-                                                           batches=5, chunk_size=1100),
+        "increment_far_jumps": estimate_d_increment(jumper, 3000, 80, seed=3,
+                                                    batches=5, chunk_size=1100),
         "channel_lambda3": [*rep.variances, rep.growth_exponent, rep.stats.mean,
                             rep.stats.variance, rep.stats.sample_count, rep.discarded],
     }
