@@ -7,7 +7,11 @@ difference equation driven by a 1-periodic kick,
 
     x_{n+1} - x_n = x_n - x_{n-1} + f(x_n),
 
-whose variance grows cubically when the kicks decorrelate.
+whose variance grows cubically when the kicks decorrelate.  The ensemble
+simulator keeps each position as an integer cell plus a fraction in
+[-1/2, 1/2), like the lifting-map ensembles, and calls the kick with
+the fraction only; positions have no size limit, and a sample
+is discarded only when the kick's own arithmetic makes it non-finite.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .errors import GrazingReflectionError
 from .maps import fractional_part
-from .montecarlo import EnsembleStats, _run_chunks, estimate_stats
+from .montecarlo import EnsembleStats, _iterate_chunk, _run_chunks, estimate_stats
 from .rng import uniform_stream
 
 __all__ = [
@@ -36,19 +40,6 @@ __all__ = [
 ]
 
 _GRAZE_TOL = 1e-12
-OVERFLOW_LIMIT = 1e9
-
-
-def _mark_overflow(x, dead):
-    """Flag samples beyond +-OVERFLOW_LIMIT or non-finite in `dead`; park them at 0.
-
-    The common step costs one read-only min/max test, which NaN fails
-    too; the masked bookkeeping runs only when some sample is out of range.
-    """
-    if x.min() >= -OVERFLOW_LIMIT and x.max() <= OVERFLOW_LIMIT:
-        return
-    dead |= ~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)
-    x[dead] = 0.0
 
 
 def _zero_angle(x):
@@ -119,7 +110,9 @@ def sawtooth_kick(lam: float) -> Callable:
     lam = float(lam)
 
     def kick(x):
-        return lam * fractional_part(x)
+        f = fractional_part(x)
+        f *= lam  # in place: the channel calls the kick every step
+        return f
 
     kick.lam = lam
     return kick
@@ -178,18 +171,17 @@ class ChannelReport:
 
 
 def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
-                     checkpoints: Optional[Sequence[int]] = None,
-                     x1_cell: int = 0, threads=None,
+                     checkpoints: Optional[Sequence[int]] = None, threads=None,
                      chunk_size: int = 1 << 16) -> ChannelReport:
     """Ensemble of channel trajectories driven by a 1-periodic kick.
 
-    Starts at x_0 = 0 with x_1 uniform on the unit interval around
-    `x1_cell`, iterates the second-order recurrence vectorised over the
-    ensemble and records the position variance at the checkpoints
-    (defaults: n/8, n/4, n/2, n).  The growth exponent is the
-    least-squares slope of log variance against log step count.
-    Overflowing samples are discarded and counted; losing more than 1%
-    flags a warning.
+    Starts at x_0 = 0 with x_1 uniform on [-1/2, 1/2) and iterates
+    v_{n+1} = v_n + f(x_n), x_{n+1} = x_n + v_{n+1} on the carry loop of
+    `montecarlo`, calling the kick with the fraction of x_n in [-1/2, 1/2).
+    Records the position variance at the checkpoints (defaults: n/8, n/4,
+    n/2, n).  The growth exponent is the least-squares slope of log
+    variance against log step count.  Samples the kick makes non-finite
+    are discarded and counted; losing more than 1% flags a warning.
     """
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
@@ -201,44 +193,36 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
         raise ValueError("checkpoints must lie in [1, n_steps]")
 
     lam = getattr(kick, "lam", None)
-    # accumulate sum, sum of squares and counts per checkpoint, in chunk order
-    acc = {c: [0.0, 0.0, 0] for c in cps}
+    # checkpoint c lies c - 1 steps from x_1; the finals, n_steps - 1 steps on, sort last
+    horizons = sorted({c - 1 for c in cps} | {n_steps - 1})
     finals = np.empty(n_samples)
-    discarded = 0
 
     def run(start, stop):
-        x_prev = np.zeros(stop - start)
-        x = float(x1_cell) + uniform_stream(seed, start, stop - start)
-        dead = np.zeros(stop - start, dtype=bool)
-        partial = {}
-        for step in range(1, n_steps + 1):
-            if step > 1:
-                x_next = 2.0 * x
-                x_next -= x_prev
-                x_next += kick(x)
-                _mark_overflow(x_next, dead)
-                x_prev, x = x, x_next
-            if step in acc:
-                alive = x[~dead]
-                partial[step] = (float(alive.sum()), float((alive**2).sum()),
-                                 int(alive.size))
-        finals[start:stop] = np.where(dead, np.nan, x)
-        return partial, int(dead.sum())
+        u = uniform_stream(seed, start, stop - start)
+        v = u.copy()
 
-    for partial, n_dead in _run_chunks(run, n_samples, chunk_size, threads):
-        discarded += n_dead
-        for c, (s1, s2, cnt) in partial.items():
-            acc[c][0] += s1
-            acc[c][1] += s2
-            acc[c][2] += cnt
+        def step(u, t):
+            np.add(v, kick(u), out=v)
+            u += v
 
-    variances = []
-    for c in cps:
-        s1, s2, cnt = acc[c]
-        if cnt < 2:
-            variances.append(float("nan"))
-        else:
-            variances.append((s2 - s1 * s1 / cnt) / (cnt - 1))
+        moments = []
+        # a non-finite kick makes the carry inf - inf: a NaN sample, discarded below
+        with np.errstate(invalid="ignore"):
+            for x in _iterate_chunk(step, u, np.zeros_like(u), horizons):
+                alive = x[np.isfinite(x)]
+                mean = alive.mean() if alive.size else 0.0
+                moments.append((alive.size, mean, ((alive - mean) ** 2).sum()))
+        finals[start:stop] = x
+        return moments
+
+    counts, means, m2s = np.transpose(_run_chunks(run, n_samples, chunk_size, threads))
+    # raises unless two samples stay finite, so every checkpoint pools at least two
+    stats = estimate_stats(finals, n_steps)
+    # Chan et al.: pool the per-chunk counts, means and centred sums of squares
+    cnt = counts.sum(axis=1)
+    mean = (counts * means).sum(axis=1) / cnt
+    pooled = (m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1) / (cnt - 1)
+    variances = pooled[:len(cps)].tolist()
 
     usable = [(c, v) for c, v in zip(cps, variances) if np.isfinite(v) and v > 0]
     if len(usable) >= 2:
@@ -249,8 +233,7 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
         exponent = float("nan")
 
     theo = tuple(theoretical_variance(c, lam) for c in cps) if lam is not None else None
-    stats = estimate_stats(finals, n_steps)
-    frac = discarded / n_samples
+    discarded = n_samples - stats.sample_count
     return ChannelReport(
         stats=stats,
         growth_exponent=exponent,
@@ -258,5 +241,5 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
         variances=tuple(variances),
         theoretical=theo,
         discarded=discarded,
-        discard_warning=frac > 0.01,
+        discard_warning=discarded / n_samples > 0.01,
     )

@@ -60,10 +60,11 @@ def fractional_part(x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("fractional_part requires finite input")
-    out = arr - np.floor(arr + _HALF)
     if arr.ndim == 0:
-        return float(out)
-    return out
+        return float(arr - np.floor(arr + _HALF))
+    out = arr + _HALF
+    np.floor(out, out=out)
+    return np.subtract(arr, out, out=out)
 
 
 class Interval(NamedTuple):

@@ -24,8 +24,10 @@ other slope generates naturally and keeps the ensemble statistics
 faithful.
 
 `simulate_ensemble`, `estimate_d_increment` and the billiard channel
-share one chunk runner: the sample range is cut into chunks that are
-iterated independently, in place, optionally on a thread pool.  The
+share one chunk runner, which cuts the sample range into chunks iterated
+independently, optionally on a thread pool, and one carry loop, which
+moves each fraction's whole part into its cell after a step function:
+the lifting map (plus dither) or the channel's kick and velocity.  The
 normal CDF behind `ks_normal` is a numpy port of the Cephes rational
 approximations, so the package needs only numpy.
 """
@@ -95,31 +97,42 @@ def _run_chunks(run, n_samples, chunk_size, threads):
         return list(pool.map(lambda r: run(*r), ranges))
 
 
-def _iterate_chunk(lift_map, seed, start, stop, total, horizons):
-    """Positions of samples start .. stop-1 of `total` after each step count in `horizons`.
+def _iterate_chunk(step, u, cell, horizons):
+    """Yield cell + u after each step count in `horizons`; u and cell move in place.
 
-    Each sample is an integer-valued cell plus a fraction u in
-    [-1/2, 1/2): a step maps u through its piece, adds the dither, then
-    moves the whole part floor(u + 1/2) of the image into the cell.  The
-    dither for sample i at step t is word t*total + i of its keyed
-    stream, so results do not depend on the chunking.
+    `step(u, t)` moves the fractions in place, then the whole part
+    floor(u + 1/2) of each goes into its integer-valued cell through one
+    reused carry buffer.
     """
-    key = _dither_key(lift_map, seed)
-    u = uniform_stream(seed, start, stop - start)
-    cell = np.zeros_like(u)
     carry = np.empty_like(u)
     done = 0
     for horizon in horizons:
         for t in range(done, horizon):
-            lift_map._map_fraction(u)
-            if key is not None:
-                u += uniform_stream(key, t * total + start, u.size,
-                                    low=-DITHER_AMPLITUDE / 2, high=DITHER_AMPLITUDE / 2)
+            step(u, t)
             np.floor(np.add(u, 0.5, out=carry), out=carry)
             u -= carry
             cell += carry
         done = horizon
         yield cell + u
+
+
+def _lift_chunk(lift_map, seed, start, stop, total, horizons):
+    """`_iterate_chunk` of samples start .. stop-1 of `total` under a lifting map.
+
+    A step maps each fraction through its piece and adds the dither: word
+    t*total + i of its keyed stream for sample i at step t, so results do
+    not depend on the chunking.
+    """
+    key = _dither_key(lift_map, seed)
+
+    def step(u, t):
+        lift_map._map_fraction(u)
+        if key is not None:
+            u += uniform_stream(key, t * total + start, u.size,
+                                low=-DITHER_AMPLITUDE / 2, high=DITHER_AMPLITUDE / 2)
+
+    u = uniform_stream(seed, start, stop - start)
+    return _iterate_chunk(step, u, np.zeros_like(u), horizons)
 
 
 def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
@@ -138,7 +151,7 @@ def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
     out = np.empty(n_samples)
 
     def run(start, stop):
-        out[start:stop], = _iterate_chunk(lift_map, seed, start, stop, n_samples, [n_steps])
+        out[start:stop], = _lift_chunk(lift_map, seed, start, stop, n_samples, [n_steps])
 
     _run_chunks(run, n_samples, chunk_size, threads)
     return out
@@ -294,7 +307,7 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     out_full = np.empty(n_samples)
 
     def run(start, stop):
-        out_half[start:stop], out_full[start:stop] = _iterate_chunk(
+        out_half[start:stop], out_full[start:stop] = _lift_chunk(
             lift_map, seed, start, stop, n_samples, [half, n_steps])
 
     _run_chunks(run, n_samples, chunk_size, threads)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from detdiff import (
+    DEFAULT_SEED,
     BilliardState,
     GrazingReflectionError,
     approximate_step,
@@ -13,6 +15,7 @@ from detdiff import (
     simulate_channel,
     tangent_kick,
     theoretical_variance,
+    uniform_stream,
 )
 
 
@@ -126,10 +129,17 @@ def test_simulate_channel_flat_kick():
 
 
 def test_simulate_channel_cubic_band():
-    rep = simulate_channel(sawtooth_kick(2.0), 20_000, 200, seed=7)
-    assert 2.5 <= rep.growth_exponent <= 3.5
-    assert rep.theoretical is not None
-    assert rep.variances[-1] == pytest.approx(rep.theoretical[-1], rel=0.2)
+    # the independent-kick theory misses by about 1/c at checkpoint c; the
+    # estimate adds 4 sigma = 4 sqrt(2/N)
+    n_samples = 100_000
+    for lam in (3.0, 5.0):
+        for seed in (DEFAULT_SEED, 101, 102, 103, 104):
+            rep = simulate_channel(sawtooth_kick(lam), n_samples, 200, seed=seed)
+            assert 2.5 <= rep.growth_exponent <= 3.5
+            cps = np.asarray(rep.checkpoints, dtype=float)
+            band = 1.0 / cps + 4.0 * math.sqrt(2.0 / n_samples)
+            ratio = np.asarray(rep.variances) / np.asarray(rep.theoretical)
+            assert np.all(np.abs(ratio - 1.0) <= band), (lam, seed, ratio)
 
 
 def test_simulate_channel_deterministic():
@@ -141,7 +151,7 @@ def test_simulate_channel_deterministic():
     c = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11, chunk_size=701,
                          threads=4)
     d = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11, chunk_size=701)
-    assert c.variances == d.variances
+    assert c == d
     # different chunkings reorder the accumulation at rounding level only
     np.testing.assert_allclose(a.variances, c.variances, rtol=1e-12)
 
@@ -151,15 +161,28 @@ def test_simulate_channel_checkpoint_validation():
         simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=[0, 10])
 
 
-def test_simulate_channel_discards_overflow():
-    def half_explode(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, 1e10, 0.0)
+def test_simulate_channel_discards_non_finite():
+    def half_explode(u):
+        return np.where(u > 0, np.inf, 0.0)
 
-    rep = simulate_channel(half_explode, 2000, 20, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = simulate_channel(half_explode, 2000, 20, seed=0)
     assert rep.discarded > 0
     assert rep.discard_warning
     assert rep.stats.sample_count == 2000 - rep.discarded
+    assert np.all(np.isfinite(rep.variances))
+
+
+def test_simulate_channel_large_mean_variance_exact():
+    # a constant kick C moves every sample alike: x_c = c x_1 + C c (c - 1) / 2,
+    # so Var(x_c) = c^2 Var(x_1) however far the ensemble has travelled
+    n_samples = 20_000
+    rep = simulate_channel(lambda u: np.full_like(u, 1e4), n_samples, 200,
+                           seed=DEFAULT_SEED, checkpoints=[50, 200])
+    var_x1 = np.var(uniform_stream(DEFAULT_SEED, 0, n_samples), ddof=1)
+    for c, v in zip(rep.checkpoints, rep.variances):
+        assert v == pytest.approx(c * c * var_x1, rel=1e-9)
 
 
 def test_channel_report_rows():
