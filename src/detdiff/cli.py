@@ -113,7 +113,8 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
     """Transfer matrices over --partition, --partition-system, or map breakpoints.
 
     `build_transition_matrices` is the one consistency check: it raises
-    ConsistencyError naming the first misaligned cell.
+    ConsistencyError naming the first cell segment whose image is not a
+    union of whole cells, by the rule `validate_consistency` reports on.
     """
     if getattr(args, "partition", None):
         bps = [parse_algebraic(v) for v in _load_json_arg(args.partition)]

@@ -113,6 +113,13 @@ def unit_pulse(breakpoints) -> LatticeDensity:
                           breakpoints=tuple(float(b) for b in breakpoints))
 
 
+def _require_same_partition(a, b):
+    """Raise ValueError unless breakpoint tuples a and b give the same cells."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or np.max(np.abs(a - b)) > 1e-12:
+        raise ValueError(f"different partitions: {a.tolist()} and {b.tolist()}")
+
+
 def evolve(tset: TransitionMatrixSet, initial: LatticeDensity, n: int) -> LatticeDensity:
     """Apply the matrix convolution P_k(t+1) = sum_j p_j P_{k-j}(t), n times.
 
@@ -121,9 +128,7 @@ def evolve(tset: TransitionMatrixSet, initial: LatticeDensity, n: int) -> Lattic
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    if np.max(np.abs(np.asarray(initial.breakpoints)
-                     - np.asarray(tset.breakpoints))) > 1e-12:
-        raise ValueError("density and matrix set use different partitions")
+    _require_same_partition(initial.breakpoints, tset.breakpoints)
     if n == 0:
         return initial
 
@@ -186,8 +191,7 @@ def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:
     CDFs are accumulated cell by cell in (k, j) order and compared at
     every cell boundary; both densities must live on the same partition.
     """
-    if np.max(np.abs(np.asarray(a.breakpoints) - np.asarray(b.breakpoints))) > 1e-12:
-        raise ValueError("densities live on different partitions")
+    _require_same_partition(a.breakpoints, b.breakpoints)
     k_lo = min(a.k_min, b.k_min)
     k_hi = max(a.k_max, b.k_max)
     m = a.m

@@ -11,6 +11,7 @@ slope is the largest real root.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -186,7 +187,7 @@ def largest_real_root(int_coeffs, lower: float = 1.0, residual_tol: float = 1e-1
     hi = lower + 1.0 + max(abs(float(c) / lead) for c in p[:-1])
 
     steps = 4000
-    grid = np.linspace(hi, lower, steps)
+    grid = np.linspace(hi, lower, steps).tolist()
     vals = [_peval(p, x) for x in grid]
     a = b = None
     for i in range(steps - 1):
@@ -364,17 +365,12 @@ def solve_partition_system(system: PartitionEquationSystem,
     vanishing of its determinant, a polynomial in lam; denominators are
     cleared (a factor 2 from the half-integer constants) to give integer
     coefficients.  The returned slope is the largest real root above 1,
-    with |R| below `residual_tol` after Newton polishing.
+    with |R| below `residual_tol` after Newton polishing.  The system has
+    one defining equation per unknown plus the `half` equation, so lam
+    enters the k + 1 rows in distinct columns and R has degree k + 1.
     """
-    if len(system.equations) != len(system.unknowns) + 1:
-        raise SystemStructureError(
-            f"{len(system.unknowns)} unknowns need "
-            f"{len(system.unknowns) + 1} equations, got {len(system.equations)}")
     rows, names = _system_rows(system)
-    det = _det_poly(rows)
-    if det == _PZERO or len(det) < 2:
-        raise SystemStructureError("degenerate system: determinant has no lam dependence")
-    poly = _to_primitive_int(det)
+    poly = _to_primitive_int(_det_poly(rows))
     lam = largest_real_root(poly, lower=1.0, residual_tol=residual_tol)
 
     k = len(names)
@@ -454,53 +450,60 @@ class ConsistencyReport:
         return self.passed
 
 
-def _grid_distance(value: float, breakpoints) -> float:
-    """Distance from `value` to the nearest integer-translated breakpoint."""
-    bp = np.asarray(breakpoints)
-    best = math.inf
-    base = math.floor(value + 0.5)
-    for k in (base - 1, base, base + 1):
-        best = min(best, float(np.min(np.abs(value - (k + bp)))))
-    return best
+def _cell_images(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
+    """The Markov rule, one maximal linear segment of the map at a time.
+
+    The segments [lo, hi) are the map pieces refined by the cell
+    boundaries.  Cell i of unit interval k is numbered k * m + i, so grid
+    point g is the boundary k + y_i.  Each end of a segment's image is
+    matched to its nearest grid point: the image covers cells
+    first .. stop - 1, and `miss` is the larger distance of an end from
+    its grid point (inf when the image covers no cell).  Yields
+    (lo, hi, src, weight, first, stop, miss), with src the cell that
+    holds the segment and weight = 1/|slope| the density it deposits on
+    each covered cell.
+    """
+    bp = partition.breakpoints
+    m = partition.m
+
+    def grid_point(value):
+        k = math.floor(value + 0.5)
+        off = value - k
+        dist, i = min((abs(b - off), i) for i, b in enumerate(bp))
+        return k * m + i, dist
+
+    cuts = np.union1d(bp, lift_map.breakpoints).tolist()
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        src = bisect.bisect_left(bp, mid) - 1
+        piece = int(lift_map._piece_of(mid))
+        slope = float(lift_map.slopes[piece])
+        icpt = float(lift_map.intercepts[piece])
+        (first, miss_lo), (stop, miss_hi) = map(
+            grid_point, sorted((slope * lo + icpt, slope * hi + icpt)))
+        miss = max(miss_lo, miss_hi) if stop > first else math.inf
+        yield lo, hi, src, 1.0 / abs(slope), first, stop, miss
 
 
 def validate_consistency(lift_map: PiecewiseLinearLiftMap,
                          partition: MarkovPartition,
                          tol: float = 1e-9) -> ConsistencyReport:
-    """Check that the map sends each partition cell onto whole cells.
+    """Check that the map sends each linear segment of a cell onto whole cells.
 
-    Two conditions are tested: (a) the map is linear on every cell, i.e.
-    each interior map breakpoint coincides with a partition breakpoint;
-    (b) the image of every cell endpoint equals an integer plus some
-    partition breakpoint, within `tol`.  Diagnostics only; nothing is
-    raised.
+    The segments are the map pieces refined by the cell boundaries, so a
+    cell may hold several whole pieces.  Each segment whose image ends
+    lie more than `tol` from the integer-translated cell-boundary grid
+    gets a message; `worst_violation` is the largest such distance, 0.0
+    on a pass and inf when an image is too short to cover a single cell.
+    This is the rule `build_transition_matrices` enforces; here it is
+    diagnostics only and nothing is raised.
     """
-    bp_map = lift_map.breakpoints
-    bp_part = np.asarray(partition.breakpoints)
     messages = []
     worst = 0.0
-
-    for x in bp_map[1:-1]:
-        dist = float(np.min(np.abs(bp_part - x)))
-        if dist > tol:
-            worst = max(worst, dist)
-            messages.append(
-                f"map breakpoint {x!r} is {dist:.3g} away from any cell boundary")
-
-    for i in range(partition.m):
-        lo, hi = bp_part[i], bp_part[i + 1]
-        mid = 0.5 * (lo + hi)
-        j = lift_map._piece_of(np.asarray(mid))
-        s, t = float(lift_map.slopes[j]), float(lift_map.intercepts[j])
-        for end in (lo, hi):
-            image = s * end + t
-            dist = _grid_distance(image, bp_part[:-1])
-            if dist > tol:
-                worst = max(worst, dist)
-                messages.append(
-                    f"cell [{lo!r}, {hi!r}): endpoint image {image!r} "
-                    f"misses the boundary grid by {dist:.3g}")
-
+    for lo, hi, _, _, _, _, miss in _cell_images(lift_map, partition):
+        if miss > tol:
+            worst = max(worst, miss)
+            messages.append(f"image of cell segment [{lo!r}, {hi!r}) "
+                            f"misses the cell-boundary grid by {miss:.3g}")
     return ConsistencyReport(passed=not messages, worst_violation=worst,
                              messages=tuple(messages))
-

@@ -18,7 +18,6 @@ iteration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError
 from .maps import PiecewiseLinearLiftMap
-from .partition import MarkovPartition
+from .partition import MarkovPartition, _cell_images
 
 __all__ = [
     "TransitionMatrixSet",
@@ -78,19 +77,6 @@ class TransitionMatrixSet:
                 for s, mat in zip(self.shifts, self.matrices)}
 
 
-def _boundary_index(value: float, offsets: np.ndarray, tol: float):
-    """Express a cell boundary as (unit cell k, breakpoint index i)."""
-    k = math.floor(value + 0.5)
-    off = value - k
-    dists = np.abs(offsets - off)
-    i = int(np.argmin(dists))
-    if dists[i] <= tol:
-        return k, i
-    if abs(off - 0.5) <= tol:
-        return k + 1, 0
-    return None
-
-
 def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
                               partition: MarkovPartition,
                               tol: float = 1e-9) -> TransitionMatrixSet:
@@ -98,8 +84,10 @@ def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
 
     Every maximal linear segment of the map inside a cell must map onto
     an exact union of (integer-translated) cells; each covered cell
-    receives density 1/|slope|.  Misaligned images raise
-    ConsistencyError naming the offending cell.
+    receives density 1/|slope|.  This is the rule `validate_consistency`
+    reports on; here a segment whose image misses the cell-boundary grid
+    by more than `tol`, or spans more than 100000 cells, raises
+    ConsistencyError naming that cell segment.
 
     Parameters
     ----------
@@ -109,50 +97,18 @@ def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
         which case each cell carries a single slope.  Cells containing
         several whole pieces are also accepted.
     """
-    bp_part = np.asarray(partition.breakpoints)
     m = partition.m
-    offsets = bp_part[:-1]
-    bp_map = lift_map.breakpoints
-
-    # maximal linear segments: map pieces refined by the cell boundaries
-    cuts = np.union1d(bp_part, bp_map).tolist()
     matrices: dict[int, np.ndarray] = {}
-
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        src = int(np.searchsorted(bp_part, mid) - 1)
-        piece = int(lift_map._piece_of(np.asarray(mid)))
-        slope = float(lift_map.slopes[piece])
-        icpt = float(lift_map.intercepts[piece])
-        va, vb = slope * lo + icpt, slope * hi + icpt
-        img_lo, img_hi = min(va, vb), max(va, vb)
-
-        start = _boundary_index(img_lo, offsets, tol)
-        if start is None:
-            raise ConsistencyError(
-                f"image endpoint {img_lo!r} of cell segment [{lo!r}, {hi!r}) "
-                "is not on the cell-boundary grid")
-        k, i = start
-        weight = 1.0 / abs(slope)
-        guard = 0
-        while True:
-            nxt = k + bp_part[i + 1]
-            # the covered cell is (k, i); record then advance
-            mat = matrices.setdefault(k, np.zeros((m, m)))
-            mat[i, src] += weight
-            if abs(nxt - img_hi) <= tol:
-                break
-            if nxt > img_hi + tol:
-                raise ConsistencyError(
-                    f"image of cell segment [{lo!r}, {hi!r}) ends at {img_hi!r}, "
-                    f"inside a cell ending at {nxt!r}")
-            if i + 1 < m:
-                i += 1
-            else:
-                k, i = k + 1, 0
-            guard += 1
-            if guard > 100000:
-                raise ConsistencyError("runaway cell enumeration; image span too large")
+    for lo, hi, src, weight, first, stop, miss in _cell_images(lift_map, partition):
+        if miss > tol:
+            raise ConsistencyError(f"image of cell segment [{lo!r}, {hi!r}) "
+                                   f"misses the cell-boundary grid by {miss:.3g}")
+        if stop - first > 100000:
+            raise ConsistencyError(f"image of cell segment [{lo!r}, {hi!r}) "
+                                   f"spans {stop - first} cells, more than 100000")
+        for g in range(first, stop):
+            k, i = divmod(g, m)
+            matrices.setdefault(k, np.zeros((m, m)))[i, src] += weight
 
     shifts = tuple(sorted(matrices))
     stack = np.stack([matrices[s] for s in shifts])

@@ -74,7 +74,7 @@ def test_evolve_mass_conserved_1000_steps():
 def test_evolve_partition_mismatch():
     ts3 = build_transition_matrices(linear_map(3.0), MarkovPartition.unit())
     other = unit_pulse((-0.5, 0.0, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different partitions"):
         evolve(ts3, other, 1)
 
 
@@ -116,7 +116,7 @@ def test_kolmogorov_disjoint_deltas():
 
 
 def test_kolmogorov_partition_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different partitions"):
         kolmogorov_distance(unit_pulse((-0.5, 0.5)), unit_pulse((-0.5, 0.0, 0.5)))
 
 

@@ -6,17 +6,21 @@ import pytest
 
 from detdiff import (
     CASES,
+    ConsistencyError,
     Equation,
     MarkovPartition,
     PartitionEquationSystem,
     PartitionError,
+    PiecewiseLinearLiftMap,
     RootSolveError,
     SystemStructureError,
+    build_transition_matrices,
     largest_real_root,
     linear_map,
     solve_partition_system,
     solve_three_interval,
     validate_consistency,
+    zigzag_map,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -233,6 +237,42 @@ def test_consistency_failure_with_violation():
     assert not report
     assert report.worst_violation == pytest.approx(0.35, abs=1e-9)
     assert report.messages
+
+
+def _own_partition(lift_map):
+    return MarkovPartition(tuple(lift_map.breakpoints))
+
+
+_DRIFT = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+_SLOPE4 = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-2.5, -0.5), (0.5, 2.5)])
+_ZIGZAG = zigzag_map(1, 0.25)
+# a piece 1e-10 wide whose image lies within tol of one grid point
+_SLIVER = PiecewiseLinearLiftMap([-0.5, 0.5 - 1e-10, 0.5],
+                                 [(-0.5, 0.5 - 3e-10), (0.5 - 3e-10, 0.5)])
+_RULE_PAIRS = {
+    **{name: (case.lift_map(), case.partition()) for name, case in CASES.items()},
+    **{f"linear-{lam}-{label}": (linear_map(lam), part)
+       for lam in (3.0, 4.0, 5.0, 3.7, 2.5)
+       for label, part in (("unit", MarkovPartition.unit()),
+                           ("half", MarkovPartition.half_integer()))},
+    # two pieces in one cell, each mapping onto whole cells
+    "drift-unit": (_DRIFT, MarkovPartition.unit()),
+    "drift-own": (_DRIFT, _own_partition(_DRIFT)),
+    "slope4-unit": (_SLOPE4, MarkovPartition.unit()),
+    "zigzag-own": (_ZIGZAG, _own_partition(_ZIGZAG)),
+    "sliver-unit": (_SLIVER, MarkovPartition.unit()),
+}
+
+
+@pytest.mark.parametrize("name", list(_RULE_PAIRS))
+def test_consistency_agrees_with_matrix_build(name):
+    lift_map, part = _RULE_PAIRS[name]
+    try:
+        build_transition_matrices(lift_map, part)
+        built = True
+    except ConsistencyError:
+        built = False
+    assert bool(validate_consistency(lift_map, part)) == built
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,8 +62,49 @@ def test_matrices_scalar_lambda_3(unit_tset_lam3):
 
 
 def test_build_rejects_misaligned_partition():
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="cell segment"):
         build_transition_matrices(linear_map(3.7), MarkovPartition.unit())
+    # an image of a billion cells is refused before any is enumerated
+    with pytest.raises(ConsistencyError, match="cell segment"):
+        build_transition_matrices(linear_map(1000000001.0), MarkovPartition.unit())
+
+
+# sha256 of the shifts followed by the matrices; a change that alters a
+# matrix on purpose must update them
+MATRIX_DIGESTS = {
+    "two-plus-sqrt3": "60edf7d70f634d4e71746b18bd891ef7bd410fba9884555f2758ab9afdbb771d",
+    "three-plus-sqrt6": "a2944edeb7cc6b30cb94b59f2907539f1869cd10d364aa7a47e1076a3c0faeef",
+    "two-plus-sqrt7": "a49d38dc2d6c1134d6a8f23542be387e26b3de53d81efc4ae25ff50c1bc27178",
+    "one-plus-sqrt3": "9c22489f27cf1102f744b733a062f80ab5d0208ef7d1dfe5a6082be3eb58e75b",
+    "two-plus-sqrt2": "38f14f256781f932c1ee69a6f2ec8fb0917c9c5f79fadd408e0cd83ba9fc62c6",
+    "cubic-4p71": "8f1b38fb743e5f32dc408f5743ef5f6c57c138dfd2fdb52145daed31aae86acf",
+    "cubic-4p21": "64fcedc717f12b7ee0767217c89808ce8d02dd02874f6cb31a7660975c5f48c1",
+    "quartic-3p98": "e99a5e66f6165ffd8a8b6a35e6186e1b0176651632e5c58841ee0ea7854efaf1",
+    "even-4": "b8669bb1731c3693844d7e2b30487ed8ea892f2cdde1557b5cfb687513677eb2",
+    "linear-3": "fe460df1a3f7f7d8842afee84d6fedc86f264f6c040e7386f5400022e7839610",
+    "linear-5": "6ecdf15cb481f2d5668eb2e29a2b9a16c73122c59b89e2395fb4d6ec717e0f2f",
+    "linear-7": "06679d5c957d07bd8aee83bd76b93c50df0589c89263ad4b575e47c8776fd1a0",
+    "drift-unit": "db182f1c9998c7202a5b63c05c40ab58d159acf76eab2f44e059f8b784002323",
+    "drift-own": "a9a17dffc9d4a1c201674c849b56e0c30891d54fbdf6750c8b649581276c75bd",
+    "zigzag": "38b121e53bc2d121b3acc68bfe195ea549fadd86ed4548febab7d5298a992cca",
+}
+
+
+def test_matrices_match_golden_digests():
+    drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+    zigzag = zigzag_map(1, 0.25)
+    pairs = {name: (case.lift_map(), case.partition()) for name, case in CASES.items()}
+    for lam in (3, 5, 7):
+        pairs[f"linear-{lam}"] = (linear_map(lam), MarkovPartition.unit())
+    pairs["drift-unit"] = (drift, MarkovPartition.unit())
+    pairs["drift-own"] = (drift, MarkovPartition(tuple(drift.breakpoints)))
+    pairs["zigzag"] = (zigzag, MarkovPartition(tuple(zigzag.breakpoints)))
+    got = {}
+    for name, (lift_map, part) in pairs.items():
+        tset = build_transition_matrices(lift_map, part)
+        got[name] = hashlib.sha256(
+            np.r_[tset.shifts, tset.matrices.ravel()].tobytes()).hexdigest()
+    assert got == MATRIX_DIGESTS
 
 
 @pytest.mark.parametrize("name", list(CASES))
