@@ -110,8 +110,15 @@ def sawtooth_kick(lam: float) -> Callable:
     lam = float(lam)
 
     def kick(x):
-        f = fractional_part(x)
-        f *= lam  # in place: the channel calls the kick every step
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return lam * fractional_part(x)
+        # the channel calls the kick every step: one output array, no
+        # finiteness scan; a non-finite x gives NaN there
+        f = np.add(x, 0.5)
+        np.floor(f, out=f)
+        np.subtract(x, f, out=f)
+        f *= lam
         return f
 
     kick.lam = lam

@@ -18,10 +18,11 @@ differencing two horizons and is the recommended cross-method check.
 Maps whose slopes are all exact powers of two are iterated exactly in
 binary floating point, so orbits exhaust their 52 fractional bits and
 freeze on the dyadic lattice after ~26 steps.  For those maps (only) a
-seeded dither of 2^-48 is added to each image fraction every step, above
-its rounding floor; it plays the role of the rounding noise that every
-other slope generates naturally and keeps the ensemble statistics
-faithful.
+seeded dither of amplitude 2^-48 is added to each image fraction every
+step, above its rounding floor; it plays the role of the rounding noise
+that every other slope generates naturally and keeps the ensemble
+statistics faithful.  Sample i of N reads it at step t from 16-bit lane
+t*N + i of a keyed Philox stream, four lanes to a 64-bit word.
 
 `simulate_ensemble`, `estimate_d_increment` and the billiard channel
 share one chunk runner, which cuts the sample range into chunks iterated
@@ -29,7 +30,8 @@ independently, optionally on a thread pool, and one carry loop, which
 moves each fraction's whole part into its cell after a step function:
 the lifting map (plus dither) or the channel's kick and velocity.  The
 normal CDF behind `ks_normal` is a numpy port of the Cephes rational
-approximations, so the package needs only numpy.
+approximations, so the package needs only numpy; `ks_normal` evaluates
+it only on the blocks of sorted samples where the maximum gap can be.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .density import heuristic_d, omega_approx_d
 from .maps import PiecewiseLinearLiftMap, linear_map
-from .rng import resolve_threads, uniform_stream
+from .rng import _lane_reader, resolve_threads, uniform_stream
 
 __all__ = [
     "EnsembleStats",
@@ -55,9 +57,19 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+#: sorted samples per block of the pruned KS statistic, the margin a
+#: block's bound must clear before it is skipped, and the longest gap of
+#: skipped blocks inside one evaluated run
+_KS_BLOCK = 256
+_KS_MARGIN = 1e-12
+_KS_JOIN = 4
 
 #: dither amplitude, above the rounding floor of a fraction in [-1/2, 1/2)
 DITHER_AMPLITUDE = 2.0**-48
+# a 16-bit lane w gives the dither (w + 1/2) 2^-64 - 2^-49: both terms
+# and their sum are multiples of 2^-65 below 2^-48, so it is exact
+_LANE_SCALE = DITHER_AMPLITUDE / 65536
+_LANE_OFFSET = _LANE_SCALE / 2 - DITHER_AMPLITUDE / 2
 _DITHER_KEY_SALT = 0x9E3779B97F4A7C15
 
 
@@ -119,17 +131,21 @@ def _iterate_chunk(step, u, cell, horizons):
 def _lift_chunk(lift_map, seed, start, stop, total, horizons):
     """`_iterate_chunk` of samples start .. stop-1 of `total` under a lifting map.
 
-    A step maps each fraction through its piece and adds the dither: word
-    t*total + i of its keyed stream for sample i at step t, so results do
-    not depend on the chunking.
+    A step maps each fraction through its piece and adds the dither made
+    from 16-bit lane w = t*total + i of its keyed stream for sample i at
+    step t, so results do not depend on the chunking:
+    d = (w + 1/2) 2^-64 - 2^-49, exact, through one buffer per chunk.
     """
     key = _dither_key(lift_map, seed)
+    if key is not None:
+        lanes = _lane_reader(key)
+        dither = np.empty(stop - start)
 
     def step(u, t):
         lift_map._map_fraction(u)
         if key is not None:
-            u += uniform_stream(key, t * total + start, u.size,
-                                low=-DITHER_AMPLITUDE / 2, high=DITHER_AMPLITUDE / 2)
+            np.multiply(lanes(t * total + start, u.size), _LANE_SCALE, out=dither)
+            u += np.add(dither, _LANE_OFFSET, out=dither)
 
     u = uniform_stream(seed, start, stop - start)
     return _iterate_chunk(step, u, np.zeros_like(u), horizons)
@@ -235,19 +251,46 @@ def _ndtr(a):
 def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     """Kolmogorov statistic of the empirical CDF against Normal(mean, std^2).
 
-    The normal CDF is evaluated over the sorted samples in fixed-size
-    blocks, so no temporary beyond the sorted copy spans all samples.
+    The largest of (i + 1)/n - F(s_i) and F(s_i) - i/n over the sorted
+    samples s_i.  F is evaluated only where the maximum can be: first at
+    both ends of each block of sorted samples, then over the runs of
+    blocks whose bound could beat the best gap found there, in slices of
+    at most 65536 samples, so no temporary beyond the sorted copy spans
+    all samples.  The result is == to evaluating F at every sample.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
         raise ValueError("need at least one sample")
-    gaps = []
-    for lo in range(0, n, _CHUNK):
-        cdf = _ndtr((s[lo:lo + _CHUNK] - mean) / std)
-        i = np.arange(lo, lo + cdf.size)
-        gaps += [np.max((i + 1) / n - cdf), np.max(cdf - i / n)]
-    return float(np.max(gaps))
+
+    def cdf(x):
+        return _ndtr((x - mean) / std)
+
+    def largest_gap(f, i):
+        return np.maximum(np.max((i + 1) / n - f), np.max(f - i / n))
+
+    first = np.arange(0, n, _KS_BLOCK)
+    ends = np.concatenate([first, np.minimum(first + _KS_BLOCK, n) - 1])
+    f = cdf(s[ends])
+    found = [largest_gap(f, ends)]
+    # F rises with s (its rounding wobbles by 4.4e-16, far inside the
+    # margin), so no gap in a block exceeds the block's bound
+    bound = np.maximum((ends[first.size:] + 1) / n - f[:first.size],
+                       f[first.size:] - first / n)
+    skip = bound + _KS_MARGIN <= found[0]
+    if not std > 0:         # then F falls with s, and no bound holds
+        skip[:] = False
+    # never empty: the block of the best end gap is always a candidate
+    todo = np.flatnonzero(~skip)
+    # a run of candidates also spans gaps of up to _KS_JOIN skipped
+    # blocks, which cost less to evaluate than one more call
+    cut = np.flatnonzero(np.diff(todo) > _KS_JOIN + 1)
+    for a, b in zip(todo[np.r_[0, cut + 1]], todo[np.r_[cut, -1]] + 1):
+        start, stop = a * _KS_BLOCK, min(b * _KS_BLOCK, n)
+        for lo in range(start, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            found.append(largest_gap(cdf(s[lo:hi]), np.arange(lo, hi)))
+    return float(np.max(found))
 
 
 def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:

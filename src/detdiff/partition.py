@@ -296,16 +296,16 @@ class PartitionEquationSystem:
             eqs = []
             for raw in data["equations"]:
                 target = raw["target"]
-                const = target.get("const", 0)
-                const = Fraction(const).limit_denominator(2) if isinstance(const, float) \
-                    else Fraction(const)
+                coef = Fraction(target.get("coef", 0))
+                if coef.denominator != 1:
+                    raise SystemStructureError(f"coefficient {target['coef']} is not an integer")
                 eqs.append(Equation(
                     lhs=str(raw["lhs"]),
-                    const=const,
-                    coef=int(target.get("coef", 0)),
+                    const=Fraction(target.get("const", 0)),
+                    coef=int(coef),
                     ref=target.get("ref"),
                 ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SystemStructureError(f"malformed partition system: {exc}") from exc
         return cls(unknowns, tuple(eqs))
 

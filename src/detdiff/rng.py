@@ -4,7 +4,8 @@ All ensemble draws come from a Philox stream keyed by the user seed;
 the value for sample index i is word i of that stream.  Chunks are
 generated independently by advancing the counter to the chunk start, so
 any parallel schedule reproduces the single-threaded sample set bit for
-bit.
+bit.  The dither of the ensemble simulators reads the same stream in
+16-bit lanes, four to a word, addressed by lane index the same way.
 """
 
 from __future__ import annotations
@@ -39,6 +40,30 @@ def uniform_stream(seed: int, start: int, count: int,
     u *= high - low
     u += low
     return u
+
+
+def _lane_reader(seed: int):
+    """read(start, count): 16-bit lanes [start, start + count) of the stream of `seed`.
+
+    Word k of the stream holds lanes 4k .. 4k + 3, lowest 16 bits first
+    on any host, so reads may start at any lane.  One bit generator
+    serves every read: a relative advance, which wraps modulo 2^256 and
+    so may also step back, moves it to the block that holds the read.
+    """
+    bitgen = np.random.Philox(key=int(seed))
+    at = 0      # the block the generator emits next
+
+    def read(start: int, count: int) -> np.ndarray:
+        nonlocal at
+        word, lane = divmod(int(start), 4)
+        block, lead = divmod(word, 4)
+        bitgen.advance(block - at)
+        n = lead + (lane + count + 3) // 4
+        at = block + (n + 3) // 4
+        words = bitgen.random_raw(n)[lead:]
+        return words.astype("<u8", copy=False).view("<u2")[lane:lane + count]
+
+    return read
 
 
 def resolve_threads(threads=None) -> int:

@@ -71,6 +71,15 @@ def test_approximate_step_hand_example():
     assert state.x_curr == pytest.approx(0.6, abs=1e-15)
 
 
+def test_sawtooth_kick_non_finite_input():
+    kick = sawtooth_kick(2.0)
+    with pytest.raises(ValueError):
+        kick(float("nan"))
+    with np.errstate(invalid="ignore"):
+        out = kick(np.array([0.25, np.inf, -1.75, np.nan]))
+    np.testing.assert_array_equal(out, [0.5, np.nan, 0.5, np.nan])
+
+
 @pytest.mark.parametrize("kick", [
     sawtooth_kick(1.0),
     sawtooth_kick(2.5),

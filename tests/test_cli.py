@@ -143,6 +143,16 @@ def test_solve_partition_system_inline(capsys):
     assert report["residual"] < 1e-13
 
 
+@pytest.mark.parametrize("field", ['"const":0.3', '"const":0.5,"coef":-1.7,"ref":"xi"'])
+def test_solve_partition_rejects_non_integer_fields(capsys, field):
+    system = ('{"unknowns":["xi"],"equations":[{"lhs":"xi","target":{' + field + '}},'
+              '{"lhs":"half","target":{"const":2,"coef":-1,"ref":"xi"}}]}')
+    code, out, err = run(capsys, "solve-partition", "--system", system)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[validation]:")
+
+
 def test_solve_partition_three_interval(capsys):
     code, out, _ = run(capsys, "solve-partition", "--three-interval", "1,2,1,-1")
     assert code == 0

@@ -23,7 +23,9 @@ from detdiff import (
     unit_pulse,
     zigzag_map,
 )
+from detdiff import montecarlo
 from detdiff.montecarlo import _ndtr
+from detdiff.rng import _lane_reader
 
 N = 100_000
 STEPS = 50
@@ -55,6 +57,26 @@ def test_chunking_and_threads_do_not_change_samples():
                           threads=4)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
+
+
+def test_lane_reader_reads_little_endian_quarter_words():
+    words = np.random.Philox(key=11).random_raw(3000)
+    lanes = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
+    lanes = lanes.ravel()
+    read = _lane_reader(11)
+    # in any order: forwards, backwards, overlapping, from every offset in a word
+    for start, count in ((0, 5), (4097, 999), (3, 1), (1, 16), (6002, 4), (10, 0),
+                         (11990, 10), (2, 7000)):
+        np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
+
+
+def test_lane_dither_does_not_depend_on_chunks_or_threads():
+    # chunks that start at 999, 1234 or 2468 begin mid-word and mid-block
+    ref = simulate_ensemble(linear_map(4.0), 5000, 30, seed=17, chunk_size=65536)
+    for chunk_size, threads in ((999, None), (1234, None), (999, 2)):
+        np.testing.assert_array_equal(
+            simulate_ensemble(linear_map(4.0), 5000, 30, seed=17,
+                              chunk_size=chunk_size, threads=threads), ref)
 
 
 def test_identity_shift_map_is_exact():
@@ -126,10 +148,11 @@ def test_increment_estimator_long_horizon_power_of_two_slopes():
     # keeps it, so lam = 4 and the drifting map (slopes 4 and 2, drift 1/4)
     # reach their exact centred D
     drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
-    for lift_map, d_exact in ((linear_map(4.0), 0.25), (drift, 3.0 / 32.0)):
-        d, stderr = estimate_d_increment(lift_map, 20_000, 1000, seed=DEFAULT_SEED)
-        assert stderr > 0
-        assert abs(d - d_exact) <= 4.0 * stderr, (d, d_exact, stderr)
+    for seed in (DEFAULT_SEED, 101, 102):
+        for lift_map, d_exact in ((linear_map(4.0), 0.25), (drift, 3.0 / 32.0)):
+            d, stderr = estimate_d_increment(lift_map, 20_000, 1000, seed=seed)
+            assert stderr > 0
+            assert abs(d - d_exact) <= 4.0 * stderr, (seed, d, d_exact, stderr)
 
 
 def test_estimate_stats_validation():
@@ -214,11 +237,11 @@ def test_thread_env_cap(monkeypatch):
 # change that alters samples on purpose must update them
 GOLDEN_DIGESTS = {
     "ensemble_lambda3": "53209d6066ea6202305cfea3b7a89c67e773f1d2ebc734c6baf3efe48717b717",
-    "ensemble_lambda4_dithered": "d2fcc5522a7a5b3a22c56eae35b41e2679095d747c0ba51c2e985198d347794c",
+    "ensemble_lambda4_dithered": "032e0613087ade2e2e587bf0e3d5cc4b0fd31880e713bf38e17b6db6c735931b",
     "ensemble_multichunk": "f468788b6c63272ab65a0b408d03982e2f0cdce59a01eccb861f1292a4b6772a",
     "ensemble_threads2": "3cd395bf10f3cedee78a7a1cf91f2aef022e3c1ea95377bd05350b7ade48ae44",
     "ensemble_far_jumps": "0cb1cafbed8a45ce5f65b08a0cd7964797bdecb3db5e66a759f4d471b3b1bf43",
-    "increment_drift": "e1bb2e6bd1d51befb19f3f51ca4db26acad8e4625683b571a757252badc52e0f",
+    "increment_drift": "622272ce7fc6557c28994e7143b336efcfc882ff9799d8f8139a272c99977966",
     "increment_far_jumps": "a8f93f20a7ed3d1ddd29b003bb46ad725fedac877fff1dd8b0027c0022b7f85a",
     "channel_lambda3": "518ec4fc01cc8aeb827fd4d2a03c936e338224f66fe3123cd7825f51d39ff26b",
 }
@@ -278,3 +301,52 @@ def test_ks_normal_matches_pointwise_reference():
         i = np.arange(n)
         ref = max(np.max((i + 1) / n - cdf), np.max(cdf - i / n))
         assert ks_normal(s, mean, std) == pytest.approx(ref, abs=1e-12)
+
+
+def _ks_full(samples, mean, std):
+    """ks_normal without pruning: the normal CDF at every sorted sample."""
+    s = np.sort(samples)
+    n = s.size
+    cdf = _ndtr((s - mean) / std)
+    i = np.arange(n)
+    return float(np.max([np.max((i + 1) / n - cdf), np.max(cdf - i / n)]))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 20_000, 70_001, 500_000])
+def test_pruned_ks_normal_equals_full_evaluation(n, monkeypatch):
+    evaluated = []
+
+    def counting_ndtr(a):
+        evaluated.append(a.size)
+        return _ndtr(a)
+
+    monkeypatch.setattr(montecarlo, "_ndtr", counting_ndtr)
+    rng = np.random.default_rng(77)
+    heavy = rng.standard_t(3, size=n) * 2.0 + 0.3
+    cost = {}
+    for kind, s in (("heavy", heavy), ("near_normal", rng.normal(size=n))):
+        mean, std = float(s.mean()), float(s.std()) if n > 1 else 1.0
+        evaluated.clear()
+        assert ks_normal(s, mean, std) == _ks_full(s, mean, std), kind
+        cost[kind] = sum(evaluated)
+    if n == 20_000:
+        # every 256-sample block is a candidate: all of them are evaluated
+        assert cost["near_normal"] >= n
+    if n >= 20_000:
+        # heavy tails: few blocks are candidates, and the largest gap lies
+        # inside a block, where only the block's full evaluation finds it
+        assert cost["heavy"] < n / 2
+        srt = np.sort(heavy)
+        cdf = _ndtr((srt - heavy.mean()) / heavy.std())
+        i = np.arange(n)
+        worst = int(np.argmax(np.maximum((i + 1) / n - cdf, cdf - i / n)))
+        assert worst % 256 not in (0, 255)
+
+
+def test_pruned_ks_normal_edge_inputs():
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=3000)
+    # a negative std makes the CDF fall with s; no block is skipped
+    assert ks_normal(s, 0.1, -1.0) == _ks_full(s, 0.1, -1.0)
+    s[17] = np.nan
+    assert np.isnan(ks_normal(s, 0.0, 1.0))

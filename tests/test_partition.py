@@ -222,6 +222,26 @@ def test_from_dict_malformed():
         PartitionEquationSystem.from_dict({"unknowns": ["xi"]})
 
 
+@pytest.mark.parametrize("target", [{"const": 0.3}, {"const": 0.5, "coef": -1.7, "ref": "xi"},
+                                    {"const": float("inf")}])
+def test_from_dict_rejects_instead_of_rounding(target):
+    # 0.3 is no half-integer and -1.7 no integer: neither is rounded to one
+    data = {"unknowns": ["xi"],
+            "equations": [{"lhs": "xi", "target": target},
+                          {"lhs": "half", "target": {"const": 2, "coef": -1, "ref": "xi"}}]}
+    with pytest.raises(SystemStructureError):
+        PartitionEquationSystem.from_dict(data)
+
+
+def test_from_dict_accepts_integral_floats():
+    data = {"unknowns": ["xi"],
+            "equations": [{"lhs": "xi", "target": {"const": 1.5, "coef": -1.0, "ref": "xi"}},
+                          {"lhs": "half", "target": {"const": 2.0, "coef": -1, "ref": "xi"}}]}
+    system = PartitionEquationSystem.from_dict(data)
+    assert system.equations == (Equation("xi", Fraction(3, 2), -1, "xi"),
+                                Equation("half", Fraction(2), -1, "xi"))
+
+
 # ---------------------------------------------------------------------------
 # consistency checks
 # ---------------------------------------------------------------------------
