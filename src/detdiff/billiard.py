@@ -216,9 +216,11 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
         # a non-finite kick makes the carry inf - inf: a NaN sample, discarded below
         with np.errstate(invalid="ignore"):
             for x in _iterate_chunk(step, u, np.zeros_like(u), horizons):
-                alive = x[np.isfinite(x)]
+                alive = x if np.isfinite(x).all() else x[np.isfinite(x)]
                 mean = alive.mean() if alive.size else 0.0
-                moments.append((alive.size, mean, ((alive - mean) ** 2).sum()))
+                dev = alive - mean
+                dev *= dev
+                moments.append((alive.size, mean, dev.sum()))
         finals[start:stop] = x
         return moments
 

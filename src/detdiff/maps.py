@@ -163,11 +163,42 @@ class PiecewiseLinearLiftMap:
             j += u >= b
         return j
 
-    def _map_fraction(self, u):
-        """f on I0 in place, u <- slopes[j]*u + intercepts[j]: the ensemble map step."""
-        j = self._piece_of(u)
-        u *= self.slopes.take(j)
-        u += self.intercepts.take(j)
+    def _fraction_scratch(self, shape):
+        """Buffers of `_map_fraction` for fractions of `shape`; None for one-piece maps.
+
+        Per fraction they hold the piece index, its count in the narrowest
+        type that fits it, one comparison and one coefficient, so a caller
+        that steps the same fractions many times allocates them once.
+        """
+        if self.n_pieces == 1:
+            return None
+        return (np.empty(shape, dtype=np.intp),
+                np.empty(shape, dtype=np.min_scalar_type(self.n_pieces - 1)),
+                np.empty(shape, dtype=bool), np.empty(shape))
+
+    def _map_fraction(self, u, scratch=None):
+        """f on I0 in place, u <- slopes[j]*u + intercepts[j]: the ensemble map step.
+
+        `scratch` comes from `_fraction_scratch(u.shape)`; without it the
+        step allocates its own.  The piece index j is counted as in
+        `_piece_of`.
+        """
+        if self.n_pieces == 1:
+            u *= self.slopes[0]
+            # outputs are cell + u, and no cell is -0.0, so skipping the
+            # + 0.0 that would turn a -0.0 fraction into 0.0 changes no bit
+            if self.intercepts[0] != 0.0:
+                u += self.intercepts[0]
+            return u
+        j, count, hit, coef = self._fraction_scratch(np.shape(u)) if scratch is None else scratch
+        # counting in a byte, not in the index, halves the counting time
+        count[...] = 0
+        for b in self.breakpoints[1:-1]:
+            count += np.greater_equal(u, b, out=hit)
+        np.copyto(j, count)
+        # mode="clip" writes straight into `out`; "raise" would buffer
+        u *= np.take(self.slopes, j, out=coef, mode="clip")
+        u += np.take(self.intercepts, j, out=coef, mode="clip")
         return u
 
     def _eval_array(self, x):

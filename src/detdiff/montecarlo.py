@@ -32,6 +32,15 @@ the lifting map (plus dither) or the channel's kick and velocity.  The
 normal CDF behind `ks_normal` is a numpy port of the Cephes rational
 approximations, so the package needs only numpy; `ks_normal` evaluates
 it only on the blocks of sorted samples where the maximum gap can be.
+
+Memory is bounded by the outputs, plus one N-sized temporary, plus
+per-chunk scratch.  A chunk allocates its fractions, cells, carry, map
+and dither buffers once; a lifting-map step then allocates only the
+dither's raw lanes, a quarter the size of the fractions, and the last
+positions overwrite the cells.  `estimate_stats` copies the samples
+only when some are non-finite: the centred copy inside the variance and
+then the sorted copy of `ks_normal` are the N-sized temporaries, never
+alive together, and the CDF sees slices of at most 8192 samples.
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ _CHUNK = 1 << 16
 _KS_BLOCK = 256
 _KS_MARGIN = 1e-12
 _KS_JOIN = 4
+#: longest slice of sorted samples that the normal CDF sees at once
+_KS_SLICE = 1 << 13
 
 #: dither amplitude, above the rounding floor of a fraction in [-1/2, 1/2)
 DITHER_AMPLITUDE = 2.0**-48
@@ -114,7 +125,7 @@ def _iterate_chunk(step, u, cell, horizons):
 
     `step(u, t)` moves the fractions in place, then the whole part
     floor(u + 1/2) of each goes into its integer-valued cell through one
-    reused carry buffer.
+    reused carry buffer.  The last positions overwrite the cell.
     """
     carry = np.empty_like(u)
     done = 0
@@ -125,7 +136,7 @@ def _iterate_chunk(step, u, cell, horizons):
             u -= carry
             cell += carry
         done = horizon
-        yield cell + u
+        yield np.add(cell, u, out=cell if horizon == horizons[-1] else None)
 
 
 def _lift_chunk(lift_map, seed, start, stop, total, horizons):
@@ -140,9 +151,10 @@ def _lift_chunk(lift_map, seed, start, stop, total, horizons):
     if key is not None:
         lanes = _lane_reader(key)
         dither = np.empty(stop - start)
+    scratch = lift_map._fraction_scratch(stop - start)
 
     def step(u, t):
-        lift_map._map_fraction(u)
+        lift_map._map_fraction(u, scratch)
         if key is not None:
             np.multiply(lanes(t * total + start, u.size), _LANE_SCALE, out=dither)
             u += np.add(dither, _LANE_OFFSET, out=dither)
@@ -197,8 +209,9 @@ _ERFC_ZERO = 28.0
 
 def _ratio(scale, x, num, den):
     """scale * num(x) / den(x) by Horner's rule; den has an implicit leading 1."""
-    p = np.full_like(x, num[0])
-    for c in num[1:]:
+    p = x * num[0]
+    p += num[1]
+    for c in num[2:]:
         p *= x
         p += c
     q = x + den[0]
@@ -208,6 +221,17 @@ def _ratio(scale, x, num, den):
     p *= scale
     p /= q
     return p
+
+
+def _branch(out, mask, f, *args):
+    """out[mask] = f(*(a[mask] for a in args)).
+
+    An empty mask skips f, and a full one gathers and scatters nothing.
+    """
+    if mask.all():
+        out[...] = f(*args)
+    elif mask.any():
+        out[mask] = f(*(a[mask] for a in args))
 
 
 def _erf(x):
@@ -220,9 +244,20 @@ def _erfc(x):
     x = np.minimum(x, _ERFC_ZERO)
     out = np.exp(-x * x)
     near = x < 8.0
-    out[near] = _ratio(out[near], x[near], _ERFC_P, _ERFC_Q)
-    out[~near] = _ratio(out[~near], x[~near], _ERFC_R, _ERFC_S)
+    _branch(out, near, lambda e, v: _ratio(e, v, _ERFC_P, _ERFC_Q), out, x)
+    _branch(out, ~near, lambda e, v: _ratio(e, v, _ERFC_R, _ERFC_S), out, x)
     return out
+
+
+def _tail(x):
+    """The CDF for |x| >= 1/sqrt(2): 0.5 erfc(|x|), reflected for x > 0."""
+    z = np.abs(x)
+    tail = np.empty_like(z)
+    small = z < 1.0
+    _branch(tail, small, lambda v: 1.0 - _erf(v), z)
+    _branch(tail, ~small, _erfc, z)
+    tail *= 0.5
+    return np.where(x > 0, 1.0 - tail, tail)
 
 
 def _ndtr(a):
@@ -231,20 +266,14 @@ def _ndtr(a):
     With x = a/sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), otherwise
     0.5 erfc(|x|), reflected for x > 0; erfc is 1 - erf below |x| = 1 and
     one of two rational approximations times exp(-x^2) below and above 8.
+    A branch that no sample takes costs nothing, so a slice of sorted
+    samples, which takes one or two, pays for those only.
     """
     x = a * _SQRTH
-    z = np.abs(x)
-    y = np.empty_like(z)
-    inner = z < _SQRTH
-    y[inner] = 0.5 + 0.5 * _erf(x[inner])
-    outer = ~inner
-    zo = z[outer]
-    tail = np.empty_like(zo)
-    small = zo < 1.0
-    tail[small] = 1.0 - _erf(zo[small])
-    tail[~small] = _erfc(zo[~small])
-    tail *= 0.5
-    y[outer] = np.where(x[outer] > 0, 1.0 - tail, tail)
+    y = np.empty_like(x)
+    inner = np.abs(x) < _SQRTH
+    _branch(y, inner, lambda v: 0.5 + 0.5 * _erf(v), x)
+    _branch(y, ~inner, _tail, x)
     return y
 
 
@@ -255,8 +284,9 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     samples s_i.  F is evaluated only where the maximum can be: first at
     both ends of each block of sorted samples, then over the runs of
     blocks whose bound could beat the best gap found there, in slices of
-    at most 65536 samples, so no temporary beyond the sorted copy spans
-    all samples.  The result is == to evaluating F at every sample.
+    at most `_KS_SLICE` = 8192 samples.  So the sorted copy is the one
+    N-sized temporary: the other temporaries hold a slice or N/128 block
+    ends.  The result is == to evaluating F at every sample.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
@@ -287,8 +317,8 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     cut = np.flatnonzero(np.diff(todo) > _KS_JOIN + 1)
     for a, b in zip(todo[np.r_[0, cut + 1]], todo[np.r_[cut, -1]] + 1):
         start, stop = a * _KS_BLOCK, min(b * _KS_BLOCK, n)
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
+        for lo in range(start, stop, _KS_SLICE):
+            hi = min(lo + _KS_SLICE, stop)
             found.append(largest_gap(cdf(s[lo:hi]), np.arange(lo, hi)))
     return float(np.max(found))
 
@@ -301,8 +331,9 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     variance-of-variance formula; the KS statistic is measured against a
     normal law with the estimated mean and variance.
     """
-    arr = np.asarray(samples, dtype=float)
-    finite = arr[np.isfinite(arr)]
+    finite = np.asarray(samples, dtype=float)
+    if not np.isfinite(finite).all():
+        finite = finite[np.isfinite(finite)]
     n = finite.size
     if n < 2:
         raise ValueError("variance undefined: need at least two finite samples")

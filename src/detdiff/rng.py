@@ -48,7 +48,9 @@ def _lane_reader(seed: int):
     Word k of the stream holds lanes 4k .. 4k + 3, lowest 16 bits first
     on any host, so reads may start at any lane.  One bit generator
     serves every read: a relative advance, which wraps modulo 2^256 and
-    so may also step back, moves it to the block that holds the read.
+    so may also step back, moves it to the block that holds the read,
+    unless the read starts in the block the generator emits next.  Every
+    read takes whole blocks, so the generator never holds spare words.
     """
     bitgen = np.random.Philox(key=int(seed))
     at = 0      # the block the generator emits next
@@ -57,10 +59,13 @@ def _lane_reader(seed: int):
         nonlocal at
         word, lane = divmod(int(start), 4)
         block, lead = divmod(word, 4)
-        bitgen.advance(block - at)
+        if block != at:     # an advance costs microseconds even by 0
+            bitgen.advance(block - at)
         n = lead + (lane + count + 3) // 4
+        # whole blocks only: Philox keeps the unread words of a partial
+        # block and hands them out first, and only an advance drops them
         at = block + (n + 3) // 4
-        words = bitgen.random_raw(n)[lead:]
+        words = bitgen.random_raw(4 * (at - block))[lead:n]
         return words.astype("<u8", copy=False).view("<u2")[lane:lane + count]
 
     return read

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,10 @@ def test_eval_array_bit_identical_to_searchsorted_reference():
         ])
         ref = _searchsorted_eval(m, xs)
         np.testing.assert_array_equal(_bits(m._eval_array(xs)), _bits(ref))
+        # the ensemble step: the same fractions through reused scratch
+        k = np.floor(xs + 0.5)
+        u = m._map_fraction(xs - k, m._fraction_scratch(xs.shape))
+        np.testing.assert_array_equal(_bits(k + u), _bits(ref))
         before = xs.copy()
         m._eval_array(xs)
         np.testing.assert_array_equal(xs, before)          # input left alone
@@ -268,3 +273,17 @@ def test_eval_array_bit_identical_to_searchsorted_reference():
             got = m._eval_array(np.asarray(x))
             assert np.ndim(got) == 0
             assert _bits(got) == _bits(_searchsorted_eval(m, np.asarray(x)))
+
+
+def test_map_step_with_scratch_allocates_no_sample_array():
+    lift_map = zigzag_map(1, 0.25)
+    u = np.random.default_rng(5).uniform(-0.5, 0.5, 65536)
+    scratch = lift_map._fraction_scratch(u.shape)
+    tracemalloc.start()
+    try:
+        lift_map._map_fraction(u, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # at most numpy's casting buffer for the piece count, 8192 elements
+    assert peak < u.nbytes / 4

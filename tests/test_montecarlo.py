@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_chunking_and_threads_do_not_change_samples():
     np.testing.assert_array_equal(a, c)
 
 
-def test_lane_reader_reads_little_endian_quarter_words():
+def test_lane_reader_reads_little_endian_quarter_words(monkeypatch):
     words = np.random.Philox(key=11).random_raw(3000)
     lanes = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
     lanes = lanes.ravel()
@@ -67,6 +68,31 @@ def test_lane_reader_reads_little_endian_quarter_words():
     # in any order: forwards, backwards, overlapping, from every offset in a word
     for start, count in ((0, 5), (4097, 999), (3, 1), (1, 16), (6002, 4), (10, 0),
                          (11990, 10), (2, 7000)):
+        np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
+
+    advances = []
+
+    class CountingPhilox(np.random.Philox):
+        def advance(self, delta):
+            advances.append(delta)
+            return super().advance(delta)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    read = _lane_reader(11)
+    # back to back, as the steps of one chunk read them; a block holds 16
+    # lanes, and a read that starts in the block the generator emits next
+    # needs no advance: only the first read and the two that start inside
+    # the last block of the read before them move the generator
+    start = 160
+    for count in (16, 48, 800, 5, 11, 7, 3000):
+        np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
+        start += count
+    assert advances == [10, -1, -1]
+
+    # a gap of less than a block after a read that ended mid-block: the
+    # generator must not hand out the spare words of that block
+    read = _lane_reader(11)
+    for start, count in ((160, 5), (176, 4), (190, 3), (208, 16)):
         np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
 
 
@@ -77,6 +103,10 @@ def test_lane_dither_does_not_depend_on_chunks_or_threads():
         np.testing.assert_array_equal(
             simulate_ensemble(linear_map(4.0), 5000, 30, seed=17,
                               chunk_size=chunk_size, threads=threads), ref)
+    # a short last chunk leaves gaps of a few lanes between the reads of the first
+    ref = simulate_ensemble(linear_map(4.0), 1010, 5, seed=17, chunk_size=65536)
+    np.testing.assert_array_equal(
+        simulate_ensemble(linear_map(4.0), 1010, 5, seed=17, chunk_size=1000), ref)
 
 
 def test_identity_shift_map_is_exact():
@@ -153,6 +183,35 @@ def test_increment_estimator_long_horizon_power_of_two_slopes():
             d, stderr = estimate_d_increment(lift_map, 20_000, 1000, seed=seed)
             assert stderr > 0
             assert abs(d - d_exact) <= 4.0 * stderr, (seed, d, d_exact, stderr)
+
+
+def _traced_peak(f, *args, **kwargs):
+    """Peak traced memory, in bytes, while f runs."""
+    tracemalloc.start()
+    try:
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimate_stats_copies_finite_samples_nowhere():
+    # all finite: no copy of the finite samples, so only the one N-sized
+    # temporary of the variance or of the sorted KS copy is alive at a time
+    samples = np.random.default_rng(4).normal(size=500_000)
+    assert _traced_peak(estimate_stats, samples, 20) < 1.3 * samples.nbytes
+
+
+def test_ensemble_step_loop_allocates_nothing_per_step():
+    # the chunk's scratch is allocated once: ten times the steps, no
+    # higher peak (the slack covers a few small Python objects); numpy's
+    # first bit generator of a process allocates its own tables, so one
+    # small run goes first
+    lift_map = zigzag_map(1, 0.25)
+    simulate_ensemble(lift_map, 100, 2, seed=1)
+    peaks = [_traced_peak(simulate_ensemble, lift_map, 65536, steps, seed=1,
+                          chunk_size=65536) for steps in (20, 200)]
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def test_estimate_stats_validation():
@@ -278,6 +337,67 @@ def test_ensemble_outputs_match_golden_digests():
     assert {k: _digest(v) for k, v in got.items()} == GOLDEN_DIGESTS
 
 
+def _masked_ratio(scale, x, num, den):
+    p = np.full_like(x, num[0])
+    for c in num[1:]:
+        p *= x
+        p += c
+    q = x + den[0]
+    for c in den[1:]:
+        q *= x
+        q += c
+    p *= scale
+    p /= q
+    return p
+
+
+def _masked_ndtr(a):
+    """Reference normal CDF: every branch gathered and scattered through a mask."""
+    def erf(v):
+        return _masked_ratio(v, v * v, montecarlo._ERF_T, montecarlo._ERF_U)
+
+    def erfc(v):
+        v = np.minimum(v, montecarlo._ERFC_ZERO)
+        out = np.exp(-v * v)
+        near = v < 8.0
+        out[near] = _masked_ratio(out[near], v[near], montecarlo._ERFC_P, montecarlo._ERFC_Q)
+        out[~near] = _masked_ratio(out[~near], v[~near], montecarlo._ERFC_R,
+                                   montecarlo._ERFC_S)
+        return out
+
+    x = a * montecarlo._SQRTH
+    z = np.abs(x)
+    y = np.empty_like(z)
+    inner = z < montecarlo._SQRTH
+    y[inner] = 0.5 + 0.5 * erf(x[inner])
+    outer = ~inner
+    zo = z[outer]
+    tail = np.empty_like(zo)
+    small = zo < 1.0
+    tail[small] = 1.0 - erf(zo[small])
+    tail[~small] = erfc(zo[~small])
+    tail *= 0.5
+    y[outer] = np.where(x[outer] > 0, 1.0 - tail, tail)
+    return y
+
+
+def test_normal_cdf_skips_empty_branches_bit_for_bit():
+    # |a| < 1, 1 <= |a| < sqrt(2), up to 8 sqrt(2), beyond it: one Cephes
+    # branch each, on one side or both, then all of them mixed
+    inner = np.linspace(0.0, 0.999, 2001)
+    mid = np.linspace(1.0, 1.414, 2001)
+    near = np.linspace(1.415, 11.3, 2001)
+    far = np.concatenate([np.linspace(11.4, 60.0, 2001), [1e300, np.inf]])
+    parts = [inner, mid, near, far]
+    cases = [np.empty(0), np.array([np.nan]), np.concatenate(parts + [[np.nan]])]
+    for part in parts:
+        cases += [part, -part, np.concatenate([part, -part])]
+    cases.append(-cases[-1][::-1])
+    for a in cases:
+        np.testing.assert_array_equal(_ndtr(a).view(np.uint64),
+                                      _masked_ndtr(a).view(np.uint64))
+
+
 def test_normal_cdf_matches_erfc():
     pts = np.array([0.0, 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 40.0])
     pts = np.concatenate([pts, -pts])
@@ -312,7 +432,8 @@ def _ks_full(samples, mean, std):
     return float(np.max([np.max((i + 1) / n - cdf), np.max(cdf - i / n)]))
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 20_000, 70_001, 500_000])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 8191, 8192, 8193, 16_385, 20_000,
+                               70_001, 100_000, 500_000])
 def test_pruned_ks_normal_equals_full_evaluation(n, monkeypatch):
     evaluated = []
 
@@ -329,7 +450,9 @@ def test_pruned_ks_normal_equals_full_evaluation(n, monkeypatch):
         evaluated.clear()
         assert ks_normal(s, mean, std) == _ks_full(s, mean, std), kind
         cost[kind] = sum(evaluated)
-    if n == 20_000:
+        # after the pass over the block ends, no slice is longer than the bound
+        assert max(evaluated[1:], default=0) <= montecarlo._KS_SLICE
+    if n in (20_000, 100_000):
         # every 256-sample block is a candidate: all of them are evaluated
         assert cost["near_normal"] >= n
     if n >= 20_000:
