@@ -27,27 +27,28 @@ t*N + i of a keyed Philox stream, four lanes to a 64-bit word.
 `simulate_ensemble`, `estimate_d_increment` and the billiard channel
 share one chunk runner, which cuts the sample range into chunks iterated
 independently, optionally on a thread pool, and one carry loop, which
-moves each fraction's whole part into its cell after a step function:
-the lifting map (plus dither) or the channel's kick and velocity.  The
-normal CDF behind `ks_normal` is a numpy port of the Cephes rational
-approximations, so the package needs only numpy; `ks_normal` evaluates
-it only on the blocks of sorted samples where the maximum gap can be.
+runs a chunk in cache-sized tiles and moves each fraction's whole part
+into its cell after a step function: the lifting map (plus dither) or
+the channel's kick and velocity.  The normal CDF behind `ks_normal` is a
+numpy port of the Cephes rational approximations, so the package needs
+only numpy; `ks_normal` evaluates it only on the blocks of sorted
+samples where the maximum gap can be.
 
 Memory is bounded by the outputs, plus one N-sized temporary, plus
-per-chunk scratch.  A chunk allocates its fractions, cells, carry, map
-and dither buffers once; a lifting-map step then allocates only the
-dither's raw lanes, a quarter the size of the fractions, and the last
-positions overwrite the cells.  `estimate_stats` copies the samples
-only when some are non-finite: the centred copy inside the variance and
-then the sorted copy of `ks_normal` are the N-sized temporaries, never
-alive together, and the CDF sees slices of at most 8192 samples.
+per-chunk scratch.  A chunk allocates its fractions and cells, and one
+tile's carry, map and dither buffers, once; a lifting-map step then
+allocates only the dither's raw lanes, a quarter the size of a tile's
+fractions, and the last positions overwrite the cells.
+`estimate_stats` copies the samples only when some are non-finite: the
+centred copy inside the variance and then the sorted copy of
+`ks_normal` are the N-sized temporaries, never alive together, and the
+CDF sees slices of at most 8192 samples.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,10 @@ __all__ = [
     "scan_lambda",
 ]
 
+#: samples per chunk, the unit of scheduling and of the channel's
+#: reduction, and per tile, the unit of the step loop inside a chunk
 _CHUNK = 1 << 16
+_TILE = 1 << 15
 #: sorted samples per block of the pruned KS statistic, the margin a
 #: block's bound must clear before it is skipped, and the longest gap of
 #: skipped blocks inside one evaluated run
@@ -116,6 +120,10 @@ def _run_chunks(run, n_samples, chunk_size, threads):
     workers = min(resolve_threads(threads), len(ranges))
     if workers <= 1:
         return [run(*r) for r in ranges]
+    # imported here: concurrent.futures loads logging and traceback, which
+    # a single-worker run, the CLI's default, never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda r: run(*r), ranges))
 
@@ -123,18 +131,25 @@ def _run_chunks(run, n_samples, chunk_size, threads):
 def _iterate_chunk(step, u, cell, horizons):
     """Yield cell + u after each step count in `horizons`; u and cell move in place.
 
-    `step(u, t)` moves the fractions in place, then the whole part
-    floor(u + 1/2) of each goes into its integer-valued cell through one
-    reused carry buffer.  The last positions overwrite the cell.
+    Between two horizons the chunk runs tile by tile: `step(u_tile, t,
+    lo)` moves the fractions of the `_TILE` samples from `lo` in place,
+    then the whole part floor(u + 1/2) of each goes into its
+    integer-valued cell through one reused tile-sized carry buffer, for
+    every step before the next tile starts.  A tile's fractions, cells
+    and scratch stay in cache; samples do not interact, so no bit
+    depends on the tiling.  The last positions overwrite the cell.
     """
-    carry = np.empty_like(u)
+    carry = np.empty(min(u.size, _TILE))
     done = 0
     for horizon in horizons:
-        for t in range(done, horizon):
-            step(u, t)
-            np.floor(np.add(u, 0.5, out=carry), out=carry)
-            u -= carry
-            cell += carry
+        for lo in range(0, u.size, _TILE):
+            u_tile, cell_tile = u[lo:lo + _TILE], cell[lo:lo + _TILE]
+            c = carry[:u_tile.size]
+            for t in range(done, horizon):
+                step(u_tile, t, lo)
+                np.floor(np.add(u_tile, 0.5, out=c), out=c)
+                u_tile -= c
+                cell_tile += c
         done = horizon
         yield np.add(cell, u, out=cell if horizon == horizons[-1] else None)
 
@@ -144,20 +159,25 @@ def _lift_chunk(lift_map, seed, start, stop, total, horizons):
 
     A step maps each fraction through its piece and adds the dither made
     from 16-bit lane w = t*total + i of its keyed stream for sample i at
-    step t, so results do not depend on the chunking:
-    d = (w + 1/2) 2^-64 - 2^-49, exact, through one buffer per chunk.
+    step t, so results do not depend on the chunking or the tiling:
+    d = (w + 1/2) 2^-64 - 2^-49, exact, through one buffer per tile.
     """
     key = _dither_key(lift_map, seed)
+    tile = min(stop - start, _TILE)
     if key is not None:
         lanes = _lane_reader(key)
-        dither = np.empty(stop - start)
-    scratch = lift_map._fraction_scratch(stop - start)
+        dither = np.empty(tile)
+    scratch = lift_map._fraction_scratch(tile)
 
-    def step(u, t):
-        lift_map._map_fraction(u, scratch)
+    def step(u, t, lo):
+        if scratch is None or u.size == tile:
+            lift_map._map_fraction(u, scratch)
+        else:       # the chunk's last, shorter tile
+            lift_map._map_fraction(u, [a[:u.size] for a in scratch])
         if key is not None:
-            np.multiply(lanes(t * total + start, u.size), _LANE_SCALE, out=dither)
-            u += np.add(dither, _LANE_OFFSET, out=dither)
+            d = dither[:u.size]
+            np.multiply(lanes(t * total + start + lo, u.size), _LANE_SCALE, out=d)
+            u += np.add(d, _LANE_OFFSET, out=d)
 
     u = uniform_stream(seed, start, stop - start)
     return _iterate_chunk(step, u, np.zeros_like(u), horizons)

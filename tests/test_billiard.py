@@ -165,6 +165,32 @@ def test_simulate_channel_deterministic():
     np.testing.assert_allclose(a.variances, c.variances, rtol=1e-12)
 
 
+def _same_report(a, b):
+    return (a.variances == b.variances and a.growth_exponent == b.growth_exponent
+            and a.stats == b.stats and a.discarded == b.discarded)
+
+
+@pytest.mark.parametrize("lam", [2.5, 3.0, 5.0])
+def test_sawtooth_step_equals_generic_kick_bit_for_bit(lam):
+    # the wrapper has no `lam`, so the channel calls it like any other kick
+    kick = sawtooth_kick(lam)
+    for n in (32767, 32769, 65537):
+        for threads in (None, 2):
+            fast = simulate_channel(kick, n, 20, seed=13, threads=threads)
+            generic = simulate_channel(lambda u: kick(u), n, 20, seed=13, threads=threads)
+            assert _same_report(fast, generic), (n, threads)
+            assert fast.theoretical is not None and generic.theoretical is None
+
+
+def test_sawtooth_step_keeps_the_kick_beyond_2_to_52():
+    # with lam = 2^50 velocities pass 2^52 within 40 steps, where the
+    # carry can leave a fraction of -1 whose sawtooth is 0, not -lam
+    kick = sawtooth_kick(2.0**50)
+    fast = simulate_channel(kick, 2000, 40, seed=13)
+    generic = simulate_channel(lambda u: kick(u), 2000, 40, seed=13)
+    assert _same_report(fast, generic)
+
+
 def test_simulate_channel_checkpoint_validation():
     with pytest.raises(ValueError):
         simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=[0, 10])

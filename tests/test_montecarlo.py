@@ -109,6 +109,20 @@ def test_lane_dither_does_not_depend_on_chunks_or_threads():
         simulate_ensemble(linear_map(4.0), 1010, 5, seed=17, chunk_size=1000), ref)
 
 
+@pytest.mark.parametrize("n", [montecarlo._TILE - 1, montecarlo._TILE + 1,
+                               2 * montecarlo._CHUNK + 1])
+def test_tiles_do_not_change_samples(n):
+    # at chunk_size=1000 every chunk is one tile; by default a chunk holds
+    # up to two tiles and the last tile of a chunk may be short
+    drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+    for lift_map in (zigzag_map(1, 0.25), linear_map(4.0), drift):
+        ref = simulate_ensemble(lift_map, n, 3, seed=21, chunk_size=1000)
+        assert simulate_ensemble(lift_map, n, 3, seed=21).tobytes() == ref.tobytes()
+        assert (estimate_d_increment(lift_map, n, 4, seed=21, batches=5)
+                == estimate_d_increment(lift_map, n, 4, seed=21, batches=5,
+                                        chunk_size=1000))
+
+
 def test_identity_shift_map_is_exact():
     ident = PiecewiseLinearLiftMap([-0.5, 0.5], [(-0.5, 0.5)])
     x0 = uniform_stream(77, 0, 5000)
