@@ -214,10 +214,11 @@ def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:
 def closed_form_d(lift_map: PiecewiseLinearLiftMap, tol: float = 1e-9) -> float:
     """Exact diffusion coefficient for half-integer-valued piecewise maps.
 
-    Requires every linear piece to take (distinct) half-integer values at
-    its ends.  Each piece is split at the preimages of half-integers;
-    a subsegment of length L whose values sweep [c - 1/2, c + 1/2]
-    contributes (c^2 + 1/12) * L to the integral of |f|^2, and
+    Requires every linear piece to take two distinct half-integer values
+    at its ends; HalfIntegerValueError is raised otherwise.  Each piece
+    is split at the preimages of half-integers; a subsegment of length L
+    whose values sweep [c - 1/2, c + 1/2] contributes (c^2 + 1/12) * L to
+    the integral of |f|^2, and
 
         D = (1/2) * integral_{-1/2}^{1/2} |f(x)|^2 dx - 1/24.
     """
@@ -233,6 +234,9 @@ def closed_form_d(lift_map: PiecewiseLinearLiftMap, tol: float = 1e-9) -> float:
         vb = round(vb + 0.5) - 0.5
         width = float(bp[j + 1] - bp[j])
         count = int(round(abs(vb - va)))
+        if count == 0:
+            raise HalfIntegerValueError(
+                f"piece {j} takes the same half-integer value {va} at both ends")
         seg = width / count
         v_lo = min(va, vb)
         for i in range(count):

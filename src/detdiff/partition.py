@@ -3,10 +3,11 @@
 A partition of the line is described by its cell boundaries inside
 I0 = [-1/2, 1/2); integer translates tile the rest of the axis.  For the
 linear map f(x) = lam * x, requiring every cell image to be an exact
-union of cells turns the boundary conditions into a small linear system
-whose coefficients are either integers or lam.  Its solvability
-condition is a polynomial R(lam) = 0 with integer coefficients; the
-slope is the largest real root.
+union of cells turns the boundary conditions into a small linear pencil
+M(lam) = A0 + lam * A1 with rational entries.  Its solvability condition
+R(lam) = det M(lam) = 0 is computed exactly, as a polynomial with integer
+coefficients; the slope is its largest real root, rounded to the nearest
+double with a Sturm chain.
 """
 
 from __future__ import annotations
@@ -91,68 +92,27 @@ class MarkovPartition:
 
 
 # ---------------------------------------------------------------------------
-# minimal exact polynomial arithmetic (Fraction coefficients, low -> high)
+# exact polynomials (Fraction or int coefficients, low -> high) and their root
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return tuple(p)
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ))
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _ptrim(tuple(out))
-
-
-def _pscale(a, c):
-    return _ptrim(tuple(ai * c for ai in a))
-
-
-def _peval(p, x: float) -> float:
-    acc = 0.0
+def _peval(p, x):
+    """Horner's rule: exact for a Fraction x, one rounding per step for a float x."""
+    acc = 0
     for c in reversed(p):
-        acc = acc * x + float(c)
+        acc = acc * x + c
     return acc
 
 
-def _pderiv(p):
-    if len(p) <= 1:
-        return (Fraction(0),)
-    return _ptrim(tuple(i * p[i] for i in range(1, len(p))))
-
-
-_PZERO = (Fraction(0),)
-
-
-def _det_poly(rows):
-    """Determinant of a small matrix of polynomials by cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = _PZERO
-    for j in range(n):
-        if rows[0][j] == _PZERO:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = _pmul(rows[0][j], _det_poly(minor))
-        if j % 2:
-            term = _pscale(term, -1)
-        acc = _padd(acc, term)
-    return acc
+def _pdivmod(a, b):
+    """Quotient and remainder of a / b, the remainder without zero leading terms."""
+    a, q = list(a), []
+    while len(a) >= len(b):
+        q.insert(0, a[-1] / b[-1])
+        a = [x - q[0] * y for x, y in zip(a, [0] * (len(a) - len(b)) + list(b))][:-1]
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
 
 
 def _to_primitive_int(poly):
@@ -166,68 +126,51 @@ def _to_primitive_int(poly):
     return tuple(ints)
 
 
-# ---------------------------------------------------------------------------
-# root finding: descending bracket scan + bisection + Newton polish
-# ---------------------------------------------------------------------------
+def _sturm_chain(p):
+    """Sturm chain of the square-free part of p, whose roots are those of p."""
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _pdivmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return _sturm_chain(_pdivmod(p, chain[-1])[0])   # chain[-1] = gcd(p, p')
+        chain.append([-c for c in rem])
+    return chain
 
 
-def largest_real_root(int_coeffs, lower: float = 1.0, residual_tol: float = 1e-13):
+def largest_real_root(int_coeffs, lower: float = 1.0):
     """Largest real root above `lower` of an integer-coefficient polynomial.
 
-    Scans downward from the Cauchy bound for a sign change, bisects the
-    bracket and polishes with Newton steps until |R| < residual_tol.
-    Raises RootSolveError when no admissible root exists.
+    Returns the double nearest that root, certified in exact arithmetic.
+    The Sturm chain counts the distinct roots above a point.  Bisection
+    over doubles keeps the largest root in (lo, hi] until lo and hi are
+    adjacent doubles; the count at their exact midpoint then picks the
+    nearer one.  Raises RootSolveError when the polynomial is constant or
+    has no root above `lower`.
     """
-    p = tuple(Fraction(c) for c in int_coeffs)
-    p = _ptrim(p)
+    p = [Fraction(c) for c in int_coeffs]
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
     if len(p) < 2:
         raise RootSolveError("polynomial is constant; no root to solve for")
-    dp = _pderiv(p)
-    lead = float(p[-1])
-    hi = lower + 1.0 + max(abs(float(c) / lead) for c in p[:-1])
+    hi = abs(lower) + 1.0 + max(abs(float(c) / float(p[-1])) for c in p[:-1])
+    chain = _sturm_chain(p)
 
-    steps = 4000
-    grid = np.linspace(hi, lower, steps).tolist()
-    vals = [_peval(p, x) for x in grid]
-    a = b = None
-    for i in range(steps - 1):
-        if vals[i] == 0.0:
-            a = b = grid[i]
-            break
-        if vals[i] * vals[i + 1] < 0:
-            a, b = grid[i + 1], grid[i]
-            break
-    if a is None:
+    def changes(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    at_infinity = changes([q[-1] > 0 for q in chain])
+
+    def roots_above(x):
+        values = (_peval(q, Fraction(x)) for q in chain)
+        return changes([v > 0 for v in values if v]) - at_infinity
+
+    if not roots_above(lower):
         raise RootSolveError(
             f"no real root in ({lower}, {hi:.3g}] for coefficients {tuple(int_coeffs)}")
-
-    fa = _peval(p, a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = _peval(p, mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if fa * fm < 0:
-            b = mid
-        else:
-            a, fa = mid, fm
-        if b - a < 1e-12:
-            break
-    x = 0.5 * (a + b)
-    for _ in range(60):
-        fx = _peval(p, x)
-        dfx = _peval(dp, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        x -= step
-        if abs(step) < 1e-17 * max(1.0, abs(x)):
-            break
-    if abs(_peval(p, x)) >= residual_tol:
-        raise RootSolveError(
-            f"root polish stalled at |R({x!r})| = {abs(_peval(p, x)):.3g}")
-    return float(x)
+    lo = float(lower)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if roots_above(mid) else (lo, mid)
+    return hi if roots_above((Fraction(lo) + Fraction(hi)) / 2) else lo
 
 
 # ---------------------------------------------------------------------------
@@ -329,77 +272,103 @@ class SolvedPartition:
     residual: float             # |R(lam)| at the returned root
 
 
-def _system_rows(system: PartitionEquationSystem):
-    """Rows of the homogeneous linear system M(lam) . (s_1..s_k, 1) = 0.
+def _pencil(system: PartitionEquationSystem):
+    """The pencil M(lam) = A0 + lam * A1 with M(lam) . (s_1..s_k, 1) = 0.
 
-    Entries are polynomials in lam.  One row per equation; the last
-    column carries the affine part.
+    Exact `Fraction` matrices (A0, A1), one row per equation; the last
+    column carries the affine part.  Row i is lam * lhs - const - coef * ref,
+    where the name "half" stands for 1/2 in the last column.
     """
-    names = list(system.unknowns)
-    index = {n: i for i, n in enumerate(names)}
-    k = len(names)
-    lam_poly = (Fraction(0), Fraction(1))
-
-    rows = []
-    for eq in system.equations:
-        row = [_PZERO] * (k + 1)
-        if eq.lhs == "half":
-            row[k] = _padd(row[k], _pscale(lam_poly, _HALF))
-        else:
-            row[index[eq.lhs]] = _padd(row[index[eq.lhs]], lam_poly)
-        row[k] = _padd(row[k], (Fraction(-eq.const),))
+    k = len(system.unknowns)
+    column = {name: (j, Fraction(1)) for j, name in enumerate(system.unknowns)}
+    column["half"] = (k, _HALF)
+    a0 = [[Fraction(0)] * (k + 1) for _ in system.equations]
+    a1 = [[Fraction(0)] * (k + 1) for _ in system.equations]
+    for eq, row0, row1 in zip(system.equations, a0, a1):
+        j, w = column[eq.lhs]
+        row1[j] = w
+        row0[k] = -eq.const
         if eq.coef:
-            if eq.ref == "half":
-                row[k] = _padd(row[k], (Fraction(-eq.coef) * _HALF,))
-            else:
-                row[index[eq.ref]] = _padd(row[index[eq.ref]], (Fraction(-eq.coef),))
-        rows.append(row)
-    return rows, names
+            j, w = column[eq.ref]
+            row0[j] -= eq.coef * w
+    return a0, a1
+
+
+def _det(m):
+    """Determinant of a square `Fraction` matrix by Gaussian elimination."""
+    m, det = [list(row) for row in m], Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        m[c], m[p] = m[p], m[c]
+        det *= m[c][c] if p == c else -m[c][c]
+        for row in m[c + 1:]:
+            f = row[c] / m[c][c]
+            row[c:] = [a - f * b for a, b in zip(row[c:], m[c][c:])]
+    return det
+
+
+def _det_polynomial(a0, a1):
+    """R(lam) = det(A0 + lam * A1) as primitive integer coefficients, low -> high.
+
+    A1 has one nonzero entry per row, in distinct columns, so R has degree
+    exactly n, the size of the matrix.  It is interpolated exactly from
+    its values at lam = 0 .. n, by Newton divided differences.
+    """
+    n = len(a0)
+    c = [_det([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)])
+         for t in range(n + 1)]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    poly = [c[n]]
+    for i in range(n - 1, -1, -1):          # poly <- poly * (lam - i) + c[i]
+        poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
+        poly[0] += c[i]
+    return _to_primitive_int(poly)
 
 
 def solve_partition_system(system: PartitionEquationSystem,
                            residual_tol: float = 1e-13) -> SolvedPartition:
     """Eliminate the breakpoints, solve R(lam) = 0, back-substitute.
 
-    The solvability condition of the linear boundary system is the
-    vanishing of its determinant, a polynomial in lam; denominators are
-    cleared (a factor 2 from the half-integer constants) to give integer
-    coefficients.  The returned slope is the largest real root above 1,
-    with |R| below `residual_tol` after Newton polishing.  The system has
-    one defining equation per unknown plus the `half` equation, so lam
-    enters the k + 1 rows in distinct columns and R has degree k + 1.
+    The boundary system is the linear pencil M(lam) = A0 + lam * A1 in
+    (s_1..s_k, 1); its solvability condition R(lam) = det M(lam) is
+    computed exactly and scaled to primitive integer coefficients (a
+    factor 2 comes from the half-integer constants).  The system has one
+    defining equation per unknown plus the `half` equation, so lam enters
+    the k + 1 rows in distinct columns and R has degree k + 1.  The slope
+    is the double nearest the largest real root above 1; RootSolveError
+    is raised unless the float |R(lam)| reported as `residual` is below
+    `residual_tol`.  The breakpoints solve the float system at that lam.
     """
-    rows, names = _system_rows(system)
-    poly = _to_primitive_int(_det_poly(rows))
-    lam = largest_real_root(poly, lower=1.0, residual_tol=residual_tol)
+    a0, a1 = _pencil(system)
+    poly = _det_polynomial(a0, a1)
+    lam = largest_real_root(poly, lower=1.0)
+    residual = abs(_peval(poly, lam))
+    if residual >= residual_tol:
+        raise RootSolveError(
+            f"|R({lam!r})| = {residual:.3g} is not below {residual_tol:g}")
 
-    k = len(names)
-    if k:
-        A = np.array([[_peval(rows[i][j], lam) for j in range(k)]
-                      for i in range(len(rows))])
-        b = -np.array([_peval(rows[i][k], lam) for i in range(len(rows))])
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = float(np.max(np.abs(A @ sol - b)))
-        if resid > 1e-8:
-            raise SystemStructureError(
-                f"back-substitution residual {resid:.3g}; system inconsistent at lam={lam!r}")
-        values = [float(s) for s in sol]
-    else:
-        values = []
+    m = np.array(a1, dtype=float) * lam + np.array(a0, dtype=float)
+    A, b = m[:, :-1], -m[:, -1]
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    resid = float(np.max(np.abs(A @ sol - b)))
+    if resid > 1e-8:
+        raise SystemStructureError(
+            f"back-substitution residual {resid:.3g}; system inconsistent at lam={lam!r}")
+    values = [float(s) for s in sol]
 
-    for name, v in zip(names, values):
+    for name, v in zip(system.unknowns, values):
         if not 0.0 < v < 0.5:
             raise PartitionError(
                 f"solved breakpoint {name} = {v!r} lies outside (0, 1/2)")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise PartitionError(
             f"inconsistent system: solved breakpoints are not strictly ordered: {values}")
-    return SolvedPartition(
-        lam=lam,
-        breakpoints=tuple(values),
-        polynomial=poly,
-        residual=abs(_peval(tuple(Fraction(c) for c in poly), lam)),
-    )
+    return SolvedPartition(lam=lam, breakpoints=tuple(values), polynomial=poly,
+                           residual=residual)
 
 
 def solve_three_interval(m: int, n: int, eps1: int, eps2: int):

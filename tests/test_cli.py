@@ -92,6 +92,27 @@ def test_diffusion_all_methods(capsys):
     assert methods["mc"]["method"] == "monte-carlo"
 
 
+# the first piece's ends, -0.5 and -0.4999999999, round to one half-integer
+_FLAT_PIECE = ('{"type":"pieces","breakpoints":[-0.5,0.0,0.5],'
+               '"values":[[-0.5,-0.4999999999],[0.5,1.5]]}')
+
+
+def test_diffusion_closed_form_rejects_a_flat_piece(capsys):
+    code, out, err = run(capsys, "diffusion", "--map", _FLAT_PIECE, "--method", "closed-form")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error[validation]:")
+    assert len(err.splitlines()) == 1
+
+
+def test_diffusion_all_records_the_flat_piece(capsys):
+    code, out, _ = run(capsys, "diffusion", "--map", _FLAT_PIECE, "--method", "all",
+                       "--N", "2000", "--n", "10")
+    assert code == 0
+    error = json.loads(out)["methods"]["closed-form"]["error"]
+    assert error.startswith("HalfIntegerValueError:")
+
+
 def test_diffusion_heuristic_rejected_for_zigzag(capsys):
     code, _, err = run(capsys, "diffusion", "--map",
                        '{"type":"zigzag","p":1,"xi":0.25}', "--method", "heuristic")
