@@ -14,10 +14,10 @@ import math
 import os
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import billiard as _billiard
-from . import density as _density
-from . import montecarlo as _mc
+# only what every subcommand needs loads with the module: each command
+# imports the rest itself, so a cold start compiles no unused subsystem
 from .errors import (
     ConsistencyError,
     DetdiffError,
@@ -25,16 +25,12 @@ from .errors import (
     NUMERICAL_ERRORS,
     VALIDATION_ERRORS,
 )
-from .maps import PiecewiseLinearLiftMap, map_from_spec
-from .partition import (
-    MarkovPartition,
-    PartitionEquationSystem,
-    solve_partition_system,
-    solve_three_interval,
-)
 from .reports import VERSION, canonical_json, provenance_line, render_csv, spec_hash
 from .rng import DEFAULT_SEED
-from .transfer import TransitionMatrixSet, build_transition_matrices, diffusion_spectral
+
+if TYPE_CHECKING:
+    from .maps import PiecewiseLinearLiftMap
+    from .transfer import TransitionMatrixSet
 
 _SURD_RE = re.compile(
     r"""^\s*
@@ -96,6 +92,8 @@ def _map_spec_from_args(tokens) -> dict:
 
 
 def _resolve_map(spec: dict) -> PiecewiseLinearLiftMap:
+    from .maps import map_from_spec
+
     spec = dict(spec)
     for key in ("lambda", "xi"):
         if key in spec:
@@ -116,6 +114,9 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
     ConsistencyError naming the first cell segment whose image is not a
     union of whole cells, by the rule `validate_consistency` reports on.
     """
+    from .partition import MarkovPartition, PartitionEquationSystem, solve_partition_system
+    from .transfer import build_transition_matrices
+
     if getattr(args, "partition", None):
         bps = [parse_algebraic(v) for v in _load_json_arg(args.partition)]
         return build_transition_matrices(lift_map, MarkovPartition(tuple(bps)))
@@ -153,6 +154,8 @@ def _json_report(payload: dict, provenance: dict) -> str:
 
 
 def cmd_solve_partition(args):
+    from .partition import PartitionEquationSystem, solve_partition_system, solve_three_interval
+
     if bool(args.system) == bool(args.three_interval):
         raise MapDefinitionError("pass exactly one of --system or --three-interval")
     if args.three_interval:
@@ -180,9 +183,13 @@ def cmd_solve_partition(args):
 
 def _method_report(name, args, spec, lift_map):
     if name == "closed-form":
-        d = _density.closed_form_d(lift_map)
+        from .density import closed_form_d
+
+        d = closed_form_d(lift_map)
         return {"d": d, "drift": 0.0, "method": "closed-form", "diagnostics": {}}
     if name == "spectral":
+        from .transfer import diffusion_spectral
+
         tset = _partition_for(args, lift_map)
         rep = diffusion_spectral(tset)
         out = rep.to_json_dict()
@@ -191,13 +198,16 @@ def _method_report(name, args, spec, lift_map):
     if name in ("heuristic", "omega"):
         if spec.get("type") != "linear":
             raise MapDefinitionError(f"{name} estimate applies to linear maps only")
+        from .density import heuristic_d, omega_approx_d
+
         lam = parse_algebraic(spec["lambda"])
-        d = _density.heuristic_d(lam) if name == "heuristic" \
-            else _density.omega_approx_d(lam)
+        d = heuristic_d(lam) if name == "heuristic" else omega_approx_d(lam)
         return {"d": d, "drift": 0.0, "method": name, "diagnostics": {}}
     if name == "mc":
-        samples = _mc.simulate_ensemble(lift_map, args.N, args.n, args.seed)
-        stats = _mc.estimate_stats(samples, args.n)
+        from .montecarlo import estimate_stats, simulate_ensemble
+
+        samples = simulate_ensemble(lift_map, args.N, args.n, args.seed)
+        stats = estimate_stats(samples, args.n)
         return {"d": stats.d_estimate, "drift": stats.drift_estimate,
                 "method": "monte-carlo",
                 "diagnostics": {"stderr": stats.d_stderr, "ks": stats.ks_statistic,
@@ -236,6 +246,8 @@ def cmd_diffusion(args):
 
 
 def cmd_scan(args):
+    from .montecarlo import scan_lambda
+
     if args.lambda_grid:
         lams = [parse_algebraic(v) for v in args.lambda_grid.split(",") if v.strip()]
     else:
@@ -249,7 +261,7 @@ def cmd_scan(args):
             lams = []
         else:
             lams = [lo + i * args.step for i in range(count)]
-    rows = _mc.scan_lambda(lams, args.N, args.n, args.seed)
+    rows = scan_lambda(lams, args.N, args.n, args.seed)
     text = render_csv(
         ["lambda", "d_mc", "stderr", "d_heuristic", "d_omega", "ks"],
         rows,
@@ -260,6 +272,9 @@ def cmd_scan(args):
 
 
 def cmd_evolve(args):
+    from .density import evolve, gaussian_profile, kolmogorov_distance, unit_pulse
+    from .transfer import diffusion_spectral
+
     spec = _map_spec_from_args(args.map)
     lift_map = _resolve_map(spec)
     tset = _partition_for(args, lift_map)
@@ -268,16 +283,15 @@ def cmd_evolve(args):
     if any(c < 1 for c in checkpoints):
         raise MapDefinitionError("checkpoints must be positive step counts")
 
-    dens = _density.unit_pulse(tset.breakpoints)
+    dens = unit_pulse(tset.breakpoints)
     done = 0
     trace = []
     prov_fields = {"map": spec_hash(spec), "d_spectral": rep.d}
     for c in checkpoints:
-        dens = _density.evolve(tset, dens, c - done)
+        dens = evolve(tset, dens, c - done)
         done = c
-        profile = _density.gaussian_profile(rep.d, rep.drift, rep.alpha,
-                                            tset.breakpoints, c)
-        dist = _density.kolmogorov_distance(dens, profile)
+        profile = gaussian_profile(rep.d, rep.drift, rep.alpha, tset.breakpoints, c)
+        dist = kolmogorov_distance(dens, profile)
         trace.append({"n": c, "kolmogorov_distance": dist})
         if args.out:
             snap = render_csv(["k", "j", "density", "mass"], list(dens.rows()),
@@ -296,10 +310,12 @@ def cmd_evolve(args):
 
 
 def cmd_simulate(args):
+    from .montecarlo import estimate_stats, simulate_ensemble
+
     spec = _map_spec_from_args(args.map)
     lift_map = _resolve_map(spec)
-    samples = _mc.simulate_ensemble(lift_map, args.N, args.n, args.seed)
-    stats = _mc.estimate_stats(samples, args.n)
+    samples = simulate_ensemble(lift_map, args.N, args.n, args.seed)
+    stats = estimate_stats(samples, args.n)
     row = {
         "n_samples": stats.sample_count, "n_steps": stats.step_count,
         "mean": stats.mean, "variance": stats.variance,
@@ -313,13 +329,14 @@ def cmd_simulate(args):
 
 
 def cmd_billiard(args):
+    from .billiard import sawtooth_kick, simulate_channel
+
     lam = parse_algebraic(getattr(args, "lambda"))
-    kick = _billiard.sawtooth_kick(lam)
+    kick = sawtooth_kick(lam)
     checkpoints = None
     if args.checkpoints:
         checkpoints = [int(c) for c in args.checkpoints.split(",")]
-    report = _billiard.simulate_channel(kick, args.N, args.n, args.seed,
-                                        checkpoints=checkpoints)
+    report = simulate_channel(kick, args.N, args.n, args.seed, checkpoints=checkpoints)
     text = render_csv(
         ["checkpoint", "variance", "theoretical_variance", "exponent_so_far"],
         list(report.rows()),

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import HalfIntegerValueError
-from .maps import PiecewiseLinearLiftMap
-from .transfer import TransitionMatrixSet
+
+if TYPE_CHECKING:   # annotations only: `scan` needs neither module
+    from .maps import PiecewiseLinearLiftMap
+    from .transfer import TransitionMatrixSet
 
 __all__ = [
     "LatticeDensity",

@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import heuristic_d, omega_approx_d
 from .maps import PiecewiseLinearLiftMap, linear_map
 from .rng import _lane_reader, resolve_threads, uniform_stream
 
@@ -429,8 +428,13 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
     Returns one dict per grid point with keys lambda, d_mc, stderr,
     d_heuristic, d_omega, ks.  The same seed (hence the same initial
     ensemble) is reused across grid points; per-point failures are
-    recorded as NaN rows and the scan continues.
+    recorded as NaN rows and the scan continues.  The worker count is
+    resolved once, first, so a bad `DETDIFF_THREADS` fails the scan.
     """
+    # imported here: the other simulators never need the density module
+    from .density import heuristic_d, omega_approx_d
+
+    threads = resolve_threads(threads)
     rows = []
     for lam in lams:
         row = {"lambda": float(lam), "d_mc": float("nan"), "stderr": float("nan"),

@@ -72,10 +72,16 @@ def _lane_reader(seed: int):
 
 
 def resolve_threads(threads=None) -> int:
-    """Worker count: explicit argument, else DETDIFF_THREADS, else 1."""
+    """Worker count: explicit argument, else DETDIFF_THREADS, else 1.
+
+    A DETDIFF_THREADS that is not an integer raises ValueError naming it.
+    """
     if threads is not None:
         n = int(threads)
     else:
         env = os.environ.get("DETDIFF_THREADS", "")
-        n = int(env) if env.strip() else 1
+        try:
+            n = int(env) if env.strip() else 1
+        except ValueError:
+            raise ValueError(f"DETDIFF_THREADS must be an integer, not {env!r}") from None
     return max(1, n)

@@ -1,7 +1,33 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import detdiff
 from detdiff import CASES, MarkovPartition, build_transition_matrices
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """run(code, *args): stdout of `python -c code args` in a new interpreter.
+
+    The child imports detdiff from the same source tree as the tests; a
+    non-zero exit fails the calling test with the child's stderr.
+    """
+    src = str(Path(detdiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(code, *args):
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

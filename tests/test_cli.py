@@ -1,13 +1,8 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import detdiff
 from detdiff.cli import main, parse_algebraic
 
 EXAMPLE_SYSTEM = {
@@ -208,6 +203,16 @@ def test_scan_explicit_grid(capsys):
     assert len(out.strip().split("\n")) == 4
 
 
+def test_scan_rejects_a_bad_thread_count(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DETDIFF_THREADS", "abc")
+    out = tmp_path / "scan.csv"
+    code, _, err = run(capsys, "scan", "--from", "3", "--to", "3.5", "--N", "1000",
+                       "--n", "5", "--out", str(out))
+    assert code == 2
+    assert err == "error[validation]: DETDIFF_THREADS must be an integer, not 'abc'\n"
+    assert not out.exists()
+
+
 def test_simulate_csv(capsys):
     code, out, _ = run(capsys, "simulate", "--map", '{"type":"linear","lambda":3}',
                        "--N", "2000", "--n", "20")
@@ -271,14 +276,39 @@ def test_reports_byte_identical(tmp_path, capsys):
     assert c.read_bytes() == d.read_bytes()
 
 
-def test_cli_import_does_not_load_scipy():
-    src = str(Path(detdiff.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, detdiff.cli; "
-         "print(*[m for m in ('scipy', 'concurrent.futures', 'logging') if m in sys.modules])"],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=120, check=True)
+# the detdiff modules loaded in a fresh interpreter: `import detdiff.cli`
+# loads only what every subcommand needs, and each subcommand adds its own
+_CLI_MODULES = {"cli", "errors", "reports", "rng"}
+_LIST_MODULES = "print(*sorted(m[8:] for m in sys.modules if m.startswith('detdiff.')))"
+
+
+def test_cli_import_does_not_load_scipy(fresh_python):
+    out = fresh_python(
+        "import sys, detdiff.cli; "
+        "print(*[m for m in ('scipy', 'concurrent.futures', 'logging') if m in sys.modules])")
     # nor the thread pool's modules: only a run on several workers imports them
-    assert proc.stdout.strip() == ""
+    assert out.strip() == ""
+    assert fresh_python("import sys, detdiff; " + _LIST_MODULES).split() == []
+    assert set(fresh_python("import sys, detdiff.cli; " + _LIST_MODULES).split()) \
+        == _CLI_MODULES
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["solve-partition", "--three-interval", "1,2,1,-1"], {"maps", "partition"}),
+    (["simulate", "--map", '{"type":"zigzag","p":1,"xi":0.25}', "--N", "1000", "--n", "5"],
+     {"maps", "montecarlo"}),
+    (["billiard", "--lambda", "3", "--N", "1000", "--n", "5"],
+     {"maps", "montecarlo", "billiard"}),
+    (["scan", "--from", "3", "--to", "3.5", "--N", "1000", "--n", "5"],
+     {"maps", "montecarlo", "density"}),
+    (["evolve", "--map", '{"type":"linear","lambda":3}', "--checkpoints", "10"],
+     {"maps", "partition", "transfer", "density"}),
+    (["diffusion", "--map", '{"type":"linear","lambda":3}', "--N", "1000", "--n", "5"],
+     {"maps", "partition", "transfer", "density", "montecarlo"}),
+], ids=["solve-partition", "simulate", "billiard", "scan", "evolve", "diffusion"])
+def test_command_loads_only_its_modules(fresh_python, tmp_path, argv, modules):
+    out = fresh_python(
+        "import sys; from detdiff.cli import main; "
+        "assert main(sys.argv[1:]) == 0; " + _LIST_MODULES,
+        *argv, "--out", str(tmp_path / "out"))
+    assert set(out.split()) == _CLI_MODULES | modules

@@ -305,6 +305,18 @@ def test_thread_env_cap(monkeypatch):
     np.testing.assert_array_equal(a, b)
 
 
+def test_bad_thread_env_is_reported(monkeypatch):
+    from detdiff.rng import resolve_threads
+
+    monkeypatch.setenv("DETDIFF_THREADS", "abc")
+    with pytest.raises(ValueError, match="^DETDIFF_THREADS must be an integer, not 'abc'$"):
+        resolve_threads()
+    assert resolve_threads(2) == 2
+    # resolved before the first point: the scan fails, it leaves no NaN rows
+    with pytest.raises(ValueError, match="DETDIFF_THREADS"):
+        scan_lambda([3.0, 3.5], 1000, 10, seed=1)
+
+
 # sha256 of the output bytes, recorded from the integer cell + fraction
 # ensemble state that the lifting maps and the billiard channel share; a
 # change that alters samples on purpose must update them
