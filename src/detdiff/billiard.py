@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import GrazingReflectionError
 from .maps import fractional_part
-from .montecarlo import (_CHUNK, _TILE, EnsembleStats, _iterate_chunk, _run_chunks,
-                         estimate_stats)
+from .montecarlo import _TILE, EnsembleStats, _iterate_chunk, _run_chunks, estimate_stats
 from .rng import uniform_stream
 
 __all__ = [
@@ -179,8 +178,7 @@ class ChannelReport:
 
 
 def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
-                     checkpoints: Optional[Sequence[int]] = None, threads=None,
-                     chunk_size: int = _CHUNK) -> ChannelReport:
+                     checkpoints: Optional[Sequence[int]] = None, threads=None) -> ChannelReport:
     """Ensemble of channel trajectories driven by a 1-periodic kick.
 
     Starts at x_0 = 0 with x_1 uniform on [-1/2, 1/2) and iterates
@@ -237,7 +235,7 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
         finals[start:stop] = x
         return moments
 
-    counts, means, m2s = np.transpose(_run_chunks(run, n_samples, chunk_size, threads))
+    counts, means, m2s = np.transpose(_run_chunks(run, n_samples, threads))
     # raises unless two samples stay finite, so every checkpoint pools at least two
     stats = estimate_stats(finals, n_steps)
     # Chan et al.: pool the per-chunk counts, means and centred sums of squares

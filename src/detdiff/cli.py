@@ -25,7 +25,8 @@ from .errors import (
     NUMERICAL_ERRORS,
     VALIDATION_ERRORS,
 )
-from .reports import VERSION, canonical_json, provenance_line, render_csv, spec_hash
+from .reports import (VERSION, canonical_json, provenance_line, render_csv, spec_hash,
+                      write_text)
 from .rng import DEFAULT_SEED
 
 if TYPE_CHECKING:
@@ -140,8 +141,7 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -296,14 +296,12 @@ def cmd_evolve(args):
         if args.out:
             snap = render_csv(["k", "j", "density", "mass"], list(dens.rows()),
                               provenance_line(n=c, **prov_fields))
-            with open(f"{args.out}-n{c}.csv", "w", newline="") as fh:
-                fh.write(snap)
+            write_text(f"{args.out}-n{c}.csv", snap)
 
     text = render_csv(["n", "kolmogorov_distance"], trace,
                       provenance_line(**prov_fields))
     if args.out:
-        with open(f"{args.out}-trace.csv", "w", newline="") as fh:
-            fh.write(text)
+        write_text(f"{args.out}-trace.csv", text)
     else:
         sys.stdout.write(text)
     return 0

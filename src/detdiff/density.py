@@ -34,6 +34,8 @@ __all__ = [
     "omega_approx_d",
 ]
 
+_PROFILE_FLOOR = 1e-16
+
 
 @dataclass(frozen=True)
 class LatticeDensity:
@@ -158,13 +160,12 @@ def evolve(tset: TransitionMatrixSet, initial: LatticeDensity, n: int) -> Lattic
                           step_count=initial.step_count + n)
 
 
-def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int,
-                     floor: float = 1e-16) -> LatticeDensity:
+def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> LatticeDensity:
     """Cell-modulated Gaussian limit profile after n steps.
 
     P[k, j] = alpha_j / (2 sqrt(pi D n)) * exp(-(k - drift*n)^2 / (4 D n)),
-    evaluated at integer k, truncated below `floor` and renormalised to
-    unit mass.
+    evaluated at integer k, truncated below 1e-16 and renormalised to unit
+    mass.
     """
     if d <= 0:
         raise ValueError("diffusion coefficient must be positive")
@@ -173,14 +174,14 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int,
     alpha = np.asarray(alpha, dtype=float)
     center = drift * n
     spread = math.sqrt(4.0 * d * n)
-    # e^-40 ~ 4e-18 is safely below any double floor we renormalise away
+    # e^-40 ~ 4e-18 is safely below the floor we renormalise away
     half_width = int(math.ceil(spread * math.sqrt(40.0))) + 1
     k_lo = int(math.floor(center)) - half_width
     ks = np.arange(k_lo, k_lo + 2 * half_width + 1, dtype=float)
     peak = 1.0 / (2.0 * math.sqrt(math.pi * d * n))
     profile = peak * np.exp(-((ks - center) ** 2) / (4.0 * d * n))
     vals = alpha[None, :] * profile[:, None]
-    vals[vals < floor] = 0.0
+    vals[vals < _PROFILE_FLOOR] = 0.0
     dens = LatticeDensity(k_min=k_lo, values=vals,
                           breakpoints=tuple(float(b) for b in breakpoints),
                           step_count=n)
@@ -214,7 +215,7 @@ def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:
 # ---------------------------------------------------------------------------
 
 
-def closed_form_d(lift_map: PiecewiseLinearLiftMap, tol: float = 1e-9) -> float:
+def closed_form_d(lift_map: PiecewiseLinearLiftMap) -> float:
     """Exact diffusion coefficient for half-integer-valued piecewise maps.
 
     Requires every linear piece to take two distinct half-integer values
@@ -225,7 +226,7 @@ def closed_form_d(lift_map: PiecewiseLinearLiftMap, tol: float = 1e-9) -> float:
 
         D = (1/2) * integral_{-1/2}^{1/2} |f(x)|^2 dx - 1/24.
     """
-    if not lift_map.has_half_integer_values(tol):
+    if not lift_map.has_half_integer_values():
         raise HalfIntegerValueError(
             "closed form requires half-integer values at all piece endpoints")
     total = 0.0

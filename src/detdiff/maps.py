@@ -35,6 +35,7 @@ __all__ = [
 
 _HALF = 0.5
 _BREAKPOINT_TOL = 1e-12
+_HALF_INTEGER_TOL = 1e-9     # how far from the k + 1/2 grid a value still counts as on it
 
 # Interval indices are exact in doubles only below 2**53.
 _MAX_INDEX = float(2**53)
@@ -142,13 +143,13 @@ class PiecewiseLinearLiftMap:
         """Minimum of |slope| over the pieces (the stretching constant)."""
         return float(np.min(np.abs(self.slopes)))
 
-    def is_stretching(self, threshold: float = 1.0) -> bool:
-        return self.min_slope() > threshold
+    def is_stretching(self) -> bool:
+        return self.min_slope() > 1.0
 
-    def has_half_integer_values(self, tol: float = 1e-9) -> bool:
+    def has_half_integer_values(self) -> bool:
         """True when every piece endpoint value sits on the k + 1/2 grid."""
         v = np.concatenate([self.left_values, self.right_values])
-        return bool(np.all(np.abs(v + _HALF - np.round(v + _HALF)) <= tol))
+        return bool(np.all(np.abs(v + _HALF - np.round(v + _HALF)) <= _HALF_INTEGER_TOL))
 
     # -- evaluation ---------------------------------------------------
 

@@ -69,6 +69,8 @@ __all__ = [
 #: reduction, and per tile, the unit of the step loop inside a chunk
 _CHUNK = 1 << 16
 _TILE = 1 << 15
+#: contiguous sample batches behind the standard error of `estimate_d_increment`
+_BATCHES = 50
 #: sorted samples per block of the pruned KS statistic, the margin a
 #: block's bound must clear before it is skipped, and the longest gap of
 #: skipped blocks inside one evaluated run
@@ -109,13 +111,13 @@ class EnsembleStats:
     ks_statistic: float
 
 
-def _run_chunks(run, n_samples, chunk_size, threads):
+def _run_chunks(run, n_samples, threads):
     """Call run(start, stop) on each chunk of [0, n_samples); results in chunk order.
 
     The one chunk runner of every ensemble simulator.  Chunks share no
     state, so the worker count changes only the schedule, never a sample.
     """
-    ranges = [(s, min(s + chunk_size, n_samples)) for s in range(0, n_samples, chunk_size)]
+    ranges = [(s, min(s + _CHUNK, n_samples)) for s in range(0, n_samples, _CHUNK)]
     workers = min(resolve_threads(threads), len(ranges))
     if workers <= 1:
         return [run(*r) for r in ranges]
@@ -184,7 +186,7 @@ def _lift_chunk(lift_map, seed, start, stop, total, horizons):
 
 def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
                       n_samples: int, n_steps: int, seed: int,
-                      threads=None, chunk_size: int = _CHUNK) -> np.ndarray:
+                      threads=None) -> np.ndarray:
     """Final positions of n_samples trajectories after n_steps iterations.
 
     Starting points are uniform on [-1/2, 1/2), drawn from per-index
@@ -200,7 +202,7 @@ def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
     def run(start, stop):
         out[start:stop], = _lift_chunk(lift_map, seed, start, stop, n_samples, [n_steps])
 
-    _run_chunks(run, n_samples, chunk_size, threads)
+    _run_chunks(run, n_samples, threads)
     return out
 
 
@@ -378,16 +380,14 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
 
 
 def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
-                         n_samples: int, n_steps: int, seed: int,
-                         batches: int = 50, threads=None,
-                         chunk_size: int = _CHUNK):
+                         n_samples: int, n_steps: int, seed: int, threads=None):
     """Transient-free D estimate from the variance increment between n/2 and n.
 
     D = (Var(x_n) - Var(x_{n/2})) / (2 (n - n/2)) cancels the O(1)
     constant in Var(x_n) = 2 D n + c.  The variance is taken about the
     ensemble mean, so this estimates the centred D = d - drift^2/2, where
     d and drift are those of `diffusion_spectral`.  The standard error is
-    taken across `batches` contiguous sample batches.
+    taken across 50 contiguous sample batches (`_BATCHES`).
 
     Returns
     -------
@@ -403,9 +403,9 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
         out_half[start:stop], out_full[start:stop] = _lift_chunk(
             lift_map, seed, start, stop, n_samples, [half, n_steps])
 
-    _run_chunks(run, n_samples, chunk_size, threads)
+    _run_chunks(run, n_samples, threads)
 
-    edges = np.linspace(0, n_samples, batches + 1, dtype=int)
+    edges = np.linspace(0, n_samples, _BATCHES + 1, dtype=int)
     ds = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         a = out_half[lo:hi]

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PartitionError, RootSolveError, SystemStructureError
-from .maps import PiecewiseLinearLiftMap
+from .maps import _BREAKPOINT_TOL, PiecewiseLinearLiftMap
 
 __all__ = [
     "MarkovPartition",
@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _HALF = Fraction(1, 2)
+_RESIDUAL_TOL = 1e-13   # |R(lam)| at the solved slope must be below this
+_GRID_TOL = 1e-9        # how far an image end may miss the cell-boundary grid in `_cell_images`
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +55,9 @@ class MarkovPartition:
         bp = tuple(float(b) for b in self.breakpoints)
         if len(bp) < 2:
             raise PartitionError("a partition needs at least two breakpoints")
-        if abs(bp[0] + 0.5) > 1e-12 or abs(bp[-1] - 0.5) > 1e-12:
+        if not all(map(math.isfinite, bp)):    # NaN would pass every comparison below
+            raise PartitionError(f"partition breakpoints {bp} are not all finite")
+        if abs(bp[0] + 0.5) > _BREAKPOINT_TOL or abs(bp[-1] - 0.5) > _BREAKPOINT_TOL:
             raise PartitionError("partition must span exactly [-1/2, 1/2]")
         bp = (-0.5,) + bp[1:-1] + (0.5,)
         if any(b >= c for b, c in zip(bp, bp[1:])):
@@ -86,9 +90,9 @@ class MarkovPartition:
     def cell_lengths(self) -> np.ndarray:
         return np.diff(np.asarray(self.breakpoints))
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         bp = np.asarray(self.breakpoints)
-        return bool(np.all(np.abs(bp + bp[::-1]) <= tol))
+        return bool(np.all(np.abs(bp + bp[::-1]) <= _BREAKPOINT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +141,22 @@ def _sturm_chain(p):
     return chain
 
 
-def largest_real_root(int_coeffs, lower: float = 1.0):
-    """Largest real root above `lower` of an integer-coefficient polynomial.
+def largest_real_root(int_coeffs):
+    """Largest real root above 1 of an integer-coefficient polynomial.
 
     Returns the double nearest that root, certified in exact arithmetic.
     The Sturm chain counts the distinct roots above a point.  Bisection
     over doubles keeps the largest root in (lo, hi] until lo and hi are
     adjacent doubles; the count at their exact midpoint then picks the
     nearer one.  Raises RootSolveError when the polynomial is constant or
-    has no root above `lower`.
+    has no root above 1.
     """
     p = [Fraction(c) for c in int_coeffs]
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     if len(p) < 2:
         raise RootSolveError("polynomial is constant; no root to solve for")
-    hi = abs(lower) + 1.0 + max(abs(float(c) / float(p[-1])) for c in p[:-1])
+    hi = 2.0 + max(abs(float(c) / float(p[-1])) for c in p[:-1])
     chain = _sturm_chain(p)
 
     def changes(signs):
@@ -164,10 +168,10 @@ def largest_real_root(int_coeffs, lower: float = 1.0):
         values = (_peval(q, Fraction(x)) for q in chain)
         return changes([v > 0 for v in values if v]) - at_infinity
 
-    if not roots_above(lower):
+    lo = 1.0
+    if not roots_above(lo):
         raise RootSolveError(
-            f"no real root in ({lower}, {hi:.3g}] for coefficients {tuple(int_coeffs)}")
-    lo = float(lower)
+            f"no real root in ({lo}, {hi:.3g}] for coefficients {tuple(int_coeffs)}")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if roots_above(mid) else (lo, mid)
     return hi if roots_above((Fraction(lo) + Fraction(hi)) / 2) else lo
@@ -329,8 +333,7 @@ def _det_polynomial(a0, a1):
     return _to_primitive_int(poly)
 
 
-def solve_partition_system(system: PartitionEquationSystem,
-                           residual_tol: float = 1e-13) -> SolvedPartition:
+def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
     """Eliminate the breakpoints, solve R(lam) = 0, back-substitute.
 
     The boundary system is the linear pencil M(lam) = A0 + lam * A1 in
@@ -341,15 +344,15 @@ def solve_partition_system(system: PartitionEquationSystem,
     the k + 1 rows in distinct columns and R has degree k + 1.  The slope
     is the double nearest the largest real root above 1; RootSolveError
     is raised unless the float |R(lam)| reported as `residual` is below
-    `residual_tol`.  The breakpoints solve the float system at that lam.
+    1e-13.  The breakpoints solve the float system at that lam.
     """
     a0, a1 = _pencil(system)
     poly = _det_polynomial(a0, a1)
-    lam = largest_real_root(poly, lower=1.0)
+    lam = largest_real_root(poly)
     residual = abs(_peval(poly, lam))
-    if residual >= residual_tol:
+    if residual >= _RESIDUAL_TOL:
         raise RootSolveError(
-            f"|R({lam!r})| = {residual:.3g} is not below {residual_tol:g}")
+            f"|R({lam!r})| = {residual:.3g} is not below {_RESIDUAL_TOL:g}")
 
     m = np.array(a1, dtype=float) * lam + np.array(a0, dtype=float)
     A, b = m[:, :-1], -m[:, -1]
@@ -441,7 +444,7 @@ def _cell_images(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
         dist, i = min((abs(b - off), i) for i, b in enumerate(bp))
         return k * m + i, dist
 
-    cuts = np.union1d(bp, lift_map.breakpoints).tolist()
+    cuts = sorted({*bp, *lift_map.breakpoints.tolist()})   # np.union1d imports numpy.ma
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
         src = bisect.bisect_left(bp, mid) - 1
@@ -455,13 +458,12 @@ def _cell_images(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
 
 
 def validate_consistency(lift_map: PiecewiseLinearLiftMap,
-                         partition: MarkovPartition,
-                         tol: float = 1e-9) -> ConsistencyReport:
+                         partition: MarkovPartition) -> ConsistencyReport:
     """Check that the map sends each linear segment of a cell onto whole cells.
 
     The segments are the map pieces refined by the cell boundaries, so a
     cell may hold several whole pieces.  Each segment whose image ends
-    lie more than `tol` from the integer-translated cell-boundary grid
+    lie more than 1e-9 from the integer-translated cell-boundary grid
     gets a message; `worst_violation` is the largest such distance, 0.0
     on a pass and inf when an image is too short to cover a single cell.
     This is the rule `build_transition_matrices` enforces; here it is
@@ -470,7 +472,7 @@ def validate_consistency(lift_map: PiecewiseLinearLiftMap,
     messages = []
     worst = 0.0
     for lo, hi, _, _, _, _, miss in _cell_images(lift_map, partition):
-        if miss > tol:
+        if miss > _GRID_TOL:
             worst = max(worst, miss)
             messages.append(f"image of cell segment [{lo!r}, {hi!r}) "
                             f"misses the cell-boundary grid by {miss:.3g}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 
@@ -19,6 +18,8 @@ def canonical_json(obj) -> str:
 
 def spec_hash(obj) -> str:
     """Short content hash of a JSON-serialisable specification."""
+    import hashlib      # here, not at the top: it loads OpenSSL, which only hashing needs
+
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 

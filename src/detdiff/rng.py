@@ -18,11 +18,11 @@ __all__ = ["uniform_stream", "resolve_threads", "DEFAULT_SEED"]
 
 #: documented default seed used by the CLI when none is given
 DEFAULT_SEED = 20140502
+_LOW, _HIGH = -0.5, 0.5     # the range [_LOW, _HIGH) of `uniform_stream`
 
 
-def uniform_stream(seed: int, start: int, count: int,
-                   low: float = -0.5, high: float = 0.5) -> np.ndarray:
-    """Uniform doubles for sample indices [start, start + count).
+def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform doubles on [-1/2, 1/2) for sample indices [start, start + count).
 
     Independent of how the index range is chunked: the stream is keyed
     by `seed` and advanced to `start`.  The array is freshly drawn and
@@ -36,9 +36,9 @@ def uniform_stream(seed: int, start: int, count: int,
     bitgen = np.random.Philox(key=int(seed))
     bitgen.advance(block)
     u = np.random.Generator(bitgen).random(lead + int(count))[lead:]
-    # in place, rounding exactly as low + (high - low) * u
-    u *= high - low
-    u += low
+    # in place, rounding exactly as _LOW + (_HIGH - _LOW) * u
+    u *= _HIGH - _LOW
+    u += _LOW
     return u
 
 

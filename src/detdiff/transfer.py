@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError
 from .maps import PiecewiseLinearLiftMap
-from .partition import MarkovPartition, _cell_images
+from .partition import _GRID_TOL, MarkovPartition, _cell_images
 
 __all__ = [
     "TransitionMatrixSet",
@@ -78,15 +78,14 @@ class TransitionMatrixSet:
 
 
 def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
-                              partition: MarkovPartition,
-                              tol: float = 1e-9) -> TransitionMatrixSet:
+                              partition: MarkovPartition) -> TransitionMatrixSet:
     """Transfer matrices of a map over a consistent partition.
 
     Every maximal linear segment of the map inside a cell must map onto
     an exact union of (integer-translated) cells; each covered cell
     receives density 1/|slope|.  This is the rule `validate_consistency`
     reports on; here a segment whose image misses the cell-boundary grid
-    by more than `tol`, or spans more than 100000 cells, raises
+    by more than 1e-9, or spans more than 100000 cells, raises
     ConsistencyError naming that cell segment.
 
     Parameters
@@ -100,7 +99,7 @@ def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
     m = partition.m
     matrices: dict[int, np.ndarray] = {}
     for lo, hi, src, weight, first, stop, miss in _cell_images(lift_map, partition):
-        if miss > tol:
+        if miss > _GRID_TOL:
             raise ConsistencyError(f"image of cell segment [{lo!r}, {hi!r}) "
                                    f"misses the cell-boundary grid by {miss:.3g}")
         if stop - first > 100000:

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -28,6 +29,26 @@ def fresh_python():
         return proc.stdout
 
     return run
+
+
+@pytest.fixture
+def ensemble_constants(monkeypatch):
+    """constants(chunk=None, batches=None): a with block in which the ensemble
+    simulators run with `chunk` samples per chunk (`montecarlo._CHUNK`) and
+    `estimate_d_increment` with `batches` batches (`montecarlo._BATCHES`).
+    """
+    from detdiff import montecarlo
+
+    @contextlib.contextmanager
+    def constants(chunk=None, batches=None):
+        with monkeypatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(montecarlo, "_CHUNK", chunk)
+            if batches is not None:
+                mp.setattr(montecarlo, "_BATCHES", batches)
+            yield
+
+    return constants
 
 
 @pytest.fixture(scope="session")

@@ -151,15 +151,15 @@ def test_simulate_channel_cubic_band():
             assert np.all(np.abs(ratio - 1.0) <= band), (lam, seed, ratio)
 
 
-def test_simulate_channel_deterministic():
+def test_simulate_channel_deterministic(ensemble_constants):
     a = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11)
     b = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11)
     assert a.variances == b.variances
     assert a.growth_exponent == b.growth_exponent
     # threads only change the execution schedule, not the reduction order
-    c = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11, chunk_size=701,
-                         threads=4)
-    d = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11, chunk_size=701)
+    with ensemble_constants(chunk=701):
+        c = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11, threads=4)
+        d = simulate_channel(sawtooth_kick(3.0), 5000, 100, seed=11)
     assert c == d
     # different chunkings reorder the accumulation at rounding level only
     np.testing.assert_allclose(a.variances, c.variances, rtol=1e-12)

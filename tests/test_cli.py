@@ -137,6 +137,14 @@ def test_diffusion_explicit_inconsistent_partition(capsys):
     assert "cell segment" in err
 
 
+def test_diffusion_rejects_a_nan_partition_breakpoint(capsys):
+    # named as a bad breakpoint, not "cannot convert float NaN to integer"
+    code, out, err = run(capsys, "diffusion", "--map", '{"type":"linear","lambda":3}',
+                         "--partition", '[-0.5, "nan", 0.5]', "--method", "spectral")
+    assert (code, out) == (2, "")
+    assert err == "error[validation]: partition breakpoints (-0.5, nan, 0.5) are not all finite\n"
+
+
 def test_solver_failure_exit_code(capsys):
     system = {"unknowns": [], "equations": [{"lhs": "half", "target": {"const": 0}}]}
     code, _, err = run(capsys, "solve-partition", "--system", json.dumps(system))
@@ -282,15 +290,50 @@ _CLI_MODULES = {"cli", "errors", "reports", "rng"}
 _LIST_MODULES = "print(*sorted(m[8:] for m in sys.modules if m.startswith('detdiff.')))"
 
 
-def test_cli_import_does_not_load_scipy(fresh_python):
+def test_cli_import_does_not_load_scipy(fresh_python, tmp_path):
     out = fresh_python(
-        "import sys, detdiff.cli; "
-        "print(*[m for m in ('scipy', 'concurrent.futures', 'logging') if m in sys.modules])")
-    # nor the thread pool's modules: only a run on several workers imports them
+        "import sys, detdiff.cli; print(*[m for m in "
+        "('scipy', 'concurrent.futures', 'logging', '_hashlib') if m in sys.modules])")
+    # nor the thread pool's modules: only a run on several workers imports
+    # them; nor OpenSSL's _hashlib: only a command that hashes its input does
     assert out.strip() == ""
     assert fresh_python("import sys, detdiff; " + _LIST_MODULES).split() == []
     assert set(fresh_python("import sys, detdiff.cli; " + _LIST_MODULES).split()) \
         == _CLI_MODULES
+    assert fresh_python(
+        "import sys; from detdiff.cli import main; "
+        "assert main(sys.argv[1:]) == 0; print('_hashlib' in sys.modules)",
+        "solve-partition", "--three-interval", "1,2,1,-1",
+        "--out", str(tmp_path / "out")).strip() == "False"
+
+
+# the eight README commands at small N
+_README_COMMANDS = [
+    ["diffusion", "--map", '{"type":"linear","lambda":3}', "--method", "all",
+     "--N", "1000", "--n", "5"],
+    ["diffusion", "--map", "linear", "lambda=2+sqrt(3)",
+     "--partition-system", json.dumps(EXAMPLE_SYSTEM), "--method", "spectral"],
+    ["solve-partition", "--three-interval", "1,2,1,-1"],
+    ["solve-partition", "--system", json.dumps(EXAMPLE_SYSTEM)],
+    ["scan", "--from", "3", "--to", "5", "--step", "0.25", "--N", "1000", "--n", "5"],
+    ["evolve", "--map", '{"type":"linear","lambda":3}', "--checkpoints", "10,50,100,500"],
+    ["simulate", "--map", '{"type":"zigzag","p":1,"xi":0.25}', "--N", "1000", "--n", "5"],
+    ["billiard", "--lambda", "3", "--N", "1000", "--n", "20"],
+]
+
+
+def test_matrices_and_commands_do_not_load_numpy_ma(fresh_python, tmp_path):
+    # np.unique, behind np.union1d, imports numpy.ma: 15-23 ms cold
+    out = fresh_python(
+        "import json, sys; import detdiff as dd; from detdiff.cli import main\n"
+        "case = dd.CASES['two-plus-sqrt3']\n"
+        "dd.build_transition_matrices(case.lift_map(), case.partition())\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main([*argv, '--out', sys.argv[2]]) == 0, argv\n"
+        "    print('numpy.ma' in sys.modules)\n",
+        json.dumps(_README_COMMANDS), str(tmp_path / "out"))
+    assert out.split() == ["False"] * (1 + len(_README_COMMANDS))
 
 
 @pytest.mark.parametrize("argv,modules", [

@@ -38,10 +38,12 @@ def test_uniform_stream_chunk_invariance():
     np.testing.assert_array_equal(full, np.concatenate(parts))
 
 
-def test_uniform_stream_is_scaled_philox_words():
+def test_uniform_stream_is_scaled_philox_words(monkeypatch):
     low, high = -1.3, 2.9
+    monkeypatch.setattr("detdiff.rng._LOW", low)
+    monkeypatch.setattr("detdiff.rng._HIGH", high)
     words = np.random.Generator(np.random.Philox(key=11)).random(300)
-    np.testing.assert_array_equal(uniform_stream(11, 45, 255, low, high),
+    np.testing.assert_array_equal(uniform_stream(11, 45, 255),
                                   low + (high - low) * words[45:])
 
 
@@ -51,11 +53,13 @@ def test_same_seed_bitwise_identical():
     np.testing.assert_array_equal(a, b)
 
 
-def test_chunking_and_threads_do_not_change_samples():
-    a = simulate_ensemble(linear_map(3.0), 30_000, 20, seed=5, chunk_size=30_000)
-    b = simulate_ensemble(linear_map(3.0), 30_000, 20, seed=5, chunk_size=4321)
-    c = simulate_ensemble(linear_map(3.0), 30_000, 20, seed=5, chunk_size=7000,
-                          threads=4)
+def test_chunking_and_threads_do_not_change_samples(ensemble_constants):
+    with ensemble_constants(chunk=30_000):
+        a = simulate_ensemble(linear_map(3.0), 30_000, 20, seed=5)
+    with ensemble_constants(chunk=4321):
+        b = simulate_ensemble(linear_map(3.0), 30_000, 20, seed=5)
+    with ensemble_constants(chunk=7000):
+        c = simulate_ensemble(linear_map(3.0), 30_000, 20, seed=5, threads=4)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, c)
 
@@ -96,31 +100,34 @@ def test_lane_reader_reads_little_endian_quarter_words(monkeypatch):
         np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
 
 
-def test_lane_dither_does_not_depend_on_chunks_or_threads():
+def test_lane_dither_does_not_depend_on_chunks_or_threads(ensemble_constants):
     # chunks that start at 999, 1234 or 2468 begin mid-word and mid-block
-    ref = simulate_ensemble(linear_map(4.0), 5000, 30, seed=17, chunk_size=65536)
+    with ensemble_constants(chunk=65536):
+        ref = simulate_ensemble(linear_map(4.0), 5000, 30, seed=17)
     for chunk_size, threads in ((999, None), (1234, None), (999, 2)):
-        np.testing.assert_array_equal(
-            simulate_ensemble(linear_map(4.0), 5000, 30, seed=17,
-                              chunk_size=chunk_size, threads=threads), ref)
+        with ensemble_constants(chunk=chunk_size):
+            np.testing.assert_array_equal(
+                simulate_ensemble(linear_map(4.0), 5000, 30, seed=17, threads=threads), ref)
     # a short last chunk leaves gaps of a few lanes between the reads of the first
-    ref = simulate_ensemble(linear_map(4.0), 1010, 5, seed=17, chunk_size=65536)
-    np.testing.assert_array_equal(
-        simulate_ensemble(linear_map(4.0), 1010, 5, seed=17, chunk_size=1000), ref)
+    with ensemble_constants(chunk=65536):
+        ref = simulate_ensemble(linear_map(4.0), 1010, 5, seed=17)
+    with ensemble_constants(chunk=1000):
+        np.testing.assert_array_equal(simulate_ensemble(linear_map(4.0), 1010, 5, seed=17), ref)
 
 
 @pytest.mark.parametrize("n", [montecarlo._TILE - 1, montecarlo._TILE + 1,
                                2 * montecarlo._CHUNK + 1])
-def test_tiles_do_not_change_samples(n):
-    # at chunk_size=1000 every chunk is one tile; by default a chunk holds
-    # up to two tiles and the last tile of a chunk may be short
+def test_tiles_do_not_change_samples(n, ensemble_constants):
+    # at 1000 samples per chunk every chunk is one tile; by default a chunk
+    # holds up to two tiles and the last tile of a chunk may be short
     drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
     for lift_map in (zigzag_map(1, 0.25), linear_map(4.0), drift):
-        ref = simulate_ensemble(lift_map, n, 3, seed=21, chunk_size=1000)
+        with ensemble_constants(chunk=1000, batches=5):
+            ref = simulate_ensemble(lift_map, n, 3, seed=21)
+            ref_increment = estimate_d_increment(lift_map, n, 4, seed=21)
         assert simulate_ensemble(lift_map, n, 3, seed=21).tobytes() == ref.tobytes()
-        assert (estimate_d_increment(lift_map, n, 4, seed=21, batches=5)
-                == estimate_d_increment(lift_map, n, 4, seed=21, batches=5,
-                                        chunk_size=1000))
+        with ensemble_constants(batches=5):
+            assert estimate_d_increment(lift_map, n, 4, seed=21) == ref_increment
 
 
 def test_identity_shift_map_is_exact():
@@ -216,15 +223,16 @@ def test_estimate_stats_copies_finite_samples_nowhere():
     assert _traced_peak(estimate_stats, samples, 20) < 1.3 * samples.nbytes
 
 
-def test_ensemble_step_loop_allocates_nothing_per_step():
+def test_ensemble_step_loop_allocates_nothing_per_step(ensemble_constants):
     # the chunk's scratch is allocated once: ten times the steps, no
     # higher peak (the slack covers a few small Python objects); numpy's
     # first bit generator of a process allocates its own tables, so one
     # small run goes first
     lift_map = zigzag_map(1, 0.25)
     simulate_ensemble(lift_map, 100, 2, seed=1)
-    peaks = [_traced_peak(simulate_ensemble, lift_map, 65536, steps, seed=1,
-                          chunk_size=65536) for steps in (20, 200)]
+    with ensemble_constants(chunk=65536):
+        peaks = [_traced_peak(simulate_ensemble, lift_map, 65536, steps, seed=1)
+                 for steps in (20, 200)]
     assert peaks[1] <= peaks[0] + 4096, peaks
 
 
@@ -291,7 +299,7 @@ def test_scan_lambda_empty_and_failures():
     assert not np.isnan(rows[1]["d_mc"])
 
 
-def test_thread_env_cap(monkeypatch):
+def test_thread_env_cap(monkeypatch, ensemble_constants):
     from detdiff.rng import resolve_threads
 
     monkeypatch.delenv("DETDIFF_THREADS", raising=False)
@@ -301,7 +309,8 @@ def test_thread_env_cap(monkeypatch):
     assert resolve_threads(2) == 2
     # worker count set through the environment leaves the samples unchanged
     a = simulate_ensemble(linear_map(3.0), 10_000, 10, seed=8)
-    b = simulate_ensemble(linear_map(3.0), 10_000, 10, seed=8, chunk_size=999)
+    with ensemble_constants(chunk=999):
+        b = simulate_ensemble(linear_map(3.0), 10_000, 10, seed=8)
     np.testing.assert_array_equal(a, b)
 
 
@@ -336,30 +345,31 @@ def _digest(values):
     return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()
 
 
-def test_ensemble_outputs_match_golden_digests():
+def test_ensemble_outputs_match_golden_digests(ensemble_constants):
     drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
     # a walk in jumps of +-1e8: a sixth of the samples end beyond +-1e9,
     # both ways, with their fractions intact
     jumper = PiecewiseLinearLiftMap([-0.5, -1 / 6, 1 / 6, 0.5],
                                     [(-1e8 - 0.5, -1e8 + 0.5), (-0.5, 0.5),
                                      (1e8 - 0.5, 1e8 + 0.5)])
-    rep = simulate_channel(sawtooth_kick(3.0), 3000, 40, seed=11, chunk_size=1100)
     got = {
         "ensemble_lambda3": simulate_ensemble(linear_map(3.0), 3000, 25, seed=123),
         "ensemble_lambda4_dithered": simulate_ensemble(linear_map(4.0), 3000, 40, seed=7),
-        "ensemble_multichunk": simulate_ensemble(zigzag_map(1, 0.25), 5000, 30, seed=5,
-                                                 chunk_size=1234),
-        "ensemble_threads2": simulate_ensemble(linear_map(3.0), 5000, 30, seed=5,
-                                               chunk_size=1234, threads=2),
-        "ensemble_far_jumps": simulate_ensemble(jumper, 3000, 80, seed=3,
-                                                chunk_size=1100),
-        "increment_drift": estimate_d_increment(drift, 4000, 40, seed=9, batches=10,
-                                                chunk_size=1500),
-        "increment_far_jumps": estimate_d_increment(jumper, 3000, 80, seed=3,
-                                                    batches=5, chunk_size=1100),
-        "channel_lambda3": [*rep.variances, rep.growth_exponent, rep.stats.mean,
-                            rep.stats.variance, rep.stats.sample_count, rep.discarded],
     }
+    with ensemble_constants(chunk=1234):
+        got["ensemble_multichunk"] = simulate_ensemble(zigzag_map(1, 0.25), 5000, 30, seed=5)
+        got["ensemble_threads2"] = simulate_ensemble(linear_map(3.0), 5000, 30, seed=5,
+                                                     threads=2)
+    with ensemble_constants(chunk=1100):
+        got["ensemble_far_jumps"] = simulate_ensemble(jumper, 3000, 80, seed=3)
+    with ensemble_constants(chunk=1500, batches=10):
+        got["increment_drift"] = estimate_d_increment(drift, 4000, 40, seed=9)
+    with ensemble_constants(chunk=1100, batches=5):
+        got["increment_far_jumps"] = estimate_d_increment(jumper, 3000, 80, seed=3)
+    with ensemble_constants(chunk=1100):
+        rep = simulate_channel(sawtooth_kick(3.0), 3000, 40, seed=11)
+    got["channel_lambda3"] = [*rep.variances, rep.growth_exponent, rep.stats.mean,
+                              rep.stats.variance, rep.stats.sample_count, rep.discarded]
     assert {k: _digest(v) for k, v in got.items()} == GOLDEN_DIGESTS
 
 

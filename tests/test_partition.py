@@ -55,6 +55,17 @@ def test_partition_validation():
         MarkovPartition.symmetric([0.7], include_zero=False)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_partition_rejects_non_finite_breakpoints(bad, at):
+    # every comparison with NaN is false: a NaN used to pass every check
+    bps = [-0.5, 0.1, 0.5]
+    bps[at] = bad
+    with pytest.raises(PartitionError) as err:
+        MarkovPartition(tuple(bps))
+    assert str(err.value) == f"partition breakpoints {tuple(bps)!r} are not all finite"
+
+
 # ---------------------------------------------------------------------------
 # closed three-interval family
 # ---------------------------------------------------------------------------
@@ -184,12 +195,6 @@ def _times(coeffs, q, p):
 ])
 def test_largest_real_root_close_and_repeated_roots(coeffs, expected):
     assert largest_real_root(coeffs) == expected
-
-
-def test_largest_real_root_with_a_negative_lower_bound():
-    # the search interval (lower, hi] must reach above the root 5
-    assert largest_real_root((-5, 1), lower=-10.0) == 5.0
-    assert largest_real_root((6, 5, 1), lower=-10.0) == -2.0     # (x + 2)(x + 3)
 
 
 @settings(max_examples=200, deadline=None)
