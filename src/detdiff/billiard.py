@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GrazingReflectionError
 from .maps import fractional_part
-from .montecarlo import _TILE, EnsembleStats, _iterate_chunk, _run_chunks, estimate_stats
+from .montecarlo import EnsembleStats, _iterate_chunk, _run_chunks, estimate_stats
 from .rng import uniform_stream
 
 __all__ = [
@@ -184,9 +184,9 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     Starts at x_0 = 0 with x_1 uniform on [-1/2, 1/2) and iterates
     v_{n+1} = v_n + f(x_n), x_{n+1} = x_n + v_{n+1} on the carry loop of
     `montecarlo`, calling the kick with the fraction of x_n in [-1/2, 1/2)
-    tile by tile.  A kick with a `lam` attribute is taken to be
+    chunk by chunk.  A kick with a `lam` attribute is taken to be
     `sawtooth_kick(lam)`: its step adds lam times the fraction to the
-    velocity through one tile buffer, bit for bit the sawtooth, without
+    velocity through one chunk buffer, bit for bit the sawtooth, without
     calling it.  Records the position variance at the checkpoints
     (defaults: n/8, n/4, n/2, n).  The growth exponent is the
     least-squares slope of log variance against log step count.  Samples
@@ -216,12 +216,11 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     def run(start, stop):
         u = uniform_stream(seed, start, stop - start)
         v = u.copy()
-        kicked = np.empty(min(u.size, _TILE)) if sawtooth else None
+        kicked = np.empty_like(u) if sawtooth else None
 
-        def step(u, t, lo):
-            v_tile = v[lo:lo + u.size]
-            v_tile += np.multiply(u, lam, out=kicked[:u.size]) if sawtooth else kick(u)
-            u += v_tile
+        def step(u, t):
+            np.add(v, np.multiply(u, lam, out=kicked) if sawtooth else kick(u), out=v)
+            u += v
 
         moments = []
         # a non-finite kick makes the carry inf - inf: a NaN sample, discarded below

@@ -99,8 +99,6 @@ def _resolve_map(spec: dict) -> PiecewiseLinearLiftMap:
     for key in ("lambda", "xi"):
         if key in spec:
             spec[key] = parse_algebraic(spec[key])
-    if "p" in spec:
-        spec["p"] = int(spec["p"])
     if "breakpoints" in spec:
         spec["breakpoints"] = [parse_algebraic(v) for v in spec["breakpoints"]]
     if "values" in spec:
@@ -226,7 +224,7 @@ def cmd_diffusion(args):
         for name in ("closed-form", "spectral", "heuristic", "omega", "mc"):
             try:
                 methods[name] = _method_report(name, args, spec, lift_map)
-            except (DetdiffError, ValueError) as exc:
+            except (DetdiffError, ValueError, OverflowError) as exc:
                 methods[name] = {"error": f"{type(exc).__name__}: {exc}"}
         good = {k: v for k, v in methods.items() if "error" not in v}
         if not good:
@@ -427,18 +425,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VALIDATION_ERRORS as exc:
+    # a json.JSONDecodeError is a ValueError
+    except (*VALIDATION_ERRORS, ValueError, KeyError, OSError) as exc:
         print(f"error[validation]: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error[validation]: {exc}", file=sys.stderr)
-        return 2
-    except NUMERICAL_ERRORS as exc:
+    except (*NUMERICAL_ERRORS, OverflowError) as exc:
         print(f"error[numerical]: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error[validation]: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -225,28 +226,31 @@ def closed_form_d(lift_map: PiecewiseLinearLiftMap) -> float:
     the integral of |f|^2, and
 
         D = (1/2) * integral_{-1/2}^{1/2} |f(x)|^2 dx - 1/24.
+
+    A piece whose values sweep the integers c = a .. b - 1 adds
+    (sum c^2 + (b - a)/12) * width / (b - a), with the sum of squares in
+    closed form, so the cost does not grow with the slopes.  D is summed
+    exactly over the breakpoints as given and rounded once.
     """
     if not lift_map.has_half_integer_values():
         raise HalfIntegerValueError(
             "closed form requires half-integer values at all piece endpoints")
-    total = 0.0
+
+    def squares_below(n):       # sum of c^2 over the integers 0 <= c < n
+        return (n - 1) * n * (2 * n - 1) // 6
+
+    total = Fraction(0)
     bp = lift_map.breakpoints
     for j in range(lift_map.n_pieces):
-        va = float(lift_map.left_values[j])
-        vb = float(lift_map.right_values[j])
-        va = round(va + 0.5) - 0.5
-        vb = round(vb + 0.5) - 0.5
-        width = float(bp[j + 1] - bp[j])
-        count = int(round(abs(vb - va)))
-        if count == 0:
+        # the integers just above the two end values
+        a, b = sorted(round(float(v) + 0.5)
+                      for v in (lift_map.left_values[j], lift_map.right_values[j]))
+        if a == b:
             raise HalfIntegerValueError(
-                f"piece {j} takes the same half-integer value {va} at both ends")
-        seg = width / count
-        v_lo = min(va, vb)
-        for i in range(count):
-            center = int(round(v_lo + i + 0.5))
-            total += (center**2 + 1.0 / 12.0) * seg
-    return 0.5 * total - 1.0 / 24.0
+                f"piece {j} takes the same half-integer value {a - 0.5} at both ends")
+        width = Fraction(float(bp[j + 1])) - Fraction(float(bp[j]))
+        total += (squares_below(b) - squares_below(a) + Fraction(b - a, 12)) * width / (b - a)
+    return float(total / 2 - Fraction(1, 24))
 
 
 def second_moment(tset: TransitionMatrixSet):

@@ -147,9 +147,14 @@ class PiecewiseLinearLiftMap:
         return self.min_slope() > 1.0
 
     def has_half_integer_values(self) -> bool:
-        """True when every piece endpoint value sits on the k + 1/2 grid."""
+        """True when every piece endpoint value sits on the k + 1/2 grid.
+
+        No double of magnitude 2^52 or more is k + 1/2, though adding
+        1/2 to it rounds onto the grid.
+        """
         v = np.concatenate([self.left_values, self.right_values])
-        return bool(np.all(np.abs(v + _HALF - np.round(v + _HALF)) <= _HALF_INTEGER_TOL))
+        return bool(np.all(np.abs(v) < 2.0**52)
+                    and np.all(np.abs(v + _HALF - np.round(v + _HALF)) <= _HALF_INTEGER_TOL))
 
     # -- evaluation ---------------------------------------------------
 
@@ -256,7 +261,10 @@ def zigzag_map(p: int, xi: float) -> PiecewiseLinearLiftMap:
     The rising middle piece carries [-xi, xi] to [-(p+1/2), p+1/2]; the
     outer pieces fall back to +-1/2 at the interval ends.
     """
-    p = int(p)
+    try:
+        p = int(p)
+    except OverflowError:
+        raise MapDefinitionError(f"zigzag map needs a finite p, got {p}") from None
     xi = float(xi)
     if p < 1:
         raise MapDefinitionError("zigzag map needs p >= 1")

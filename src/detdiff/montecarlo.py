@@ -25,19 +25,20 @@ statistics faithful.  Sample i of N reads it at step t from 16-bit lane
 t*N + i of a keyed Philox stream, four lanes to a 64-bit word.
 
 `simulate_ensemble`, `estimate_d_increment` and the billiard channel
-share one chunk runner, which cuts the sample range into chunks iterated
-independently, optionally on a thread pool, and one carry loop, which
-runs a chunk in cache-sized tiles and moves each fraction's whole part
-into its cell after a step function: the lifting map (plus dither) or
-the channel's kick and velocity.  The normal CDF behind `ks_normal` is a
-numpy port of the Cephes rational approximations, so the package needs
-only numpy; `ks_normal` evaluates it only on the blocks of sorted
-samples where the maximum gap can be.
+share one chunk runner, which cuts the sample range into chunks of
+`_CHUNK` = 32768 samples iterated independently, optionally on a thread
+pool, and one carry loop, which moves each fraction's whole part into
+its cell after a step function: the lifting map (plus dither) or the
+channel's kick and velocity.  A chunk is small enough for its fractions,
+cells and scratch to stay in cache across steps.  The normal CDF behind
+`ks_normal` is a numpy port of the Cephes rational approximations, so
+the package needs only numpy; `ks_normal` evaluates it only on the
+blocks of sorted samples where the maximum gap can be.
 
 Memory is bounded by the outputs, plus one N-sized temporary, plus
-per-chunk scratch.  A chunk allocates its fractions and cells, and one
-tile's carry, map and dither buffers, once; a lifting-map step then
-allocates only the dither's raw lanes, a quarter the size of a tile's
+per-chunk scratch.  A chunk allocates its fractions and cells, and its
+carry, map and dither buffers, once; a lifting-map step then allocates
+only the dither's raw lanes, a quarter the size of the chunk's
 fractions, and the last positions overwrite the cells.
 `estimate_stats` copies the samples only when some are non-finite: the
 centred copy inside the variance and then the sorted copy of
@@ -65,10 +66,9 @@ __all__ = [
     "scan_lambda",
 ]
 
-#: samples per chunk, the unit of scheduling and of the channel's
-#: reduction, and per tile, the unit of the step loop inside a chunk
-_CHUNK = 1 << 16
-_TILE = 1 << 15
+#: samples per chunk: the unit of scheduling, of the step loop and of
+#: the channel's reduction
+_CHUNK = 1 << 15
 #: contiguous sample batches behind the standard error of `estimate_d_increment`
 _BATCHES = 50
 #: sorted samples per block of the pruned KS statistic, the margin a
@@ -114,8 +114,10 @@ class EnsembleStats:
 def _run_chunks(run, n_samples, threads):
     """Call run(start, stop) on each chunk of [0, n_samples); results in chunk order.
 
-    The one chunk runner of every ensemble simulator.  Chunks share no
-    state, so the worker count changes only the schedule, never a sample.
+    The one chunk runner of every ensemble simulator.  A chunk holds
+    `_CHUNK` samples, few enough for its state to stay in cache.  Chunks
+    share no state, so the worker count changes only the schedule, never
+    a sample.
     """
     ranges = [(s, min(s + _CHUNK, n_samples)) for s in range(0, n_samples, _CHUNK)]
     workers = min(resolve_threads(threads), len(ranges))
@@ -132,56 +134,54 @@ def _run_chunks(run, n_samples, threads):
 def _iterate_chunk(step, u, cell, horizons):
     """Yield cell + u after each step count in `horizons`; u and cell move in place.
 
-    Between two horizons the chunk runs tile by tile: `step(u_tile, t,
-    lo)` moves the fractions of the `_TILE` samples from `lo` in place,
-    then the whole part floor(u + 1/2) of each goes into its
-    integer-valued cell through one reused tile-sized carry buffer, for
-    every step before the next tile starts.  A tile's fractions, cells
-    and scratch stay in cache; samples do not interact, so no bit
-    depends on the tiling.  The last positions overwrite the cell.
+    Each step, `step(u, t)` moves the fractions in place, then the whole
+    part floor(u + 1/2) of each goes into its integer-valued cell through
+    one reused carry buffer.  The last positions overwrite the cell.
     """
-    carry = np.empty(min(u.size, _TILE))
+    carry = np.empty_like(u)
     done = 0
     for horizon in horizons:
-        for lo in range(0, u.size, _TILE):
-            u_tile, cell_tile = u[lo:lo + _TILE], cell[lo:lo + _TILE]
-            c = carry[:u_tile.size]
-            for t in range(done, horizon):
-                step(u_tile, t, lo)
-                np.floor(np.add(u_tile, 0.5, out=c), out=c)
-                u_tile -= c
-                cell_tile += c
+        for t in range(done, horizon):
+            step(u, t)
+            np.floor(np.add(u, 0.5, out=carry), out=carry)
+            u -= carry
+            cell += carry
         done = horizon
         yield np.add(cell, u, out=cell if horizon == horizons[-1] else None)
 
 
-def _lift_chunk(lift_map, seed, start, stop, total, horizons):
-    """`_iterate_chunk` of samples start .. stop-1 of `total` under a lifting map.
+def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
+    """Positions of n_samples lifting-map orbits after each step count in `horizons`.
 
-    A step maps each fraction through its piece and adds the dither made
-    from 16-bit lane w = t*total + i of its keyed stream for sample i at
-    step t, so results do not depend on the chunking or the tiling:
-    d = (w + 1/2) 2^-64 - 2^-49, exact, through one buffer per tile.
+    Each chunk runs `_iterate_chunk` with a step that maps each fraction
+    through its piece and adds the dither made from 16-bit lane
+    w = t*n_samples + i of its keyed stream for sample i at step t, so
+    results do not depend on the chunking: d = (w + 1/2) 2^-64 - 2^-49,
+    exact.
     """
+    if n_samples < 1 or horizons[0] < 1:
+        raise ValueError("n_samples and n_steps must be >= 1")
     key = _dither_key(lift_map, seed)
-    tile = min(stop - start, _TILE)
-    if key is not None:
-        lanes = _lane_reader(key)
-        dither = np.empty(tile)
-    scratch = lift_map._fraction_scratch(tile)
+    outs = [np.empty(n_samples) for _ in horizons]
 
-    def step(u, t, lo):
-        if scratch is None or u.size == tile:
-            lift_map._map_fraction(u, scratch)
-        else:       # the chunk's last, shorter tile
-            lift_map._map_fraction(u, [a[:u.size] for a in scratch])
+    def run(start, stop):
+        u = uniform_stream(seed, start, stop - start)
+        scratch = lift_map._fraction_scratch(u.size)
         if key is not None:
-            d = dither[:u.size]
-            np.multiply(lanes(t * total + start + lo, u.size), _LANE_SCALE, out=d)
-            u += np.add(d, _LANE_OFFSET, out=d)
+            lanes = _lane_reader(key)
+            dither = np.empty_like(u)
 
-    u = uniform_stream(seed, start, stop - start)
-    return _iterate_chunk(step, u, np.zeros_like(u), horizons)
+        def step(u, t):
+            lift_map._map_fraction(u, scratch)
+            if key is not None:
+                np.multiply(lanes(t * n_samples + start, u.size), _LANE_SCALE, out=dither)
+                u += np.add(dither, _LANE_OFFSET, out=dither)
+
+        for out, x in zip(outs, _iterate_chunk(step, u, np.zeros_like(u), horizons)):
+            out[start:stop] = x
+
+    _run_chunks(run, n_samples, threads)
+    return outs
 
 
 def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
@@ -195,14 +195,7 @@ def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
     are all powers of two get the 2^-48 dither.  Positions are
     non-finite only if the map's own arithmetic overflows.
     """
-    if n_samples < 1 or n_steps < 1:
-        raise ValueError("n_samples and n_steps must be >= 1")
-    out = np.empty(n_samples)
-
-    def run(start, stop):
-        out[start:stop], = _lift_chunk(lift_map, seed, start, stop, n_samples, [n_steps])
-
-    _run_chunks(run, n_samples, threads)
+    out, = _lift_ensemble(lift_map, n_samples, [n_steps], seed, threads)
     return out
 
 
@@ -396,14 +389,7 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     if n_steps < 2:
         raise ValueError("need n_steps >= 2 for a variance increment")
     half = n_steps // 2
-    out_half = np.empty(n_samples)
-    out_full = np.empty(n_samples)
-
-    def run(start, stop):
-        out_half[start:stop], out_full[start:stop] = _lift_chunk(
-            lift_map, seed, start, stop, n_samples, [half, n_steps])
-
-    _run_chunks(run, n_samples, threads)
+    out_half, out_full = _lift_ensemble(lift_map, n_samples, [half, n_steps], seed, threads)
 
     edges = np.linspace(0, n_samples, _BATCHES + 1, dtype=int)
     ds = []

@@ -17,6 +17,7 @@ from detdiff import (
     theoretical_variance,
     uniform_stream,
 )
+from detdiff.montecarlo import _CHUNK
 
 
 def test_state_validation():
@@ -174,7 +175,7 @@ def _same_report(a, b):
 def test_sawtooth_step_equals_generic_kick_bit_for_bit(lam):
     # the wrapper has no `lam`, so the channel calls it like any other kick
     kick = sawtooth_kick(lam)
-    for n in (32767, 32769, 65537):
+    for n in (_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 1):
         for threads in (None, 2):
             fast = simulate_channel(kick, n, 20, seed=13, threads=threads)
             generic = simulate_channel(lambda u: kick(u), n, 20, seed=13, threads=threads)

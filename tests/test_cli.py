@@ -145,6 +145,35 @@ def test_diffusion_rejects_a_nan_partition_breakpoint(capsys):
     assert err == "error[validation]: partition breakpoints (-0.5, nan, 0.5) are not all finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--map", "linear", "lambda=1e80", "--N", "2000", "--n", "10"],
+    ["diffusion", "--map", "linear", "lambda=1e80", "--method", "mc",
+     "--N", "2000", "--n", "10"],
+    ["billiard", "--lambda", "1e100", "--N", "2000", "--n", "50"],
+])
+def test_overflow_is_a_numerical_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error[numerical]:")
+    assert len(err.splitlines()) == 1
+
+
+def test_diffusion_all_records_overflow_per_method(capsys):
+    code, out, _ = run(capsys, "diffusion", "--map", "linear", "lambda=1e80",
+                       "--method", "all", "--N", "2000", "--n", "10")
+    assert code == 0
+    methods = json.loads(out)["methods"]
+    assert methods["mc"]["error"].startswith("OverflowError:")
+    assert methods["closed-form"]["error"].startswith("HalfIntegerValueError:")
+
+
+def test_simulate_rejects_an_infinite_zigzag_p(capsys):
+    code, out, err = run(capsys, "simulate", "--map",
+                         '{"type":"zigzag","p":Infinity,"xi":0.25}')
+    assert (code, out) == (2, "")
+    assert err == "error[validation]: zigzag map needs a finite p, got inf\n"
+
+
 def test_solver_failure_exit_code(capsys):
     system = {"unknowns": [], "equations": [{"lhs": "half", "target": {"const": 0}}]}
     code, _, err = run(capsys, "solve-partition", "--system", json.dumps(system))

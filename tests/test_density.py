@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -155,6 +156,26 @@ def test_fourier_coefficient_identity(unit_tset_lam3):
 def test_closed_form_odd_lambda(lam, want):
     assert closed_form_d(linear_map(lam)) == pytest.approx(want, abs=1e-13)
     assert closed_form_d(linear_map(lam)) == pytest.approx((lam**2 - 1) / 24, abs=1e-13)
+
+
+@pytest.mark.parametrize("lam,want", [(3, 1 / 3), (5, 1.0)])
+def test_closed_form_is_correctly_rounded(lam, want):
+    assert closed_form_d(linear_map(lam)) == want
+
+
+def test_closed_form_cost_does_not_grow_with_the_slope():
+    # (lam^2 - 1)/24 = 4166667500000 exactly; one step per unit of rise
+    # took seconds and missed by a quarter
+    start = time.perf_counter()
+    assert closed_form_d(linear_map(1e7 + 1)) == 4166667500000.0
+    assert time.perf_counter() - start < 0.5
+
+
+def test_closed_form_rejects_values_beyond_the_half_integer_grid():
+    # 1e80 + 1/2 rounds onto the grid, but no double that large is k + 1/2
+    assert not linear_map(1e80).has_half_integer_values()
+    with pytest.raises(HalfIntegerValueError):
+        closed_form_d(linear_map(1e80))
 
 
 def test_closed_form_zigzag():

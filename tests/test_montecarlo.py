@@ -115,11 +115,10 @@ def test_lane_dither_does_not_depend_on_chunks_or_threads(ensemble_constants):
         np.testing.assert_array_equal(simulate_ensemble(linear_map(4.0), 1010, 5, seed=17), ref)
 
 
-@pytest.mark.parametrize("n", [montecarlo._TILE - 1, montecarlo._TILE + 1,
+@pytest.mark.parametrize("n", [montecarlo._CHUNK - 1, montecarlo._CHUNK + 1,
                                2 * montecarlo._CHUNK + 1])
 def test_tiles_do_not_change_samples(n, ensemble_constants):
-    # at 1000 samples per chunk every chunk is one tile; by default a chunk
-    # holds up to two tiles and the last tile of a chunk may be short
+    # 1000 samples per chunk against the default, whose last chunk is short
     drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
     for lift_map in (zigzag_map(1, 0.25), linear_map(4.0), drift):
         with ensemble_constants(chunk=1000, batches=5):
@@ -234,6 +233,13 @@ def test_ensemble_step_loop_allocates_nothing_per_step(ensemble_constants):
         peaks = [_traced_peak(simulate_ensemble, lift_map, 65536, steps, seed=1)
                  for steps in (20, 200)]
     assert peaks[1] <= peaks[0] + 4096, peaks
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_lifting_estimators_reject_empty_ensembles(n_samples):
+    for estimator in (simulate_ensemble, estimate_d_increment):
+        with pytest.raises(ValueError, match="n_samples and n_steps must be >= 1"):
+            estimator(linear_map(3.0), n_samples, 4, seed=1)
 
 
 def test_estimate_stats_validation():
