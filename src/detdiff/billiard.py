@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import GrazingReflectionError
 from .maps import fractional_part
-from .montecarlo import EnsembleStats, _iterate_chunk, _run_chunks, estimate_stats
+from .montecarlo import _iterate_chunk, _run_chunks
 from .rng import uniform_stream
 
 __all__ = [
@@ -152,29 +152,31 @@ def theoretical_variance(n: int, lam: float) -> float:
     return n**2 / 12.0 + lam**2 / 12.0 * n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
 
 
+def _loglog_slope(steps, variances) -> float:
+    """Least-squares slope of log variance on log steps where variance is finite and > 0."""
+    usable = [(c, v) for c, v in zip(steps, variances) if np.isfinite(v) and v > 0]
+    if len(usable) < 2:
+        return float("nan")
+    ls, lv = np.log(np.transpose(usable))
+    return float(np.polyfit(ls, lv, 1)[0])
+
+
 @dataclass(frozen=True)
 class ChannelReport:
     """Checkpointed variances and the fitted growth exponent."""
 
-    stats: EnsembleStats
     growth_exponent: float
     checkpoints: tuple                 # step counts
     variances: tuple                   # ensemble Var(x_c) per checkpoint
     theoretical: Optional[tuple]       # independent-kick prediction, if lam known
-    discarded: int
+    discarded: int                     # samples non-finite after n_steps
     discard_warning: bool
 
     def rows(self):
         """(checkpoint, variance, theoretical_variance, exponent_so_far) rows."""
-        cps = np.asarray(self.checkpoints, dtype=float)
-        vs = np.asarray(self.variances, dtype=float)
         for i, (c, v) in enumerate(zip(self.checkpoints, self.variances)):
             theo = self.theoretical[i] if self.theoretical is not None else float("nan")
-            if i >= 1:
-                expo = float(np.polyfit(np.log(cps[:i + 1]), np.log(vs[:i + 1]), 1)[0])
-            else:
-                expo = float("nan")
-            yield c, v, theo, expo
+            yield c, v, theo, _loglog_slope(self.checkpoints[:i + 1], self.variances[:i + 1])
 
 
 def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
@@ -190,8 +192,8 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     calling it.  Records the position variance at the checkpoints
     (defaults: n/8, n/4, n/2, n).  The growth exponent is the
     least-squares slope of log variance against log step count.  Samples
-    the kick makes non-finite are discarded and counted; losing more than
-    1% flags a warning.
+    non-finite at n_steps are discarded and counted; losing more than 1%
+    flags a warning.  A variance that overflows raises OverflowError.
     """
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
@@ -209,9 +211,8 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     # leaves a fraction u with 0 <= fl(u + 1/2) < 1, as uniform_stream
     # does; then floor(u + 1/2) = 0 and the kick is exactly lam * u.
     sawtooth = lam is not None and n_steps * abs(lam) < 2.0**52
-    # checkpoint c lies c - 1 steps from x_1; the finals, n_steps - 1 steps on, sort last
+    # checkpoint c lies c - 1 steps from x_1; discards count at the last, n_steps - 1
     horizons = sorted({c - 1 for c in cps} | {n_steps - 1})
-    finals = np.empty(n_samples)
 
     def run(start, stop):
         u = uniform_stream(seed, start, stop - start)
@@ -223,39 +224,34 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
             u += v
 
         moments = []
-        # a non-finite kick makes the carry inf - inf: a NaN sample, discarded below
+        # a non-finite kick makes the carry inf - inf: a NaN sample from then on
         with np.errstate(invalid="ignore"):
             for x in _iterate_chunk(step, u, np.zeros_like(u), horizons):
                 alive = x if np.isfinite(x).all() else x[np.isfinite(x)]
-                mean = alive.mean() if alive.size else 0.0
-                dev = alive - mean
-                dev *= dev
-                moments.append((alive.size, mean, dev.sum()))
-        finals[start:stop] = x
+                with np.errstate(over="ignore"):  # caught after the pooling
+                    mean = alive.mean() if alive.size else 0.0
+                    dev = alive - mean
+                    dev *= dev
+                    moments.append((alive.size, mean, dev.sum()))
         return moments
 
     counts, means, m2s = np.transpose(_run_chunks(run, n_samples, threads))
-    # raises unless two samples stay finite, so every checkpoint pools at least two
-    stats = estimate_stats(finals, n_steps)
-    # Chan et al.: pool the per-chunk counts, means and centred sums of squares
     cnt = counts.sum(axis=1)
-    mean = (counts * means).sum(axis=1) / cnt
-    pooled = (m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1) / (cnt - 1)
+    # counts fall with the horizon, so every checkpoint pools at least two
+    if cnt[-1] < 2:
+        raise ValueError("variance undefined: need at least two finite samples")
+    # Chan et al.: pool the per-chunk counts, means and centred sums of squares
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = (counts * means).sum(axis=1) / cnt
+        pooled = (m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1) / (cnt - 1)
     variances = pooled[:len(cps)].tolist()
-
-    usable = [(c, v) for c, v in zip(cps, variances) if np.isfinite(v) and v > 0]
-    if len(usable) >= 2:
-        ls = np.log([c for c, _ in usable])
-        lv = np.log([v for _, v in usable])
-        exponent = float(np.polyfit(ls, lv, 1)[0])
-    else:
-        exponent = float("nan")
+    if not np.isfinite(variances).all():
+        raise OverflowError("channel variance overflows double precision")
 
     theo = tuple(theoretical_variance(c, lam) for c in cps) if lam is not None else None
-    discarded = n_samples - stats.sample_count
+    discarded = n_samples - int(cnt[-1])
     return ChannelReport(
-        stats=stats,
-        growth_exponent=exponent,
+        growth_exponent=_loglog_slope(cps, variances),
         checkpoints=tuple(cps),
         variances=tuple(variances),
         theoretical=theo,

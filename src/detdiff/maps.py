@@ -261,11 +261,11 @@ def zigzag_map(p: int, xi: float) -> PiecewiseLinearLiftMap:
     The rising middle piece carries [-xi, xi] to [-(p+1/2), p+1/2]; the
     outer pieces fall back to +-1/2 at the interval ends.
     """
-    try:
-        p = int(p)
-    except OverflowError:
-        raise MapDefinitionError(f"zigzag map needs a finite p, got {p}") from None
-    xi = float(xi)
+    value = float(p)
+    if not value.is_integer():      # nor is inf or NaN
+        need = "an integer" if math.isfinite(value) else "a finite"
+        raise MapDefinitionError(f"zigzag map needs {need} p, got {p}")
+    p, xi = int(value), float(xi)
     if p < 1:
         raise MapDefinitionError("zigzag map needs p >= 1")
     if not 0.0 < xi < _HALF:

@@ -340,10 +340,10 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
 def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     """Moment and normality statistics for a set of final positions.
 
-    NaN entries (aborted samples) are dropped.  D is the single-horizon
-    estimate variance/(2n) with standard error from the normal
-    variance-of-variance formula; the KS statistic is measured against a
-    normal law with the estimated mean and variance.
+    NaN entries (aborted samples) are dropped; a mean or variance that
+    overflows raises OverflowError.  D is the single-horizon estimate
+    variance/(2n), its standard error that of a normal sample variance;
+    the KS statistic is against a normal law of the estimated moments.
     """
     finite = np.asarray(samples, dtype=float)
     if not np.isfinite(finite).all():
@@ -351,10 +351,13 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     n = finite.size
     if n < 2:
         raise ValueError("variance undefined: need at least two finite samples")
-    mean = float(np.mean(finite))
-    var = float(np.var(finite, ddof=1))
-    d = var / (2.0 * n_steps)
-    stderr = np.sqrt(2.0 * var**2 / ((n - 1) * (2.0 * n_steps) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(finite))
+        var = float(np.var(finite, ddof=1))
+    stderr = var * math.sqrt(2.0 / (n - 1)) / (2.0 * n_steps)
+    # the stderr is finite only if the variance is
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise OverflowError("ensemble moments overflow double precision")
     if var == 0.0:
         warnings.warn("degenerate sample set: variance is zero, KS undefined")
         ks = float("nan")
@@ -365,9 +368,9 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
         step_count=n_steps,
         mean=mean,
         variance=var,
-        d_estimate=d,
+        d_estimate=var / (2.0 * n_steps),
         drift_estimate=mean / n_steps,
-        d_stderr=float(stderr),
+        d_stderr=stderr,
         ks_statistic=ks,
     )
 

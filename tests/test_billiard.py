@@ -18,6 +18,7 @@ from detdiff import (
     uniform_stream,
 )
 from detdiff.montecarlo import _CHUNK
+from test_montecarlo import _traced_peak
 
 
 def test_state_validation():
@@ -168,7 +169,7 @@ def test_simulate_channel_deterministic(ensemble_constants):
 
 def _same_report(a, b):
     return (a.variances == b.variances and a.growth_exponent == b.growth_exponent
-            and a.stats == b.stats and a.discarded == b.discarded)
+            and a.discarded == b.discarded)
 
 
 @pytest.mark.parametrize("lam", [2.5, 3.0, 5.0])
@@ -206,8 +207,24 @@ def test_simulate_channel_discards_non_finite():
         rep = simulate_channel(half_explode, 2000, 20, seed=0)
     assert rep.discarded > 0
     assert rep.discard_warning
-    assert rep.stats.sample_count == 2000 - rep.discarded
     assert np.all(np.isfinite(rep.variances))
+
+
+def test_simulate_channel_needs_two_finite_samples():
+    # an inf kick leaves every sample NaN, so the pooled count at n_steps is 0
+    with pytest.raises(ValueError, match="need at least two finite samples"):
+        simulate_channel(lambda u: np.full_like(u, np.inf), 3 * _CHUNK // 2, 10, seed=0)
+
+
+def test_simulate_channel_memory_does_not_grow_with_samples():
+    # only per-chunk moments are kept: four times the chunks, no higher
+    # peak beyond a few small Python objects; numpy's first bit generator
+    # of a process allocates its own tables, so one small run goes first
+    kick = sawtooth_kick(3.0)
+    simulate_channel(kick, 100, 20, seed=1)
+    peaks = [_traced_peak(simulate_channel, kick, k * _CHUNK, 20, seed=1, threads=1)
+             for k in (2, 8)]
+    assert peaks[1] <= peaks[0] + 8192, peaks
 
 
 def test_simulate_channel_large_mean_variance_exact():

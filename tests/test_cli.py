@@ -146,10 +146,10 @@ def test_diffusion_rejects_a_nan_partition_breakpoint(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--map", "linear", "lambda=1e80", "--N", "2000", "--n", "10"],
-    ["diffusion", "--map", "linear", "lambda=1e80", "--method", "mc",
+    ["simulate", "--map", "linear", "lambda=1e160", "--N", "2000", "--n", "10"],
+    ["diffusion", "--map", "linear", "lambda=1e160", "--method", "mc",
      "--N", "2000", "--n", "10"],
-    ["billiard", "--lambda", "1e100", "--N", "2000", "--n", "50"],
+    ["billiard", "--lambda", "1e160", "--N", "2000", "--n", "50"],
 ])
 def test_overflow_is_a_numerical_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -158,8 +158,22 @@ def test_overflow_is_a_numerical_error(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_huge_but_finite_moments_are_reported(capsys):
+    # a variance past 1e154 has no finite square, yet it, D and its stderr are finite
+    code, out, err = run(capsys, "simulate", "--map", "linear", "lambda=1e80",
+                         "--N", "2000", "--n", "10")
+    assert (code, err) == (0, "")
+    assert all(math.isfinite(float(v)) for v in out.splitlines()[2].split(","))
+    code, out, err = run(capsys, "billiard", "--lambda", "1e100", "--N", "2000", "--n", "50")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert len(rows) == 4
+    assert all(math.isfinite(float(v)) for row in rows for v in row[:3])
+    assert math.isfinite(float(rows[-1][3]))
+
+
 def test_diffusion_all_records_overflow_per_method(capsys):
-    code, out, _ = run(capsys, "diffusion", "--map", "linear", "lambda=1e80",
+    code, out, _ = run(capsys, "diffusion", "--map", "linear", "lambda=1e160",
                        "--method", "all", "--N", "2000", "--n", "10")
     assert code == 0
     methods = json.loads(out)["methods"]
@@ -172,6 +186,18 @@ def test_simulate_rejects_an_infinite_zigzag_p(capsys):
                          '{"type":"zigzag","p":Infinity,"xi":0.25}')
     assert (code, out) == (2, "")
     assert err == "error[validation]: zigzag map needs a finite p, got inf\n"
+
+
+def test_diffusion_rejects_a_non_integer_zigzag_p(capsys):
+    # not truncated to the D of p = 2 under the spec hash of p = 2.7
+    code, out, err = run(capsys, "diffusion", "--map", '{"type":"zigzag","p":2.7,"xi":0.25}',
+                         "--method", "closed-form")
+    assert (code, out) == (2, "")
+    assert err == "error[validation]: zigzag map needs an integer p, got 2.7\n"
+    for spec in (['{"type":"zigzag","p":2.0,"xi":0.25}'], ["zigzag", "p=2", "xi=0.25"]):
+        code, out, _ = run(capsys, "diffusion", "--map", *spec, "--method", "closed-form")
+        assert code == 0
+        assert json.loads(out)["methods"]["closed-form"]["d"] == 1.125
 
 
 def test_solver_failure_exit_code(capsys):

@@ -209,6 +209,16 @@ def test_map_from_spec_forms():
         map_from_spec([1, 2, 3])
 
 
+def test_zigzag_p_must_be_an_integer():
+    # a JSON float or the CLI's string is fine when it is integral
+    for p in (2, 2.0, "2"):
+        assert zigzag_map(p, 0.25)(0.25) == 2.5
+    for p, message in ((2.7, "an integer p, got 2.7"), (float("inf"), "a finite p, got inf"),
+                       (float("nan"), "a finite p, got nan")):
+        with pytest.raises(MapDefinitionError, match=message):
+            zigzag_map(p, 0.25)
+
+
 def test_to_spec_round_trip():
     zz = zigzag_map(2, 0.3)
     again = map_from_spec(zz.to_spec())
