@@ -193,7 +193,7 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     (defaults: n/8, n/4, n/2, n).  The growth exponent is the
     least-squares slope of log variance against log step count.  Samples
     non-finite at n_steps are discarded and counted; losing more than 1%
-    flags a warning.  A variance that overflows raises OverflowError.
+    flags a warning.  Any overflow raises OverflowError.
     """
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
@@ -224,15 +224,19 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
             u += v
 
         moments = []
-        # a non-finite kick makes the carry inf - inf: a NaN sample from then on
-        with np.errstate(invalid="ignore"):
-            for x in _iterate_chunk(step, u, np.zeros_like(u), horizons):
-                alive = x if np.isfinite(x).all() else x[np.isfinite(x)]
-                with np.errstate(over="ignore"):  # caught after the pooling
-                    mean = alive.mean() if alive.size else 0.0
-                    dev = alive - mean
-                    dev *= dev
-                    moments.append((alive.size, mean, dev.sum()))
+        # a non-finite kick makes the carry inf - inf: a NaN sample from then on;
+        # an overflow fails the run, under this thread's own numpy error state
+        try:
+            with np.errstate(invalid="ignore", over="raise"):
+                for x in _iterate_chunk(step, u, np.zeros_like(u), horizons):
+                    alive = x if np.isfinite(x).all() else x[np.isfinite(x)]
+                    with np.errstate(over="ignore"):  # caught after the pooling
+                        mean = alive.mean() if alive.size else 0.0
+                        dev = alive - mean
+                        dev *= dev
+                        moments.append((alive.size, mean, dev.sum()))
+        except FloatingPointError:
+            raise OverflowError("channel position overflows double precision") from None
         return moments
 
     counts, means, m2s = np.transpose(_run_chunks(run, n_samples, threads))

@@ -9,6 +9,7 @@ decimals, LF line endings and a provenance comment line.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -228,12 +229,10 @@ def cmd_diffusion(args):
                 methods[name] = {"error": f"{type(exc).__name__}: {exc}"}
         good = {k: v for k, v in methods.items() if "error" not in v}
         if not good:
-            raise ConsistencyError("every method failed; see individual errors")
-        deltas = {}
-        names = sorted(good)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                deltas[f"{a}|{b}"] = abs(good[a]["d"] - good[b]["d"])
+            raise ConsistencyError("every method failed: " + "; ".join(
+                f"{name}: {rep['error']}" for name, rep in methods.items()))
+        deltas = {f"{a}|{b}": abs(good[a]["d"] - good[b]["d"])
+                  for a, b in itertools.combinations(sorted(good), 2)}
         payload = {"map": spec, "methods": methods, "deltas": deltas}
     else:
         payload = {"map": spec,
@@ -255,10 +254,7 @@ def cmd_scan(args):
         if args.step <= 0:
             raise MapDefinitionError("--step must be positive")
         count = int(round((args.to - lo) / args.step)) + 1
-        if count < 1:
-            lams = []
-        else:
-            lams = [lo + i * args.step for i in range(count)]
+        lams = [lo + i * args.step for i in range(count)]
     rows = scan_lambda(lams, args.N, args.n, args.seed)
     text = render_csv(
         ["lambda", "d_mc", "stderr", "d_heuristic", "d_omega", "ks"],

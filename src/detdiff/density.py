@@ -129,8 +129,10 @@ def _require_same_partition(a, b):
 def evolve(tset: TransitionMatrixSet, initial: LatticeDensity, n: int) -> LatticeDensity:
     """Apply the matrix convolution P_k(t+1) = sum_j p_j P_{k-j}(t), n times.
 
-    The support grows by at most max|shift| per step; mass is conserved
-    to rounding accuracy.
+    Each step grows the array by smax = max|shift| rows on each side, the
+    support the convolution can reach, so the result spans
+    k_min - smax*n .. k_max + smax*n; mass is conserved to rounding
+    accuracy.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
@@ -138,25 +140,16 @@ def evolve(tset: TransitionMatrixSet, initial: LatticeDensity, n: int) -> Lattic
     if n == 0:
         return initial
 
-    shifts = np.asarray(tset.shifts)
-    smax = int(np.max(np.abs(shifts)))
-    pad = smax * n
-    n_units = initial.values.shape[0]
-    vals = np.zeros((n_units + 2 * pad, initial.m))
-    vals[pad:pad + n_units] = initial.values
+    smax = max(abs(shift) for shift in tset.shifts)
     transposed = [mat.T.copy() for mat in tset.matrices]
-
+    vals = initial.values
     for _ in range(n):
-        new = np.zeros_like(vals)
+        new = np.zeros((vals.shape[0] + 2 * smax, initial.m))
         for shift, matT in zip(tset.shifts, transposed):
-            contrib = vals @ matT
-            if shift >= 0:
-                new[shift:] += contrib[:vals.shape[0] - shift]
-            else:
-                new[:shift] += contrib[-shift:]
+            new[smax + shift:smax + shift + vals.shape[0]] += vals @ matT
         vals = new
 
-    return LatticeDensity(k_min=initial.k_min - pad, values=vals,
+    return LatticeDensity(k_min=initial.k_min - smax * n, values=vals,
                           breakpoints=initial.breakpoints,
                           step_count=initial.step_count + n)
 
@@ -183,11 +176,10 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
     profile = peak * np.exp(-((ks - center) ** 2) / (4.0 * d * n))
     vals = alpha[None, :] * profile[:, None]
     vals[vals < _PROFILE_FLOOR] = 0.0
-    dens = LatticeDensity(k_min=k_lo, values=vals,
-                          breakpoints=tuple(float(b) for b in breakpoints),
-                          step_count=n)
-    return LatticeDensity(k_min=k_lo, values=vals / dens.mass,
-                          breakpoints=dens.breakpoints, step_count=n)
+    breakpoints = tuple(float(b) for b in breakpoints)
+    mass = float((vals * np.diff(breakpoints)).sum())
+    return LatticeDensity(k_min=k_lo, values=vals / mass,
+                          breakpoints=breakpoints, step_count=n)
 
 
 def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:
@@ -199,15 +191,8 @@ def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:
     _require_same_partition(a.breakpoints, b.breakpoints)
     k_lo = min(a.k_min, b.k_min)
     k_hi = max(a.k_max, b.k_max)
-    m = a.m
-
-    def flat_masses(dens):
-        full = np.zeros((k_hi - k_lo + 1, m))
-        full[dens.k_min - k_lo: dens.k_max - k_lo + 1] = dens.masses
-        return full.ravel()
-
-    ca = np.cumsum(flat_masses(a))
-    cb = np.cumsum(flat_masses(b))
+    ca, cb = (np.cumsum(np.pad(d.masses, ((d.k_min - k_lo, k_hi - d.k_max), (0, 0))))
+              for d in (a, b))
     return float(np.max(np.abs(ca - cb)))
 
 
@@ -266,12 +251,26 @@ def second_moment(tset: TransitionMatrixSet):
     return float(ks @ ps), float((ks**2) @ ps)
 
 
+def _finite_estimate(name: str, d: float) -> float:
+    """d itself; OverflowError when the estimate is not a finite double."""
+    if not math.isfinite(d):
+        raise OverflowError(f"{name} estimate of D overflows double precision")
+    return d
+
+
 def heuristic_d(lam: float) -> float:
-    """Independent-fractional-parts estimate D = (lam - 1)^2 / 24 (approximate)."""
+    """Independent-fractional-parts estimate D = (lam - 1)^2 / 24 (approximate).
+
+    OverflowError when D is not a finite double.
+    """
     lam = float(lam)
     if lam <= 2.0:
         raise ValueError("the heuristic needs a stretching slope lam > 2")
-    return (lam - 1.0) ** 2 / 24.0
+    try:
+        d = (lam - 1.0) ** 2 / 24.0
+    except OverflowError:     # a float power raises where a product gives inf
+        d = math.inf
+    return _finite_estimate("heuristic", d)
 
 
 def omega_factor(lam: float) -> float:
@@ -284,6 +283,9 @@ def omega_factor(lam: float) -> float:
 
 
 def omega_approx_d(lam: float) -> float:
-    """First-approximation D(lam) = (lam - 1)(lam - omega(lam)) / 24."""
+    """First-approximation D(lam) = (lam - 1)(lam - omega(lam)) / 24.
+
+    OverflowError when D is not a finite double.
+    """
     lam = float(lam)
-    return (lam - 1.0) * (lam - omega_factor(lam)) / 24.0
+    return _finite_estimate("omega", (lam - 1.0) * (lam - omega_factor(lam)) / 24.0)

@@ -437,13 +437,10 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
                        ks=stats.ks_statistic)
         except Exception as exc:  # per-point failures must not kill the scan
             warnings.warn(f"scan point lambda={lam}: {type(exc).__name__}: {exc}")
-        try:
-            row["d_heuristic"] = heuristic_d(lam)
-        except ValueError:
-            pass
-        try:
-            row["d_omega"] = omega_approx_d(lam)
-        except ValueError:
-            pass
+        for column, estimate in (("d_heuristic", heuristic_d), ("d_omega", omega_approx_d)):
+            try:
+                row[column] = estimate(lam)
+            except (ValueError, OverflowError):
+                pass
         rows.append(row)
     return rows

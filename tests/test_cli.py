@@ -158,6 +158,27 @@ def test_overflow_is_a_numerical_error(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+def test_an_overflowing_analytic_estimate_is_a_numerical_error(capsys):
+    # not "d":Infinity, which strict JSON parsers reject
+    for method in ("omega", "heuristic"):
+        code, out, err = run(capsys, "diffusion", "--map", "linear", "lambda=1e160",
+                             "--method", method)
+        assert (code, out) == (3, "")
+        assert err == f"error[numerical]: {method} estimate of D overflows double precision\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_channel_position_overflow_is_a_numerical_error(capsys, monkeypatch, threads):
+    # the velocity passes 1.8e308 within a few steps; three chunks, so two
+    # threads run the overflow on pool workers, each under its own error state
+    monkeypatch.setenv("DETDIFF_THREADS", threads)
+    for n_samples in ("2000", "70000"):
+        code, out, err = run(capsys, "billiard", "--lambda", "1e307",
+                             "--N", n_samples, "--n", "50")
+        assert (code, out) == (3, "")
+        assert err == "error[numerical]: channel position overflows double precision\n"
+
+
 def test_huge_but_finite_moments_are_reported(capsys):
     # a variance past 1e154 has no finite square, yet it, D and its stderr are finite
     code, out, err = run(capsys, "simulate", "--map", "linear", "lambda=1e80",
@@ -173,12 +194,25 @@ def test_huge_but_finite_moments_are_reported(capsys):
 
 
 def test_diffusion_all_records_overflow_per_method(capsys):
-    code, out, _ = run(capsys, "diffusion", "--map", "linear", "lambda=1e160",
+    # the ensemble variance overflows, while (lam - 1)^2 / 24 is still finite
+    code, out, _ = run(capsys, "diffusion", "--map", "linear", "lambda=1e154",
                        "--method", "all", "--N", "2000", "--n", "10")
     assert code == 0
     methods = json.loads(out)["methods"]
     assert methods["mc"]["error"].startswith("OverflowError:")
     assert methods["closed-form"]["error"].startswith("HalfIntegerValueError:")
+    assert math.isfinite(methods["omega"]["d"])
+
+
+def test_diffusion_all_names_each_error_when_every_method_fails(capsys):
+    # at lam = 1e160 no estimate is finite, so none is reported as D
+    code, out, err = run(capsys, "diffusion", "--map", "linear", "lambda=1e160",
+                         "--method", "all", "--N", "2000", "--n", "10")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error[validation]: every method failed: closed-form: ")
+    assert "; omega: OverflowError: omega estimate of D overflows double precision;" in err
+    assert "; mc: OverflowError: " in err
 
 
 def test_simulate_rejects_an_infinite_zigzag_p(capsys):
@@ -264,6 +298,16 @@ def test_scan_explicit_grid(capsys):
                        "--N", "500", "--n", "10")
     assert code == 0
     assert len(out.strip().split("\n")) == 4
+
+
+def test_scan_reports_an_overflowing_point_as_nan(capsys):
+    with pytest.warns(UserWarning, match="lambda=1e[+]160: OverflowError"):
+        code, out, _ = run(capsys, "scan", "--lambda-grid", "3,1e160", "--N", "2000", "--n", "10")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[3] == "1e+160,nan,nan,nan,nan,nan"
+    code, alone, _ = run(capsys, "scan", "--lambda-grid", "3", "--N", "2000", "--n", "10")
+    assert alone.strip().split("\n") == lines[:3]
 
 
 def test_scan_rejects_a_bad_thread_count(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -79,6 +80,44 @@ def test_evolve_partition_mismatch():
         evolve(ts3, other, 1)
 
 
+def _densities_digest(densities):
+    """sha256 of each density's k_min, step_count, shape and value bytes."""
+    h = hashlib.sha256()
+    for dens in densities:
+        h.update(repr((dens.k_min, dens.step_count, dens.values.shape)).encode())
+        h.update(dens.values.tobytes())
+    return h.hexdigest()
+
+
+# recorded from the evolution that padded the lattice to its final width
+# before the first step; a change that alters an evolved bit must update them
+EVOLVE_DIGESTS = {
+    "linear-3": "a27979bae99fb40aefb4a6ce4ba0abbc75948001d39481ac52d6f42144ef3c29",
+    "cubic-4p71": "b1b49d1a8168f8b6e36534c43ea3b67e05b19748abb127e013aced816496ad0b",
+    "drift-own": "37277e03bce52d51c598d35cf4100b07c62b871bc5c34d9ba078373a04867915",
+}
+
+
+def test_evolve_matches_golden_digests():
+    drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+    case = CASES["cubic-4p71"]
+    pairs = {"linear-3": (linear_map(3), MarkovPartition.unit()),
+             "cubic-4p71": (case.lift_map(), case.partition()),
+             "drift-own": (drift, MarkovPartition(tuple(drift.breakpoints)))}
+    got = {}
+    for name, (lift_map, part) in pairs.items():
+        tset = build_transition_matrices(lift_map, part)
+        start = unit_pulse(tset.breakpoints)
+        runs = [evolve(tset, start, 200)]
+        dens, done = start, 0
+        for stop in (10, 50, 100):     # chained, as `detdiff evolve` runs them
+            dens = evolve(tset, dens, stop - done)
+            runs.append(dens)
+            done = stop
+        got[name] = _densities_digest(runs)
+    assert got == EVOLVE_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # gaussian profile and kolmogorov distance
 # ---------------------------------------------------------------------------
@@ -102,6 +141,14 @@ def test_gaussian_profile_drift_centering():
     prof = gaussian_profile(0.25, 0.5, [1.0], (-0.5, 0.5), 40)
     mean, _ = prof.lattice_moments()
     assert mean == pytest.approx(20.0, abs=1e-9)
+
+
+def test_gaussian_profile_matches_golden_digest():
+    profiles = [gaussian_profile(1 / 3, 0.0, [1.0], (-0.5, 0.5), 50),
+                gaussian_profile(0.25, 0.5, [1.0], (-0.5, 0.5), 40),
+                gaussian_profile(0.7, -0.3, [0.8, 1.2], (-0.5, 0.0, 0.5), 200)]
+    assert _densities_digest(profiles) == (
+        "4c0c4f63f2e75a9a9854480763320fa0eeeec8c7a799bb5cd7453a248b690d4f")
 
 
 def test_kolmogorov_identical_zero(unit_tset_lam3):
@@ -252,6 +299,13 @@ def test_omega_values():
     assert omega_approx_d(5.0) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         omega_factor(2.5)
+
+
+@pytest.mark.parametrize("estimate,name", [(heuristic_d, "heuristic"), (omega_approx_d, "omega")])
+def test_analytic_estimates_that_overflow_raise(estimate, name):
+    assert math.isfinite(estimate(1e154))
+    with pytest.raises(OverflowError, match=f"^{name} estimate of D overflows double precision$"):
+        estimate(1e160)
 
 
 def test_continuous_moments_match_lattice_plus_cell_spread(unit_tset_lam3):

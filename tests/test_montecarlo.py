@@ -305,6 +305,13 @@ def test_scan_lambda_empty_and_failures():
     assert not np.isnan(rows[1]["d_mc"])
 
 
+def test_scan_lambda_records_overflowing_estimates_as_nan():
+    with pytest.warns(UserWarning, match="OverflowError"):
+        rows = scan_lambda([3.0, 1e160], 1000, 10, seed=1)
+    assert all(np.isnan(v) for k, v in rows[1].items() if k != "lambda")
+    assert rows[0] == scan_lambda([3.0], 1000, 10, seed=1)[0]
+
+
 def test_thread_env_cap(monkeypatch, ensemble_constants):
     from detdiff.rng import resolve_threads
 
