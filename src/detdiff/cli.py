@@ -19,13 +19,7 @@ from typing import TYPE_CHECKING
 
 # only what every subcommand needs loads with the module: each command
 # imports the rest itself, so a cold start compiles no unused subsystem
-from .errors import (
-    ConsistencyError,
-    DetdiffError,
-    MapDefinitionError,
-    NUMERICAL_ERRORS,
-    VALIDATION_ERRORS,
-)
+from .errors import ConsistencyError, MapDefinitionError, exit_code
 from .reports import (VERSION, canonical_json, provenance_line, render_csv, spec_hash,
                       write_text)
 from .rng import DEFAULT_SEED
@@ -145,6 +139,12 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _error(code, message) -> int:
+    """Write the one stderr line of a failure with exit code `code`; return the code."""
+    print(f"error[{'numerical' if code == 3 else 'validation'}]: {message}", file=sys.stderr)
+    return code
+
+
 def _json_report(payload: dict, provenance: dict) -> str:
     return canonical_json({"provenance": provenance, **payload}) + "\n"
 
@@ -221,15 +221,18 @@ def cmd_diffusion(args):
     prov = {"version": VERSION, "map_hash": spec_hash(spec), "seed": args.seed}
 
     if args.method == "all":
-        methods = {}
+        methods, codes = {}, []
         for name in ("closed-form", "spectral", "heuristic", "omega", "mc"):
             try:
                 methods[name] = _method_report(name, args, spec, lift_map)
-            except (DetdiffError, ValueError, OverflowError) as exc:
+            except Exception as exc:
+                codes.append(exit_code(exc))
+                if codes[-1] is None:
+                    raise
                 methods[name] = {"error": f"{type(exc).__name__}: {exc}"}
         good = {k: v for k, v in methods.items() if "error" not in v}
         if not good:
-            raise ConsistencyError("every method failed: " + "; ".join(
+            return _error(max(codes), "every method failed: " + "; ".join(
                 f"{name}: {rep['error']}" for name, rep in methods.items()))
         deltas = {f"{a}|{b}": abs(good[a]["d"] - good[b]["d"])
                   for a, b in itertools.combinations(sorted(good), 2)}
@@ -262,6 +265,9 @@ def cmd_scan(args):
         provenance_line(seed=args.seed, N=args.N, n=args.n),
     )
     _emit(args, text)
+    for row in rows:
+        if "error" in row:
+            _error(row["exit_code"], f"scan point lambda={row['lambda']}: {row['error']}")
     return 0
 
 
@@ -421,13 +427,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # a json.JSONDecodeError is a ValueError
-    except (*VALIDATION_ERRORS, ValueError, KeyError, OSError) as exc:
-        print(f"error[validation]: {exc}", file=sys.stderr)
-        return 2
-    except (*NUMERICAL_ERRORS, OverflowError) as exc:
-        print(f"error[numerical]: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        code = exit_code(exc)
+        if code is None:
+            raise
+        return _error(code, exc)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Validation-type errors (bad inputs, inconsistent definitions) are kept
-separate from numerical failures (root finding, eigen-solvers) so callers
-such as the CLI can map them to distinct exit codes.
+separate from numerical failures (root finding, eigen-solvers, overflow),
+and `exit_code` is the one rule that tells them apart, so callers such as
+the CLI map them to distinct exit codes.
 """
 
 
@@ -46,19 +47,9 @@ class GrazingReflectionError(DetdiffError):
     """Billiard reflection is tangent to the boundary (denominator ~ 0)."""
 
 
-#: errors that indicate bad user input / inconsistent definitions
-VALIDATION_ERRORS = (
-    MapDefinitionError,
-    PartitionError,
-    ConsistencyError,
-    SystemStructureError,
-    HalfIntegerValueError,
-)
-
-#: errors that indicate a numerical method failed
-NUMERICAL_ERRORS = (
-    RootSolveError,
-    EigenConvergenceError,
-    IrreducibilityError,
-    GrazingReflectionError,
-)
+def exit_code(exc):
+    """3 for a failed method or an overflow, 2 for bad input, None if not a detdiff failure."""
+    if isinstance(exc, (RootSolveError, EigenConvergenceError, IrreducibilityError,
+                        GrazingReflectionError, OverflowError)):
+        return 3
+    return 2 if isinstance(exc, (DetdiffError, ValueError, KeyError, OSError)) else None

@@ -127,11 +127,12 @@ class PiecewiseLinearLiftMap:
         self.breakpoints = bp
         self.left_values = np.array([a for a, _ in vals])
         self.right_values = np.array([b for _, b in vals])
-        widths = np.diff(bp)
-        self.slopes = (self.right_values - self.left_values) / widths
-        if np.any(self.slopes == 0.0) or np.any(~np.isfinite(self.slopes)):
-            raise MapDefinitionError("every piece must have nonzero finite slope")
-        self.intercepts = self.left_values - self.slopes * bp[:-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.slopes = (self.right_values - self.left_values) / np.diff(bp)
+            self.intercepts = self.left_values - self.slopes * bp[:-1]
+        # an infinite slope makes its intercept infinite or NaN
+        if np.any(self.slopes == 0.0) or not np.isfinite(self.intercepts).all():
+            raise MapDefinitionError("every piece needs a nonzero finite slope and intercept")
 
     # -- basic queries ------------------------------------------------
 

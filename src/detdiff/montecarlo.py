@@ -3,10 +3,10 @@
 Trajectories start uniformly on the fundamental interval and are
 iterated with the exact piecewise-linear map, kept as an integer cell
 plus a fraction in [-1/2, 1/2): by the lift identity f(k + u) = k + f(u)
-the map acts on the fraction only, so positions are non-finite only if
-the map's own arithmetic overflows.  Individual orbits lose pointwise
-accuracy at the rate min|slope|^n, but the ensemble distribution remains
-statistically faithful; only distribution-level quantities are reported.
+the map acts on the fraction only; an overflow raises OverflowError, so
+no sample is non-finite.  Individual orbits lose pointwise accuracy at
+the rate min|slope|^n, but the ensemble distribution remains statistically
+faithful; only distribution-level quantities are reported.
 
 The single-horizon estimator D = Var(x_n) / (2n) mandated by
 `estimate_stats` carries a finite-n transient: Var(x_n) = 2 D n + c with
@@ -40,7 +40,7 @@ per-chunk scratch.  A chunk allocates its fractions and cells, and its
 carry, map and dither buffers, once; a lifting-map step then allocates
 only the dither's raw lanes, a quarter the size of the chunk's
 fractions, and the last positions overwrite the cells.
-`estimate_stats` copies the samples only when some are non-finite: the
+`estimate_stats` rejects non-finite samples instead of copying the rest: the
 centred copy inside the variance and then the sorted copy of
 `ks_normal` are the N-sized temporaries, never alive together, and the
 CDF sees slices of at most 8192 samples.
@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import exit_code
 from .maps import PiecewiseLinearLiftMap, linear_map
 from .rng import _lane_reader, resolve_threads, uniform_stream
 
@@ -136,18 +137,23 @@ def _iterate_chunk(step, u, cell, horizons):
 
     Each step, `step(u, t)` moves the fractions in place, then the whole
     part floor(u + 1/2) of each goes into its integer-valued cell through
-    one reused carry buffer.  The last positions overwrite the cell.
+    one reused carry buffer.  The last positions overwrite the cell.  This
+    is the overflow rule of every simulator: an overflow raises
+    OverflowError, and a non-finite step leaves a NaN (carry inf - inf).
     """
     carry = np.empty_like(u)
-    done = 0
-    for horizon in horizons:
-        for t in range(done, horizon):
-            step(u, t)
-            np.floor(np.add(u, 0.5, out=carry), out=carry)
-            u -= carry
-            cell += carry
-        done = horizon
-        yield np.add(cell, u, out=cell if horizon == horizons[-1] else None)
+    for done, horizon in zip([0, *horizons], horizons):
+        try:
+            with np.errstate(over="raise", invalid="ignore"):
+                for t in range(done, horizon):
+                    step(u, t)
+                    np.floor(np.add(u, 0.5, out=carry), out=carry)
+                    u -= carry
+                    cell += carry
+                x = np.add(cell, u, out=cell if horizon == horizons[-1] else None)
+        except FloatingPointError:
+            raise OverflowError("ensemble position overflows double precision") from None
+        yield x
 
 
 def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
@@ -192,8 +198,8 @@ def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
     Starting points are uniform on [-1/2, 1/2), drawn from per-index
     counter-based substreams of `seed`, so the output is bitwise
     reproducible for any thread count or chunk size.  Maps whose slopes
-    are all powers of two get the 2^-48 dither.  Positions are
-    non-finite only if the map's own arithmetic overflows.
+    are all powers of two get the 2^-48 dither.  A position that
+    overflows raises OverflowError, so every position is finite.
     """
     out, = _lift_ensemble(lift_map, n_samples, [n_steps], seed, threads)
     return out
@@ -340,20 +346,20 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
 def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     """Moment and normality statistics for a set of final positions.
 
-    NaN entries (aborted samples) are dropped; a mean or variance that
+    Non-finite samples raise ValueError; a mean or variance that
     overflows raises OverflowError.  D is the single-horizon estimate
     variance/(2n), its standard error that of a normal sample variance;
     the KS statistic is against a normal law of the estimated moments.
     """
-    finite = np.asarray(samples, dtype=float)
-    if not np.isfinite(finite).all():
-        finite = finite[np.isfinite(finite)]
-    n = finite.size
+    samples = np.asarray(samples, dtype=float)
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must be finite")
+    n = samples.size
     if n < 2:
         raise ValueError("variance undefined: need at least two finite samples")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = float(np.mean(finite))
-        var = float(np.var(finite, ddof=1))
+        mean = float(np.mean(samples))
+        var = float(np.var(samples, ddof=1))
     stderr = var * math.sqrt(2.0 / (n - 1)) / (2.0 * n_steps)
     # the stderr is finite only if the variance is
     if not (math.isfinite(mean) and math.isfinite(stderr)):
@@ -362,7 +368,7 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
         warnings.warn("degenerate sample set: variance is zero, KS undefined")
         ks = float("nan")
     else:
-        ks = ks_normal(finite, mean, np.sqrt(var))
+        ks = ks_normal(samples, mean, np.sqrt(var))
     return EnsembleStats(
         sample_count=n,
         step_count=n_steps,
@@ -383,7 +389,8 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     constant in Var(x_n) = 2 D n + c.  The variance is taken about the
     ensemble mean, so this estimates the centred D = d - drift^2/2, where
     d and drift are those of `diffusion_spectral`.  The standard error is
-    taken across 50 contiguous sample batches (`_BATCHES`).
+    taken across the 50 contiguous batches (`_BATCHES`) of two or more
+    samples.  An overflowing position or moment raises OverflowError.
 
     Returns
     -------
@@ -395,19 +402,16 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     out_half, out_full = _lift_ensemble(lift_map, n_samples, [half, n_steps], seed, threads)
 
     edges = np.linspace(0, n_samples, _BATCHES + 1, dtype=int)
-    ds = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        a = out_half[lo:hi]
-        b = out_full[lo:hi]
-        keep = np.isfinite(a) & np.isfinite(b)
-        if keep.sum() < 2:
-            continue
-        dv = np.var(b[keep], ddof=1) - np.var(a[keep], ddof=1)
-        ds.append(dv / (2.0 * (n_steps - half)))
-    ds = np.asarray(ds)
-    if ds.size < 2:
-        raise ValueError("not enough surviving batches for a stderr estimate")
-    return float(np.mean(ds)), float(np.std(ds, ddof=1) / np.sqrt(ds.size))
+    batches = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi - lo >= 2]
+    if len(batches) < 2:
+        raise ValueError("not enough batches of two samples for a stderr estimate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = np.array([(np.var(out_full[lo:hi], ddof=1) - np.var(out_half[lo:hi], ddof=1))
+                       / (2.0 * (n_steps - half)) for lo, hi in batches])
+        d, stderr = np.mean(ds), np.std(ds, ddof=1) / np.sqrt(ds.size)
+    if not (math.isfinite(d) and math.isfinite(stderr)):
+        raise OverflowError("ensemble moments overflow double precision")
+    return float(d), float(stderr)
 
 
 def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
@@ -416,9 +420,10 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
 
     Returns one dict per grid point with keys lambda, d_mc, stderr,
     d_heuristic, d_omega, ks.  The same seed (hence the same initial
-    ensemble) is reused across grid points; per-point failures are
-    recorded as NaN rows and the scan continues.  The worker count is
-    resolved once, first, so a bad `DETDIFF_THREADS` fails the scan.
+    ensemble) is reused across grid points.  A point failing as
+    `errors.exit_code` classifies is a NaN row with "Type: message" under
+    `error`, and its `exit_code`; any other error ends the scan, as does a
+    bad `DETDIFF_THREADS`, resolved first.
     """
     # imported here: the other simulators never need the density module
     from .density import heuristic_d, omega_approx_d
@@ -435,8 +440,11 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
             stats = estimate_stats(samples, n_steps)
             row.update(d_mc=stats.d_estimate, stderr=stats.d_stderr,
                        ks=stats.ks_statistic)
-        except Exception as exc:  # per-point failures must not kill the scan
-            warnings.warn(f"scan point lambda={lam}: {type(exc).__name__}: {exc}")
+        except Exception as exc:
+            code = exit_code(exc)
+            if code is None:
+                raise
+            row.update(error=f"{type(exc).__name__}: {exc}", exit_code=code)
         for column, estimate in (("d_heuristic", heuristic_d), ("d_omega", omega_approx_d)):
             try:
                 row[column] = estimate(lam)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from detdiff.cli import main, parse_algebraic
+from detdiff.errors import MapDefinitionError, RootSolveError, exit_code
 
 EXAMPLE_SYSTEM = {
     "unknowns": ["xi"],
@@ -176,7 +177,26 @@ def test_channel_position_overflow_is_a_numerical_error(capsys, monkeypatch, thr
         code, out, err = run(capsys, "billiard", "--lambda", "1e307",
                              "--N", n_samples, "--n", "50")
         assert (code, out) == (3, "")
-        assert err == "error[numerical]: channel position overflows double precision\n"
+        assert err == "error[numerical]: ensemble position overflows double precision\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_lifting_map_position_overflow_is_a_numerical_error(capsys, monkeypatch, threads):
+    # the cells pass 1.8e308 within about 18 steps; three chunks, as above
+    monkeypatch.setenv("DETDIFF_THREADS", threads)
+    huge = '{"type":"pieces","breakpoints":[-0.5,0.5],"values":[[9.9e306,1.01e307]]}'
+    code, out, err = run(capsys, "simulate", "--map", huge, "--N", "70000", "--n", "40")
+    assert (code, out) == (3, "")
+    assert err == "error[numerical]: ensemble position overflows double precision\n"
+
+
+@pytest.mark.parametrize("exc,code", [
+    (OverflowError(), 3), (RootSolveError(), 3), (MapDefinitionError(), 2),
+    (ValueError(), 2), (KeyError("k"), 2), (OSError(), 2),
+    (TypeError(), None), (ZeroDivisionError(), None),
+])
+def test_exit_code_classifies_each_failure(exc, code):
+    assert exit_code(exc) == code
 
 
 def test_huge_but_finite_moments_are_reported(capsys):
@@ -208,9 +228,10 @@ def test_diffusion_all_names_each_error_when_every_method_fails(capsys):
     # at lam = 1e160 no estimate is finite, so none is reported as D
     code, out, err = run(capsys, "diffusion", "--map", "linear", "lambda=1e160",
                          "--method", "all", "--N", "2000", "--n", "10")
-    assert (code, out) == (2, "")
+    # closed-form and spectral do not apply, and the rest overflow: exit 3
+    assert (code, out) == (3, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error[validation]: every method failed: closed-form: ")
+    assert err.startswith("error[numerical]: every method failed: closed-form: ")
     assert "; omega: OverflowError: omega estimate of D overflows double precision;" in err
     assert "; mc: OverflowError: " in err
 
@@ -301,9 +322,10 @@ def test_scan_explicit_grid(capsys):
 
 
 def test_scan_reports_an_overflowing_point_as_nan(capsys):
-    with pytest.warns(UserWarning, match="lambda=1e[+]160: OverflowError"):
-        code, out, _ = run(capsys, "scan", "--lambda-grid", "3,1e160", "--N", "2000", "--n", "10")
+    code, out, err = run(capsys, "scan", "--lambda-grid", "3,1e160", "--N", "2000", "--n", "10")
     assert code == 0
+    assert err == ("error[numerical]: scan point lambda=1e+160: "
+                   "OverflowError: ensemble moments overflow double precision\n")
     lines = out.strip().split("\n")
     assert lines[3] == "1e+160,nan,nan,nan,nan,nan"
     code, alone, _ = run(capsys, "scan", "--lambda-grid", "3", "--N", "2000", "--n", "10")

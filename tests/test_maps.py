@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ def test_map_validation_errors():
         PiecewiseLinearLiftMap([-0.5, 0.3, 0.2, 0.5], [(-1, 0), (0, 1), (1, 2)])
     with pytest.raises(MapDefinitionError):
         PiecewiseLinearLiftMap([-0.5, 0.5], [(-1.0, float("inf"))])
+
+
+@pytest.mark.parametrize("breakpoints,values", [
+    # finite values and slope, but 1.796e308 + 1.5e308 * 0.4 overflows: no
+    # ensemble sample of a map that is accepted can then be non-finite
+    ([-0.5, 0.4, 0.5], [(-0.5, 0.5), (1.796e308, 1.646e308)]),
+    ([-0.5, 0.5], [(-1.7e308, 1.7e308)]),      # the slope overflows
+])
+def test_overflowing_pieces_rejected_without_a_warning(breakpoints, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MapDefinitionError,
+                           match="^every piece needs a nonzero finite slope and intercept$"):
+            PiecewiseLinearLiftMap(breakpoints, values)
 
 
 def test_route_examples():

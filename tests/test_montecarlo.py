@@ -245,6 +245,9 @@ def test_lifting_estimators_reject_empty_ensembles(n_samples):
 def test_estimate_stats_validation():
     with pytest.raises(ValueError):
         estimate_stats(np.array([1.0]), 10)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            estimate_stats(np.array([0.0, 1.0, bad, 2.0]), 10)
     with pytest.warns(UserWarning):
         stats = estimate_stats(np.full(100, 2.5), 10)
     assert stats.variance == 0.0
@@ -284,6 +287,24 @@ def test_far_shift_map_keeps_its_fraction():
         np.testing.assert_array_equal(samples, 30 * jump + ((x0 + jump) - jump))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_overflowing_positions_raise_in_every_lifting_estimator(threads, ensemble_constants):
+    # the cells pass 1.8e308 within about 18 steps; several chunks, so two
+    # threads overflow on pool workers, each under its own error state
+    huge = PiecewiseLinearLiftMap([-0.5, 0.5], [(9.9e306, 1.01e307)])
+    with ensemble_constants(chunk=1000):
+        for estimator in (simulate_ensemble, estimate_d_increment):
+            with pytest.raises(OverflowError,
+                               match="^ensemble position overflows double precision$"):
+                estimator(huge, 3500, 40, seed=1, threads=threads)
+
+
+def test_an_overflowing_increment_raises():
+    # the positions stay finite, but their batch variances overflow
+    with pytest.raises(OverflowError, match="^ensemble moments overflow double precision$"):
+        estimate_d_increment(linear_map(1.7e308), 2000, 200, 1)
+
+
 def test_scan_lambda_columns_and_values():
     rows = scan_lambda([3.0, 3.5, 4.0], 20_000, STEPS, seed=DEFAULT_SEED)
     assert [r["lambda"] for r in rows] == [3.0, 3.5, 4.0]
@@ -297,17 +318,28 @@ def test_scan_lambda_columns_and_values():
     assert abs(rows[2]["d_mc"] - 1 / 4) <= 3 * rows[2]["stderr"] + 0.5 / STEPS
 
 
-def test_scan_lambda_empty_and_failures():
+def test_scan_lambda_empty_and_failures(monkeypatch):
     assert scan_lambda([], 100, 10, seed=1) == []
-    with pytest.warns(UserWarning, match="MapDefinitionError"):
-        rows = scan_lambda([0.0, 3.0], 1000, 10, seed=1)
+    rows = scan_lambda([0.0, 3.0], 1000, 10, seed=1)
     assert np.isnan(rows[0]["d_mc"])
+    assert rows[0]["error"].startswith("MapDefinitionError: ")
+    assert rows[0]["exit_code"] == 2
     assert not np.isnan(rows[1]["d_mc"])
+    assert "error" not in rows[1]
+
+    # an error that no exit code classifies is a bug: it ends the scan
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(montecarlo, "simulate_ensemble", broken)
+    with pytest.raises(TypeError, match="bug"):
+        scan_lambda([3.0], 1000, 10, seed=1)
 
 
 def test_scan_lambda_records_overflowing_estimates_as_nan():
-    with pytest.warns(UserWarning, match="OverflowError"):
-        rows = scan_lambda([3.0, 1e160], 1000, 10, seed=1)
+    rows = scan_lambda([3.0, 1e160], 1000, 10, seed=1)
+    assert rows[1].pop("error") == "OverflowError: ensemble moments overflow double precision"
+    assert rows[1].pop("exit_code") == 3
     assert all(np.isnan(v) for k, v in rows[1].items() if k != "lambda")
     assert rows[0] == scan_lambda([3.0], 1000, 10, seed=1)[0]
 
