@@ -106,8 +106,13 @@ def tangent_kick(h: float, normal_angle: Callable) -> Callable:
 
 
 def sawtooth_kick(lam: float) -> Callable:
-    """Piecewise-linear kick f(x) = lam * {x) with {x) the signed fractional part."""
+    """Piecewise-linear kick f(x) = lam * {x) with {x) the signed fractional part.
+
+    ValueError for a NaN or infinite lam.
+    """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"sawtooth kick needs a finite slope, got lam = {lam!r}")
 
     def kick(x):
         x = np.asarray(x, dtype=float)

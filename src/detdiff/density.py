@@ -261,9 +261,12 @@ def _finite_estimate(name: str, d: float) -> float:
 def heuristic_d(lam: float) -> float:
     """Independent-fractional-parts estimate D = (lam - 1)^2 / 24 (approximate).
 
-    OverflowError when D is not a finite double.
+    ValueError for a NaN or infinite lam, OverflowError when D is not a
+    finite double.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"the heuristic needs a finite slope, got lam = {lam!r}")
     if lam <= 2.0:
         raise ValueError("the heuristic needs a stretching slope lam > 2")
     try:
@@ -276,6 +279,8 @@ def heuristic_d(lam: float) -> float:
 def omega_factor(lam: float) -> float:
     """2-periodic correction factor: 2 - 3|lam - 4| on [3, 5], repeated."""
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"omega correction needs a finite slope, got lam = {lam!r}")
     if lam < 3.0:
         raise ValueError("omega correction is defined for lam >= 3")
     folded = 3.0 + math.fmod(lam - 3.0, 2.0)
@@ -285,7 +290,8 @@ def omega_factor(lam: float) -> float:
 def omega_approx_d(lam: float) -> float:
     """First-approximation D(lam) = (lam - 1)(lam - omega(lam)) / 24.
 
-    OverflowError when D is not a finite double.
+    ValueError for a NaN or infinite lam, OverflowError when D is not a
+    finite double.
     """
     lam = float(lam)
     return _finite_estimate("omega", (lam - 1.0) * (lam - omega_factor(lam)) / 24.0)

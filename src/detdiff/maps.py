@@ -159,17 +159,6 @@ class PiecewiseLinearLiftMap:
 
     # -- evaluation ---------------------------------------------------
 
-    def _piece_of(self, u):
-        """Piece index of u in [-1/2, 1/2): the number of interior breakpoints <= u.
-
-        One comparison per interior breakpoint (maps have a handful) beats
-        a binary search; one-piece maps get the plain int 0.
-        """
-        j = 0
-        for b in self.breakpoints[1:-1]:
-            j += u >= b
-        return j
-
     def _fraction_scratch(self, shape):
         """Buffers of `_map_fraction` for fractions of `shape`; None for one-piece maps.
 
@@ -187,8 +176,8 @@ class PiecewiseLinearLiftMap:
         """f on I0 in place, u <- slopes[j]*u + intercepts[j]: the ensemble map step.
 
         `scratch` comes from `_fraction_scratch(u.shape)`; without it the
-        step allocates its own.  The piece index j is counted as in
-        `_piece_of`.
+        step allocates its own.  The piece index j is the number of
+        interior breakpoints <= u.
         """
         if self.n_pieces == 1:
             u *= self.slopes[0]

@@ -6,8 +6,9 @@ linear map f(x) = lam * x, requiring every cell image to be an exact
 union of cells turns the boundary conditions into a small linear pencil
 M(lam) = A0 + lam * A1 with rational entries.  Its solvability condition
 R(lam) = det M(lam) = 0 is computed exactly, as a polynomial with integer
-coefficients; the slope is its largest real root, rounded to the nearest
-double with a Sturm chain.
+coefficients: A1 is a scaled permutation, so R is, up to a constant, the
+characteristic polynomial of B = -A1^-1 A0.  The slope is its largest
+real root, rounded to the nearest double with a Sturm chain.
 """
 
 from __future__ import annotations
@@ -239,6 +240,9 @@ class PartitionEquationSystem:
     @classmethod
     def from_dict(cls, data: dict) -> "PartitionEquationSystem":
         try:
+            if not isinstance(data["unknowns"], list):    # a string would split into letters
+                raise SystemStructureError(
+                    f"unknowns must be a list of names, got {data['unknowns']!r}")
             unknowns = tuple(str(u) for u in data["unknowns"])
             eqs = []
             for raw in data["equations"]:
@@ -298,39 +302,31 @@ def _pencil(system: PartitionEquationSystem):
     return a0, a1
 
 
-def _det(m):
-    """Determinant of a square `Fraction` matrix by Gaussian elimination."""
-    m, det = [list(row) for row in m], Fraction(1)
-    for c in range(len(m)):
-        p = next((r for r in range(c, len(m)) if m[r][c]), None)
-        if p is None:
-            return Fraction(0)
-        m[c], m[p] = m[p], m[c]
-        det *= m[c][c] if p == c else -m[c][c]
-        for row in m[c + 1:]:
-            f = row[c] / m[c][c]
-            row[c:] = [a - f * b for a, b in zip(row[c:], m[c][c:])]
-    return det
-
-
 def _det_polynomial(a0, a1):
     """R(lam) = det(A0 + lam * A1) as primitive integer coefficients, low -> high.
 
-    A1 has one nonzero entry per row, in distinct columns, so R has degree
-    exactly n, the size of the matrix.  It is interpolated exactly from
-    its values at lam = 0 .. n, by Newton divided differences.
+    A1 has one nonzero entry per row, in distinct columns, so it is an
+    invertible scaled permutation and R(lam) = det(A1) * det(lam I - B)
+    with B = -A1^-1 A0: row i of A0, divided by minus its A1 entry, is
+    the row of B numbered by that entry's column.  Such a row has at most
+    two nonzeros, the `ref` and the affine column.  The characteristic
+    polynomial of B comes exactly from the Faddeev-LeVerrier recursion
+    M_k = B M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(B M_k) / k, in O(n^3)
+    with the zeros of B skipped; the primitive form drops det(A1).
     """
     n = len(a0)
-    c = [_det([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)])
-         for t in range(n + 1)]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / j
-    poly = [c[n]]
-    for i in range(n - 1, -1, -1):          # poly <- poly * (lam - i) + c[i]
-        poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
-        poly[0] += c[i]
-    return _to_primitive_int(poly)
+    b = [None] * n
+    for r0, r1 in zip(a0, a1):
+        j, w = next((j, w) for j, w in enumerate(r1) if w)
+        b[j] = [(c, -x / w) for c, x in enumerate(r0) if x]
+    zero = Fraction(0)        # sum() over no terms is the int 0, and 0 / k a float
+    m, poly = [[zero] * n for _ in range(n)], [Fraction(1)]     # M_0 = 0, c_n = 1
+    for k in range(1, n + 1):
+        m = [[sum((v * m[j][c] for j, v in row), zero) for c in range(n)] for row in b]
+        for i in range(n):
+            m[i][i] += poly[-1]
+        poly.append(-sum((v * m[j][i] for i, row in enumerate(b) for j, v in row), zero) / k)
+    return _to_primitive_int(poly[::-1])
 
 
 def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
@@ -444,11 +440,12 @@ def _cell_images(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
         dist, i = min((abs(b - off), i) for i, b in enumerate(bp))
         return k * m + i, dist
 
-    cuts = sorted({*bp, *lift_map.breakpoints.tolist()})   # np.union1d imports numpy.ma
+    pieces = lift_map.breakpoints.tolist()
+    cuts = sorted({*bp, *pieces})   # np.union1d imports numpy.ma
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
         src = bisect.bisect_left(bp, mid) - 1
-        piece = int(lift_map._piece_of(mid))
+        piece = bisect.bisect_right(pieces, mid) - 1
         slope = float(lift_map.slopes[piece])
         icpt = float(lift_map.intercepts[piece])
         (first, miss_lo), (stop, miss_hi) = map(

@@ -82,6 +82,12 @@ def test_sawtooth_kick_non_finite_input():
     np.testing.assert_array_equal(out, [0.5, np.nan, 0.5, np.nan])
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_sawtooth_kick_rejects_a_non_finite_slope(lam):
+    with pytest.raises(ValueError, match=f"^sawtooth kick needs a finite slope, got lam = {lam!r}$"):
+        sawtooth_kick(lam)
+
+
 @pytest.mark.parametrize("kick", [
     sawtooth_kick(1.0),
     sawtooth_kick(2.5),

@@ -168,6 +168,12 @@ def test_an_overflowing_analytic_estimate_is_a_numerical_error(capsys):
         assert err == f"error[numerical]: {method} estimate of D overflows double precision\n"
 
 
+def test_billiard_rejects_an_infinite_slope(capsys):
+    code, out, err = run(capsys, "billiard", "--lambda", "inf", "--N", "2000", "--n", "50")
+    assert (code, out) == (2, "")
+    assert err == "error[validation]: sawtooth kick needs a finite slope, got lam = inf\n"
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_channel_position_overflow_is_a_numerical_error(capsys, monkeypatch, threads):
     # the velocity passes 1.8e308 within a few steps; three chunks, so two

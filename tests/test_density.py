@@ -301,6 +301,16 @@ def test_omega_values():
         omega_factor(2.5)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("estimate,name", [(heuristic_d, "the heuristic"),
+                                           (omega_factor, "omega correction"),
+                                           (omega_approx_d, "omega correction")])
+def test_analytic_estimates_reject_a_non_finite_slope(estimate, name, lam):
+    # bad input, not an overflow of D or a "math domain error"
+    with pytest.raises(ValueError, match=f"^{name} needs a finite slope, got lam = {lam!r}$"):
+        estimate(lam)
+
+
 @pytest.mark.parametrize("estimate,name", [(heuristic_d, "heuristic"), (omega_approx_d, "omega")])
 def test_analytic_estimates_that_overflow_raise(estimate, name):
     assert math.isfinite(estimate(1e154))

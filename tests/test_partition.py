@@ -234,6 +234,52 @@ def test_chain_polynomial_and_correctly_rounded_root(k):
     assert _exact(poly, below) * _exact(poly, above) < 0
 
 
+def _elimination_det(m):
+    """Determinant of a square Fraction matrix by Gaussian elimination."""
+    m, det = [list(row) for row in m], Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for row in m[c + 1:]:
+            f = row[c] / m[c][c]
+            row[c:] = [a - f * b for a, b in zip(row[c:], m[c][c:])]
+    return det
+
+
+@st.composite
+def _systems(draw):
+    """Valid systems with 0-6 unknowns; a ref may be any unknown or half, cycles allowed."""
+    names = [f"x{i}" for i in range(draw(st.integers(0, 6)))]
+    eqs = []
+    for lhs in names + ["half"]:
+        const = Fraction(draw(st.integers(-8, 8)), 2)
+        coef = draw(st.sampled_from((-1, 0, 1)))
+        ref = draw(st.sampled_from(names + ["half"])) if coef else None
+        eqs.append(Equation(lhs, const, coef, ref))
+    return PartitionEquationSystem(tuple(names), tuple(draw(st.permutations(eqs))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems())
+def test_det_polynomial_is_exact(system):
+    # det(A0 + t A1) = kappa R(t) at n + 2 points t, with one nonzero kappa
+    a0, a1 = _pencil(system)
+    poly = _det_polynomial(a0, a1)
+    assert len(poly) == len(a0) + 1 and math.gcd(*poly) == 1 and poly[-1] > 0
+    kappas = set()
+    for t in range(len(a0) + 2):
+        det = _elimination_det([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(a0, a1)])
+        value = _exact(poly, t)
+        assert (det == 0) == (value == 0)
+        if value:
+            kappas.add(det / value)
+    assert len(kappas) == 1 and 0 not in kappas
+
+
 # sha256 of the repr of (name, lam, breakpoints, polynomial, residual), one
 # line per solved system, in the order of _pinned_systems().  Recorded with
 # an independent implementation (cofactor determinant, grid scan and Newton
@@ -320,6 +366,16 @@ def test_from_dict_matches_spec_schema():
 def test_from_dict_malformed():
     with pytest.raises(SystemStructureError):
         PartitionEquationSystem.from_dict({"unknowns": ["xi"]})
+
+
+def test_from_dict_rejects_a_string_of_unknowns():
+    # "ab" is not split into the unknowns a and b
+    data = {"unknowns": "ab",
+            "equations": [{"lhs": "a", "target": {"const": 0.5}},
+                          {"lhs": "b", "target": {"const": 1.5}},
+                          {"lhs": "half", "target": {"const": 2, "coef": -1, "ref": "a"}}]}
+    with pytest.raises(SystemStructureError, match="unknowns must be a list of names, got 'ab'"):
+        PartitionEquationSystem.from_dict(data)
 
 
 @pytest.mark.parametrize("target", [{"const": 0.3}, {"const": 0.5, "coef": -1.7, "ref": "xi"},
