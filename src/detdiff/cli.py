@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 # only what every subcommand needs loads with the module: each command
 # imports the rest itself, so a cold start compiles no unused subsystem
-from .errors import ConsistencyError, MapDefinitionError, exit_code
+from .errors import ConsistencyError, MapDefinitionError, PartitionError, exit_code
 from .reports import (VERSION, canonical_json, provenance_line, render_csv, spec_hash,
                       write_text)
 from .rng import DEFAULT_SEED
@@ -90,14 +90,19 @@ def _map_spec_from_args(tokens) -> dict:
 def _resolve_map(spec: dict) -> PiecewiseLinearLiftMap:
     from .maps import map_from_spec
 
+    def parse(value):
+        """parse_algebraic on every string, nested lists kept; the map checks the shape."""
+        if isinstance(value, list):
+            return [parse(v) for v in value]
+        return parse_algebraic(value) if isinstance(value, str) else value
+
     spec = dict(spec)
     for key in ("lambda", "xi"):
         if key in spec:
             spec[key] = parse_algebraic(spec[key])
-    if "breakpoints" in spec:
-        spec["breakpoints"] = [parse_algebraic(v) for v in spec["breakpoints"]]
-    if "values" in spec:
-        spec["values"] = [[parse_algebraic(v) for v in pair] for pair in spec["values"]]
+    for key in ("breakpoints", "values"):
+        if key in spec:
+            spec[key] = parse(spec[key])
     return map_from_spec(spec)
 
 
@@ -112,7 +117,10 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
     from .transfer import build_transition_matrices
 
     if getattr(args, "partition", None):
-        bps = [parse_algebraic(v) for v in _load_json_arg(args.partition)]
+        bps = _load_json_arg(args.partition)
+        if not isinstance(bps, list):
+            raise PartitionError(f"--partition must be a JSON list of breakpoints, got {bps!r}")
+        bps = [parse_algebraic(v) for v in bps]
         return build_transition_matrices(lift_map, MarkovPartition(tuple(bps)))
     if getattr(args, "partition_system", None):
         system = PartitionEquationSystem.from_dict(_load_json_arg(args.partition_system))
@@ -256,6 +264,8 @@ def cmd_scan(args):
             raise MapDefinitionError("pass --lambda-grid or both --from and --to")
         if args.step <= 0:
             raise MapDefinitionError("--step must be positive")
+        if args.to < lo:
+            raise MapDefinitionError(f"--to {args.to} is below --from {lo}")
         count = int(round((args.to - lo) / args.step)) + 1
         lams = [lo + i * args.step for i in range(count)]
     rows = scan_lambda(lams, args.N, args.n, args.seed)

@@ -108,7 +108,12 @@ class PiecewiseLinearLiftMap:
     """
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[Sequence[float]]):
-        bp = np.array([float(b) for b in breakpoints], dtype=float)
+        try:
+            bp = np.array([float(b) for b in breakpoints], dtype=float)
+            vals = [(float(a), float(b)) for a, b in values]
+        except (TypeError, ValueError) as exc:
+            raise MapDefinitionError(
+                f"breakpoints must be numbers and values number pairs ({exc})") from None
         if bp.ndim != 1 or bp.size < 2:
             raise MapDefinitionError("need at least two breakpoints")
         if abs(bp[0] + _HALF) > _BREAKPOINT_TOL or abs(bp[-1] - _HALF) > _BREAKPOINT_TOL:
@@ -117,7 +122,6 @@ class PiecewiseLinearLiftMap:
         bp[0], bp[-1] = -_HALF, _HALF
         if np.any(np.diff(bp) <= 0):
             raise MapDefinitionError("breakpoints must be strictly increasing")
-        vals = [(float(a), float(b)) for a, b in values]
         if len(vals) != bp.size - 1:
             raise MapDefinitionError(
                 f"{bp.size - 1} pieces require {bp.size - 1} value pairs, got {len(vals)}")

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import exit_code
 from .maps import PiecewiseLinearLiftMap, linear_map
-from .rng import _lane_reader, resolve_threads, uniform_stream
+from .rng import _stream, resolve_threads, uniform_stream
 
 __all__ = [
     "EnsembleStats",
@@ -174,13 +174,16 @@ def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
         u = uniform_stream(seed, start, stop - start)
         scratch = lift_map._fraction_scratch(u.size)
         if key is not None:
-            lanes = _lane_reader(key)
+            read = _stream(key)
             dither = np.empty_like(u)
 
         def step(u, t):
             lift_map._map_fraction(u, scratch)
             if key is not None:
-                np.multiply(lanes(t * n_samples + start, u.size), _LANE_SCALE, out=dither)
+                # word k of the stream holds lanes 4k .. 4k + 3, lowest 16 bits first
+                word, lane = divmod(t * n_samples + start, 4)
+                lanes = read(word, (lane + u.size + 3) // 4).astype("<u8", copy=False)
+                np.multiply(lanes.view("<u2")[lane:lane + u.size], _LANE_SCALE, out=dither)
                 u += np.add(dither, _LANE_OFFSET, out=dither)
 
         for out, x in zip(outs, _iterate_chunk(step, u, np.zeros_like(u), horizons)):

@@ -53,7 +53,10 @@ class MarkovPartition:
     breakpoints: tuple
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
+        try:
+            bp = tuple(float(b) for b in self.breakpoints)
+        except (TypeError, ValueError) as exc:
+            raise PartitionError(f"partition breakpoints must be numbers ({exc})") from None
         if len(bp) < 2:
             raise PartitionError("a partition needs at least two breakpoints")
         if not all(map(math.isfinite, bp)):    # NaN would pass every comparison below
@@ -239,22 +242,31 @@ class PartitionEquationSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PartitionEquationSystem":
+        def name(value):
+            if not isinstance(value, str):
+                raise SystemStructureError(f"unknown names must be strings, got {value!r}")
+            return value
+
         try:
             if not isinstance(data["unknowns"], list):    # a string would split into letters
                 raise SystemStructureError(
                     f"unknowns must be a list of names, got {data['unknowns']!r}")
-            unknowns = tuple(str(u) for u in data["unknowns"])
+            unknowns = tuple(name(u) for u in data["unknowns"])
             eqs = []
             for raw in data["equations"]:
                 target = raw["target"]
+                if not isinstance(target, dict):
+                    raise SystemStructureError(
+                        f"equation target must be an object, got {target!r}")
                 coef = Fraction(target.get("coef", 0))
                 if coef.denominator != 1:
                     raise SystemStructureError(f"coefficient {target['coef']} is not an integer")
+                ref = target.get("ref")
                 eqs.append(Equation(
-                    lhs=str(raw["lhs"]),
+                    lhs=name(raw["lhs"]),
                     const=Fraction(target.get("const", 0)),
                     coef=int(coef),
-                    ref=target.get("ref"),
+                    ref=None if ref is None else name(ref),
                 ))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SystemStructureError(f"malformed partition system: {exc}") from exc

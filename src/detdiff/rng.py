@@ -4,8 +4,9 @@ All ensemble draws come from a Philox stream keyed by the user seed;
 the value for sample index i is word i of that stream.  Chunks are
 generated independently by advancing the counter to the chunk start, so
 any parallel schedule reproduces the single-threaded sample set bit for
-bit.  The dither of the ensemble simulators reads the same stream in
-16-bit lanes, four to a word, addressed by lane index the same way.
+bit.  The dither of the ensemble simulators reads a stream of its own
+key in 16-bit lanes, four to a word.  Both read through `_stream`, the
+one reader that seeks a Philox stream.
 """
 
 from __future__ import annotations
@@ -18,55 +19,48 @@ __all__ = ["uniform_stream", "resolve_threads", "DEFAULT_SEED"]
 
 #: documented default seed used by the CLI when none is given
 DEFAULT_SEED = 20140502
-_LOW, _HIGH = -0.5, 0.5     # the range [_LOW, _HIGH) of `uniform_stream`
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     """Uniform doubles on [-1/2, 1/2) for sample indices [start, start + count).
 
     Independent of how the index range is chunked: the stream is keyed
-    by `seed` and advanced to `start`.  The array is freshly drawn and
-    scaled in place, so the caller owns it and may overwrite it.
+    by `seed` and read from word `start`.  The array is freshly drawn and
+    shifted in place, so the caller owns it and may overwrite it.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    # one Philox counter tick emits 4 output words (4 doubles): advance to
-    # the enclosing block, then drop the leading in-block values
-    block, lead = divmod(int(start), 4)
-    bitgen = np.random.Philox(key=int(seed))
-    bitgen.advance(block)
-    u = np.random.Generator(bitgen).random(lead + int(count))[lead:]
-    # in place, rounding exactly as _LOW + (_HIGH - _LOW) * u
-    u *= _HIGH - _LOW
-    u += _LOW
+    u = _stream(seed)(start, count, doubles=True)
+    u -= 0.5
     return u
 
 
-def _lane_reader(seed: int):
-    """read(start, count): 16-bit lanes [start, start + count) of the stream of `seed`.
+def _stream(key: int):
+    """read(start, count, doubles=False): words [start, start + count) of the stream of `key`.
 
-    Word k of the stream holds lanes 4k .. 4k + 3, lowest 16 bits first
-    on any host, so reads may start at any lane.  One bit generator
-    serves every read: a relative advance, which wraps modulo 2^256 and
-    so may also step back, moves it to the block that holds the read,
-    unless the read starts in the block the generator emits next.  Every
-    read takes whole blocks, so the generator never holds spare words.
+    With `doubles`, the words come as the doubles `Generator.random` makes
+    of them, (word >> 11) 2^-53 on [0, 1).  One Philox counter tick emits a
+    block of 4 words.  One bit generator serves every read: a relative
+    advance, which wraps modulo 2^256 and so may also step back, moves it
+    to the block that holds the read, unless the read starts in the block
+    the generator emits next.  Every read takes whole blocks, so the
+    generator never holds spare words.
     """
-    bitgen = np.random.Philox(key=int(seed))
+    bitgen = np.random.Philox(key=int(key))
+    gen = np.random.Generator(bitgen)
     at = 0      # the block the generator emits next
 
-    def read(start: int, count: int) -> np.ndarray:
+    def read(start: int, count: int, doubles: bool = False) -> np.ndarray:
         nonlocal at
-        word, lane = divmod(int(start), 4)
-        block, lead = divmod(word, 4)
+        block, lead = divmod(int(start), 4)
         if block != at:     # an advance costs microseconds even by 0
             bitgen.advance(block - at)
-        n = lead + (lane + count + 3) // 4
+        n = lead + int(count)
         # whole blocks only: Philox keeps the unread words of a partial
         # block and hands them out first, and only an advance drops them
         at = block + (n + 3) // 4
-        words = bitgen.random_raw(4 * (at - block))[lead:n]
-        return words.astype("<u8", copy=False).view("<u2")[lane:lane + count]
+        size = 4 * (at - block)
+        return (gen.random(size) if doubles else bitgen.random_raw(size))[lead:n]
 
     return read
 

@@ -305,6 +305,34 @@ def test_solve_partition_requires_one_input(capsys):
     assert code == 2
 
 
+_LIN3 = '{"type":"linear","lambda":3}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-partition", "--system", json.dumps({"unknowns": ["xi"], "equations": [
+        {"lhs": "xi", "target": {"const": 0.5}},
+        {"lhs": "half", "target": {"const": 2, "coef": -1, "ref": ["xi"]}}]})],
+    ["solve-partition", "--system", json.dumps({"unknowns": [1], "equations": [
+        {"lhs": 1, "target": {"const": 0.5}},
+        {"lhs": "half", "target": {"const": 2, "coef": -1, "ref": "1"}}]})],
+    ["diffusion", "--map", _LIN3, "--method", "spectral", "--partition-system",
+     '{"unknowns":["xi"],"equations":[{"lhs":"xi","target":5}]}'],
+    ["diffusion", "--map", _LIN3, "--method", "spectral", "--partition", "5"],
+    ["simulate", "--map", '{"type":"pieces","breakpoints":[-0.5,0.5],"values":[1.5]}',
+     "--N", "100", "--n", "2"],
+    ["simulate", "--map", '{"type":"pieces","breakpoints":[-0.5,0.5],"values":5}',
+     "--N", "100", "--n", "2"],
+    ["simulate", "--map", '{"type":"pieces","breakpoints":5,"values":[[-1.5,1.5]]}',
+     "--N", "100", "--n", "2"],
+], ids=["list-ref", "number-names", "number-target", "number-partition", "unpaired-values",
+        "number-values", "number-breakpoints"])
+def test_malformed_json_input_is_one_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error[validation]:")
+
+
 # ---------------------------------------------------------------------------
 # scan / simulate / evolve / billiard
 # ---------------------------------------------------------------------------
@@ -318,6 +346,17 @@ def test_scan_grid_rows(capsys):
     assert lines[0].startswith("# detdiff=")
     assert lines[1] == "lambda,d_mc,stderr,d_heuristic,d_omega,ks"
     assert len(lines) == 2 + 9
+
+
+def test_scan_rejects_a_descending_range(capsys):
+    code, out, err = run(capsys, "scan", "--from", "5", "--to", "3", "--N", "500", "--n", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error[validation]: --to 3.0 is below --from 5.0\n"
+    code, out, _ = run(capsys, "scan", "--from", "3", "--to", "3", "--N", "500", "--n", "10")
+    assert code == 0
+    assert out.strip().split("\n")[2].startswith("3.0,")
+    assert len(out.strip().split("\n")) == 3
 
 
 def test_scan_explicit_grid(capsys):

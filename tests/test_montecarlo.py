@@ -26,7 +26,7 @@ from detdiff import (
 )
 from detdiff import montecarlo
 from detdiff.montecarlo import _ndtr
-from detdiff.rng import _lane_reader
+from detdiff.rng import _stream
 
 N = 100_000
 STEPS = 50
@@ -38,13 +38,9 @@ def test_uniform_stream_chunk_invariance():
     np.testing.assert_array_equal(full, np.concatenate(parts))
 
 
-def test_uniform_stream_is_scaled_philox_words(monkeypatch):
-    low, high = -1.3, 2.9
-    monkeypatch.setattr("detdiff.rng._LOW", low)
-    monkeypatch.setattr("detdiff.rng._HIGH", high)
-    words = np.random.Generator(np.random.Philox(key=11)).random(300)
-    np.testing.assert_array_equal(uniform_stream(11, 45, 255),
-                                  low + (high - low) * words[45:])
+def test_uniform_stream_is_shifted_philox_doubles():
+    doubles = np.random.Generator(np.random.Philox(key=11)).random(300)
+    np.testing.assert_array_equal(uniform_stream(11, 45, 255), doubles[45:] - 0.5)
 
 
 def test_same_seed_bitwise_identical():
@@ -64,15 +60,19 @@ def test_chunking_and_threads_do_not_change_samples(ensemble_constants):
     np.testing.assert_array_equal(a, c)
 
 
-def test_lane_reader_reads_little_endian_quarter_words(monkeypatch):
+def test_stream_reads_words_in_any_order(monkeypatch):
     words = np.random.Philox(key=11).random_raw(3000)
-    lanes = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
-    lanes = lanes.ravel()
-    read = _lane_reader(11)
-    # in any order: forwards, backwards, overlapping, from every offset in a word
-    for start, count in ((0, 5), (4097, 999), (3, 1), (1, 16), (6002, 4), (10, 0),
-                         (11990, 10), (2, 7000)):
-        np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
+    doubles = np.random.Generator(np.random.Philox(key=11)).random(3000)
+    read = _stream(11)
+    # in any order: forwards, backwards, overlapping, from every offset in a
+    # block, as words or as doubles from the one generator
+    for i, (start, count) in enumerate(((0, 5), (1024, 250), (3, 1), (1, 4), (1500, 1),
+                                        (10, 0), (2997, 3), (2, 1750), (7, 9))):
+        if i % 2:
+            np.testing.assert_array_equal(read(start, count, doubles=True),
+                                          doubles[start:start + count])
+        else:
+            np.testing.assert_array_equal(read(start, count), words[start:start + count])
 
     advances = []
 
@@ -82,22 +82,42 @@ def test_lane_reader_reads_little_endian_quarter_words(monkeypatch):
             return super().advance(delta)
 
     monkeypatch.setattr(np.random, "Philox", CountingPhilox)
-    read = _lane_reader(11)
-    # back to back, as the steps of one chunk read them; a block holds 16
-    # lanes, and a read that starts in the block the generator emits next
+    read = _stream(11)
+    # back to back, as the steps of one chunk read them; a block holds 4
+    # words, and a read that starts in the block the generator emits next
     # needs no advance: only the first read and the two that start inside
     # the last block of the read before them move the generator
-    start = 160
-    for count in (16, 48, 800, 5, 11, 7, 3000):
-        np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
+    start = 40
+    for count in (4, 12, 200, 1, 3, 2, 750):
+        np.testing.assert_array_equal(read(start, count), words[start:start + count])
         start += count
     assert advances == [10, -1, -1]
 
     # a gap of less than a block after a read that ended mid-block: the
     # generator must not hand out the spare words of that block
-    read = _lane_reader(11)
-    for start, count in ((160, 5), (176, 4), (190, 3), (208, 16)):
-        np.testing.assert_array_equal(read(start, count), lanes[start:start + count])
+    read = _stream(11)
+    for start, count in ((40, 1), (44, 1), (47, 1), (52, 4)):
+        np.testing.assert_array_equal(read(start, count), words[start:start + count])
+
+
+def test_dither_reads_little_endian_quarter_words(ensemble_constants):
+    # reference: lane 4k + m of the dither stream is bits 16m .. 16m + 15 of
+    # word k on any host, and sample i at step t reads lane t*n + i; chunks
+    # of 999 samples start mid-word and mid-block
+    n, steps, seed = 2001, 3, 17
+    key = seed ^ montecarlo._DITHER_KEY_SALT
+    words = np.random.Philox(key=key).random_raw((n * steps + 3) // 4)
+    lanes = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
+    lanes = lanes.ravel()
+    u, cell = uniform_stream(seed, 0, n), np.zeros(n)
+    for t in range(steps):
+        u = 4.0 * u + ((lanes[t * n:(t + 1) * n] + 0.5) * 2.0**-64 - 2.0**-49)
+        carry = np.floor(u + 0.5)
+        u -= carry
+        cell += carry
+    with ensemble_constants(chunk=999):
+        np.testing.assert_array_equal(simulate_ensemble(linear_map(4.0), n, steps, seed),
+                                      cell + u)
 
 
 def test_lane_dither_does_not_depend_on_chunks_or_threads(ensemble_constants):
