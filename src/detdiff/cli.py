@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     from .maps import PiecewiseLinearLiftMap
     from .transfer import TransitionMatrixSet
 
+_SCAN_POINTS_MAX = 10_000       # points of a --from/--to/--step grid
 _SURD_RE = re.compile(
     r"""^\s*
     (?:(?P<a>[+-]?\d+(?:\.\d+)?)\s*)?              # optional rational part
@@ -61,13 +62,20 @@ def parse_algebraic(text) -> float:
     return a + sign * b * math.sqrt(c)
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer; one beyond the double range is bad input, not an overflow."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"integer of {len(text)} characters is too large for a double")
+    return int(text)
+
+
 def _load_json_arg(value: str):
     """Inline JSON, or the content of a file when `value` is a path."""
     text = value
     if not value.lstrip().startswith(("{", "[")) and os.path.exists(value):
         with open(value) as fh:
             text = fh.read()
-    return json.loads(text)
+    return json.loads(text, parse_int=_json_int)
 
 
 def _map_spec_from_args(tokens) -> dict:
@@ -266,7 +274,11 @@ def cmd_scan(args):
             raise MapDefinitionError("--step must be positive")
         if args.to < lo:
             raise MapDefinitionError(f"--to {args.to} is below --from {lo}")
-        count = int(round((args.to - lo) / args.step)) + 1
+        span = (args.to - lo) / args.step
+        count = round(span) + 1 if math.isfinite(span) else math.inf
+        if count > _SCAN_POINTS_MAX:
+            raise MapDefinitionError(
+                f"scan grid of {count:.3g} points exceeds {_SCAN_POINTS_MAX}")
         lams = [lo + i * args.step for i in range(count)]
     rows = scan_lambda(lams, args.N, args.n, args.seed)
     text = render_csv(
@@ -387,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-partition", help="solve a boundary-equation system")
     p.add_argument("--system", help="JSON system (inline or file)")
-    p.add_argument("--three-interval", help="closed three-cell family: 'm,n,eps1,eps2'")
+    p.add_argument("--three-interval", help="symmetric three-cell family: 'm,n,eps1,eps2'")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve_partition)
 
@@ -403,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="Monte Carlo D(lambda) scan to CSV")
     p.add_argument("--from", type=float, dest="from")
     p.add_argument("--to", type=float)
-    p.add_argument("--step", type=float, default=0.25)
+    p.add_argument("--step", type=float, default=0.25,
+                   help=f"grid step from --from to --to; at most {_SCAN_POINTS_MAX} points")
     p.add_argument("--lambda-grid", help="comma-separated grid, overrides --from/--to")
     add_run(p, default_n=50)
     p.add_argument("--out")

@@ -8,7 +8,8 @@ M(lam) = A0 + lam * A1 with rational entries.  Its solvability condition
 R(lam) = det M(lam) = 0 is computed exactly, as a polynomial with integer
 coefficients: A1 is a scaled permutation, so R is, up to a constant, the
 characteristic polynomial of B = -A1^-1 A0.  The slope is its largest
-real root, rounded to the nearest double with a Sturm chain.
+real root, rounded to the nearest double with a Sturm chain, and the
+breakpoints, three-cell family included, solve the square defining rows.
 """
 
 from __future__ import annotations
@@ -341,78 +342,62 @@ def _det_polynomial(a0, a1):
     return _to_primitive_int(poly[::-1])
 
 
-def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
-    """Eliminate the breakpoints, solve R(lam) = 0, back-substitute.
-
-    The boundary system is the linear pencil M(lam) = A0 + lam * A1 in
-    (s_1..s_k, 1); its solvability condition R(lam) = det M(lam) is
-    computed exactly and scaled to primitive integer coefficients (a
-    factor 2 comes from the half-integer constants).  The system has one
-    defining equation per unknown plus the `half` equation, so lam enters
-    the k + 1 rows in distinct columns and R has degree k + 1.  The slope
-    is the double nearest the largest real root above 1; RootSolveError
-    is raised unless the float |R(lam)| reported as `residual` is below
-    1e-13.  The breakpoints solve the float system at that lam.
-    """
+def _solve(system: PartitionEquationSystem) -> SolvedPartition:
+    """The root of R, the breakpoints at it and their checks; no residual gate."""
     a0, a1 = _pencil(system)
     poly = _det_polynomial(a0, a1)
     lam = largest_real_root(poly)
-    residual = abs(_peval(poly, lam))
-    if residual >= _RESIDUAL_TOL:
-        raise RootSolveError(
-            f"|R({lam!r})| = {residual:.3g} is not below {_RESIDUAL_TOL:g}")
-
     m = np.array(a1, dtype=float) * lam + np.array(a0, dtype=float)
-    A, b = m[:, :-1], -m[:, -1]
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.max(np.abs(A @ sol - b)))
-    if resid > 1e-8:
-        raise SystemStructureError(
-            f"back-substitution residual {resid:.3g}; system inconsistent at lam={lam!r}")
-    values = [float(s) for s in sol]
-
+    m = m[[i for i, eq in enumerate(system.equations) if eq.lhs != "half"]]
+    values = [float(s) for s in np.linalg.solve(m[:, :-1], -m[:, -1])]
     for name, v in zip(system.unknowns, values):
         if not 0.0 < v < 0.5:
-            raise PartitionError(
-                f"solved breakpoint {name} = {v!r} lies outside (0, 1/2)")
+            raise PartitionError(f"solved breakpoint {name} = {v!r} lies outside (0, 1/2)")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise PartitionError(
             f"inconsistent system: solved breakpoints are not strictly ordered: {values}")
     return SolvedPartition(lam=lam, breakpoints=tuple(values), polynomial=poly,
-                           residual=residual)
+                           residual=abs(_peval(poly, lam)))
+
+
+def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
+    """Eliminate the breakpoints, solve R(lam) = 0, back-substitute.
+
+    The boundary system is the linear pencil M(lam) = A0 + lam * A1 in
+    (s_1..s_k, 1); R(lam) = det M(lam) is computed exactly, as primitive
+    integer coefficients of degree k + 1, and the slope is the double
+    nearest its largest real root above 1.  The k defining rows form
+    lam I - C, each row of C with at most one +-1, so for lam > 1 they have
+    one solution, and at a root of R it satisfies the `half` row too.
+    PartitionError is raised unless the breakpoints increase strictly
+    inside (0, 1/2), then RootSolveError unless the float |R(lam)|
+    reported as `residual` is below 1e-13.
+    """
+    solved = _solve(system)
+    if solved.residual >= _RESIDUAL_TOL:
+        raise RootSolveError(
+            f"|R({solved.lam!r})| = {solved.residual:.3g} is not below {_RESIDUAL_TOL:g}")
+    return solved
 
 
 def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
-    """Closed-form slope and breakpoint of the symmetric three-cell family.
+    """Slope and breakpoint (lam, xi) of the symmetric three-cell family.
 
-    Solves lam * xi = m + eps2 * xi together with lam / 2 = n + eps1 * xi
-    for integers 0 < m < n and signs eps1, eps2 in {-1, +1}:
-
-        lam = (2n + eps2 + sqrt((2n - eps2)^2 + 8 m eps1)) / 2
-        xi  = 2m / (2n - eps2 + sqrt((2n - eps2)^2 + 8 m eps1))
-
-    Returns (lam, xi).  Combinations with nonpositive discriminant,
-    lam <= 1 or xi outside (0, 1/2) are rejected.
+    The one-unknown system lam * xi = m + eps2 * xi, lam / 2 = n + eps1 * xi
+    for integers 0 < m < n and eps1, eps2 in {-1, +1}, solved like
+    `solve_partition_system` but without its residual gate.  In closed form,
+    with d = (2n - eps2)^2 + 8 m eps1 >= (2n - 3)^2 > 0,
+    lam = (2n + eps2 + sqrt(d)) / 2 and xi = 2m / (2n - eps2 + sqrt(d)).
+    PartitionError is raised when xi is outside (0, 1/2).
     """
     m, n = int(m), int(n)
     if not 0 < m < n:
         raise PartitionError(f"need integers 0 < m < n, got m={m}, n={n}")
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise PartitionError("eps1 and eps2 must be +1 or -1")
-    disc = (2 * n - eps2) ** 2 + 8 * m * eps1
-    if disc <= 0:
-        raise PartitionError(f"discriminant {disc} is not positive")
-    root = math.sqrt(disc)
-    lam = (2 * n + eps2 + root) / 2
-    xi = 2 * m / (2 * n - eps2 + root)
-    if lam <= 1.0:
-        raise PartitionError(f"solved slope lam = {lam!r} is not above 1")
-    if not 0.0 < xi < 0.5:
-        raise PartitionError(f"solved breakpoint xi = {xi!r} is not interior to (0, 1/2)")
-    for resid in (lam * xi - m - eps2 * xi, lam / 2 - n - eps1 * xi):
-        if abs(resid) > 1e-12:
-            raise PartitionError(f"defining equations violated by {resid:.3g}")
-    return lam, xi
+    solved = _solve(PartitionEquationSystem(
+        ("xi",), (Equation("xi", m, eps2, "xi"), Equation("half", n, eps1, "xi"))))
+    return solved.lam, solved.breakpoints[0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from detdiff import cli
 from detdiff.cli import main, parse_algebraic
 from detdiff.errors import MapDefinitionError, RootSolveError, exit_code
 
@@ -333,6 +334,27 @@ def test_malformed_json_input_is_one_validation_error(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error[validation]:")
 
 
+_HUGE = "1" + "0" * 400      # an integer that no double holds
+
+
+@pytest.mark.parametrize("argv", [
+    ["diffusion", "--map", f'{{"type":"linear","lambda":{_HUGE}}}'],
+    ["simulate", "--map", f'{{"type":"pieces","breakpoints":[-0.5,0.5],'
+     f'"values":[[-1.5,{_HUGE}]]}}', "--N", "100", "--n", "2"],
+    ["simulate", "--map", f'{{"type":"pieces","breakpoints":[-0.5,{_HUGE}],'
+     '"values":[[-1.5,1.5]]}', "--N", "100", "--n", "2"],
+    ["simulate", "--map", f'{{"type":"zigzag","p":{_HUGE},"xi":0.25}}', "--N", "100", "--n", "2"],
+    ["simulate", "--map", f'{{"type":"zigzag","p":1,"xi":{_HUGE}}}', "--N", "100", "--n", "2"],
+    ["diffusion", "--map", _LIN3, "--method", "spectral", "--partition", f"[-0.5, {_HUGE}]"],
+], ids=["linear-lambda", "pieces-values", "pieces-breakpoints", "zigzag-p", "zigzag-xi",
+        "partition"])
+def test_a_json_integer_beyond_the_doubles_is_one_validation_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error[validation]: integer of 401 characters is too large for a double\n"
+
+
 # ---------------------------------------------------------------------------
 # scan / simulate / evolve / billiard
 # ---------------------------------------------------------------------------
@@ -357,6 +379,19 @@ def test_scan_rejects_a_descending_range(capsys):
     assert code == 0
     assert out.strip().split("\n")[2].startswith("3.0,")
     assert len(out.strip().split("\n")) == 3
+
+
+@pytest.mark.parametrize("to,step,count", [("1e300", "1e-300", "inf"), ("1e12", "1e-3", "1e+15")])
+def test_scan_rejects_a_grid_past_the_point_limit(capsys, monkeypatch, to, step, count):
+    def no_grid(*_):
+        pytest.fail("the grid was built")
+
+    monkeypatch.setattr(cli, "range", no_grid, raising=False)   # shadows the builtin in cli
+    code, out, err = run(capsys, "scan", "--from", "3", "--to", to, "--step", step,
+                         "--N", "10", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error[validation]: scan grid of {count} points exceeds 10000\n"
 
 
 def test_scan_explicit_grid(capsys):

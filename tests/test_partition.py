@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -102,21 +104,51 @@ def _three_interval_system(m, n, eps1, eps2):
     )
 
 
-def test_three_interval_agrees_with_system_solver():
-    found = 0
-    for m in range(1, 5):
-        for n in range(m + 1, 6):
-            for e1 in (-1, 1):
-                for e2 in (-1, 1):
-                    try:
-                        lam, xi = solve_three_interval(m, n, e1, e2)
-                    except PartitionError:
-                        continue
-                    solved = solve_partition_system(_three_interval_system(m, n, e1, e2))
-                    assert abs(solved.lam - lam) < 1e-10
-                    assert abs(solved.breakpoints[0] - xi) < 1e-10
-                    found += 1
-    assert found >= 8
+def _check_three_interval(m, n, eps1, eps2):
+    """solve_three_interval against exact references; raises when it disagrees.
+
+    lam is the double nearest the larger root of
+    lam^2 - (2n + eps2) lam + 2(n eps2 - m eps1), xi is within 2 ulp of
+    2m / (2n - eps2 + sqrt(d)), and the tuple is rejected exactly when
+    that xi is not below 1/2, that is when sqrt(d) <= 4m - 2n + eps2.
+    """
+    d = (2 * n - eps2) ** 2 + 8 * m * eps1
+    t = 4 * m - 2 * n + eps2
+    if t >= 0 and d <= t * t:
+        with pytest.raises(PartitionError):
+            solve_three_interval(m, n, eps1, eps2)
+        return
+    lam, xi = solve_three_interval(m, n, eps1, eps2)
+    assert 2 * lam > 2 * n + eps2
+    assert _is_nearest_double_to_a_root(lam, (2 * (n * eps2 - m * eps1), -(2 * n + eps2), 1))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = 2 * m / (2 * n - eps2 + Decimal(d).sqrt())
+        assert abs(Decimal(xi) - exact) <= 2 * Decimal(math.ulp(xi))
+
+
+def test_three_interval_family_against_exact_references():
+    for n in range(2, 13):
+        for m, eps1, eps2 in itertools.product(range(1, n), (-1, 1), (-1, 1)):
+            _check_three_interval(m, n, eps1, eps2)
+
+
+@pytest.mark.parametrize("m,n,eps1,eps2,lam", [
+    (1, 2, 1, 1, 4.56155281280883),     # (5 + sqrt(17))/2 = 4.5615528128088302...
+    (1, 100000, 1, 1, 200000.00001000005),    # its equations miss 0 by ~1e-12 in floats
+])
+def test_three_interval_examples(m, n, eps1, eps2, lam):
+    assert solve_three_interval(m, n, eps1, eps2)[0] == lam
+    _check_three_interval(m, n, eps1, eps2)
+
+
+@pytest.mark.parametrize("m,n", [(7, 8), (18, 19), (20, 21)])
+def test_a_boundary_breakpoint_is_rejected_by_both_solvers(m, n):
+    # lam = 2n - 1 and xi = m / (lam - 1) = 1/2 exactly: the cell (xi, 1/2) is empty
+    with pytest.raises(PartitionError):
+        solve_three_interval(m, n, -1, 1)
+    with pytest.raises(PartitionError):
+        solve_partition_system(_three_interval_system(m, n, -1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +256,32 @@ def _chain_system(k):
     return PartitionEquationSystem(names, tuple(eqs))
 
 
+def _is_nearest_double_to_a_root(x, coeffs):
+    """A root lies between the midpoints of x and its two neighbouring doubles."""
+    below = (Fraction(math.nextafter(x, 0.0)) + Fraction(x)) / 2
+    above = (Fraction(math.nextafter(x, math.inf)) + Fraction(x)) / 2
+    return _exact(coeffs, below) * _exact(coeffs, above) < 0
+
+
 @pytest.mark.parametrize("k", range(1, 13))
 def test_chain_polynomial_and_correctly_rounded_root(k):
     poly = (1,) + (0,) * (k - 1) + (-4, 1)          # x^(k+1) - 4x^k + 1
     assert _det_polynomial(*_pencil(_chain_system(k))) == poly
-    x = largest_real_root(poly)
-    below = (Fraction(math.nextafter(x, 0.0)) + Fraction(x)) / 2
-    above = (Fraction(math.nextafter(x, math.inf)) + Fraction(x)) / 2
-    assert _exact(poly, below) * _exact(poly, above) < 0
+    assert _is_nearest_double_to_a_root(largest_real_root(poly), poly)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 12])       # the chains that pass the gate
+def test_chain_breakpoints_are_accurate(k):
+    # xi_i = lam^-(k+1-i) / 2 at the exact root, Newton-polished in decimal
+    solved = solve_partition_system(_chain_system(k))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(solved.lam)
+        for _ in range(4):
+            x -= (x - 4 + 1 / x ** k) / (1 - k / x ** (k + 1))
+        for i, xi in enumerate(solved.breakpoints, start=1):
+            exact = 1 / (2 * x ** (k + 1 - i))
+            assert abs(Decimal(xi) - exact) <= 4 * Decimal(2) ** -52 * exact
 
 
 def _elimination_det(m):
@@ -281,10 +331,11 @@ def test_det_polynomial_is_exact(system):
 
 
 # sha256 of the repr of (name, lam, breakpoints, polynomial, residual), one
-# line per solved system, in the order of _pinned_systems().  Recorded with
+# line per solved system, in the order of _pinned_systems(), so a changed
+# output bit shows here.  lam, the polynomials and the residuals agree with
 # an independent implementation (cofactor determinant, grid scan and Newton
-# polish), so a changed output bit shows here.
-_PINNED_SOLUTIONS = "bf44a968b9d48bf5fad5b4a3ccdfc8db47b0b27e94ed40a28cc333fc6bc06def"
+# polish); the breakpoints solve the square defining rows at lam.
+_PINNED_SOLUTIONS = "16b210e2a49f9d0c1d52d94699249904f09eae2619a92efc0b30d0a25173fb8c"
 
 
 def _pinned_systems():
