@@ -3,12 +3,12 @@
 A partition of the line is described by its cell boundaries inside
 I0 = [-1/2, 1/2); integer translates tile the rest of the axis.  For the
 linear map f(x) = lam * x, requiring every cell image to be an exact
-union of cells turns the boundary conditions into a small linear pencil
-M(lam) = A0 + lam * A1 with rational entries.  Its solvability condition
-R(lam) = det M(lam) = 0 is computed exactly, as a polynomial with integer
-coefficients: A1 is a scaled permutation, so R is, up to a constant, the
-characteristic polynomial of B = -A1^-1 A0.  The slope is its largest
-real root, rounded to the nearest double with a Sturm chain, and the
+union of cells turns the boundary conditions into an eigenproblem
+lam * v = B v for v = (s_1..s_k, 1), and C = 2B has integer entries.
+The solvability condition R(lam) = det(lam I - B) = 0 is computed
+exactly, as primitive integer coefficients, from the characteristic
+polynomial of C.  The slope is its largest real root, rounded to the
+nearest double with integer Sturm counts at dyadic points, and the
 breakpoints, three-cell family included, solve the square defining rows.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -37,7 +38,6 @@ __all__ = [
     "validate_consistency",
 ]
 
-_HALF = Fraction(1, 2)
 _RESIDUAL_TOL = 1e-13   # |R(lam)| at the solved slope must be below this
 _GRID_TOL = 1e-9        # how far an image end may miss the cell-boundary grid in `_cell_images`
 
@@ -101,48 +101,54 @@ class MarkovPartition:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomials (Fraction or int coefficients, low -> high) and their root
+# integer polynomials (coefficients low -> high) and their root
 # ---------------------------------------------------------------------------
 
 
+def _as_int(value):
+    """value as an int, or None when it is not an integral number."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == value else None
+
+
 def _peval(p, x):
-    """Horner's rule: exact for a Fraction x, one rounding per step for a float x."""
+    """Horner's rule: exact for an int x, one rounding per step for a float x."""
     acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
+def _primitive(p):
+    """p divided by its positive content."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
 def _pdivmod(a, b):
-    """Quotient and remainder of a / b, the remainder without zero leading terms."""
+    """Pseudo-division |lead(b)|^e a = q b + r, so q and r keep the signs of a / b."""
+    s, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
     a, q = list(a), []
     while len(a) >= len(b):
-        q.insert(0, a[-1] / b[-1])
-        a = [x - q[0] * y for x, y in zip(a, [0] * (len(a) - len(b)) + list(b))][:-1]
+        t = sign * a[-1]
+        q = [t] + [s * c for c in q]
+        a = [s * x - t * y for x, y in zip(a, [0] * (len(a) - len(b)) + list(b))][:-1]
     while a and a[-1] == 0:
         a.pop()
     return q, a
 
 
-def _to_primitive_int(poly):
-    """Clear denominators, divide the content, make the leading term positive."""
-    denom = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * denom) for c in poly]
-    content = math.gcd(*(abs(c) for c in ints)) or 1
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
-
-
 def _sturm_chain(p):
-    """Sturm chain of the square-free part of p, whose roots are those of p."""
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    """Sturm chain of the square-free part of p, each member divided by its content."""
+    chain = [_primitive(p), _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
         rem = _pdivmod(chain[-2], chain[-1])[1]
         if not rem:
             return _sturm_chain(_pdivmod(p, chain[-1])[0])   # chain[-1] = gcd(p, p')
-        chain.append([-c for c in rem])
+        chain.append(_primitive([-c for c in rem]))
     return chain
 
 
@@ -150,13 +156,16 @@ def largest_real_root(int_coeffs):
     """Largest real root above 1 of an integer-coefficient polynomial.
 
     Returns the double nearest that root, certified in exact arithmetic.
-    The Sturm chain counts the distinct roots above a point.  Bisection
-    over doubles keeps the largest root in (lo, hi] until lo and hi are
-    adjacent doubles; the count at their exact midpoint then picks the
-    nearer one.  Raises RootSolveError when the polynomial is constant or
-    has no root above 1.
+    The Sturm chain counts the distinct roots above a point x = n / d,
+    evaluated as integers p(x) * d^deg.  Bisection over doubles keeps the
+    largest root in (lo, hi] until lo and hi are adjacent doubles; the
+    count at their exact midpoint then picks the nearer one.  Raises
+    ValueError for a coefficient that is not an integer, RootSolveError
+    when the polynomial is constant or has no root above 1.
     """
-    p = [Fraction(c) for c in int_coeffs]
+    p = [_as_int(c) for c in int_coeffs]
+    if None in p:
+        raise ValueError(f"coefficients {tuple(int_coeffs)} are not all integers")
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     if len(p) < 2:
@@ -170,7 +179,9 @@ def largest_real_root(int_coeffs):
     at_infinity = changes([q[-1] > 0 for q in chain])
 
     def roots_above(x):
-        values = (_peval(q, Fraction(x)) for q in chain)
+        n, d = x.as_integer_ratio()
+        # q(n / d) * d^deg(q), an integer with the sign of q(n / d)
+        values = (_peval([c * d ** (len(q) - 1 - i) for i, c in enumerate(q)], n) for q in chain)
         return changes([v > 0 for v in values if v]) - at_infinity
 
     lo = 1.0
@@ -206,8 +217,10 @@ class Equation:
         if self.const.denominator not in (1, 2):
             raise SystemStructureError(
                 f"constant {self.const} is neither integer nor half-integer")
-        if self.coef not in (-1, 0, 1):
+        coef = _as_int(self.coef)
+        if coef not in (-1, 0, 1):
             raise SystemStructureError(f"coefficient {self.coef} must be -1, 0 or +1")
+        object.__setattr__(self, "coef", coef)
         if (self.coef == 0) != (self.ref is None):
             raise SystemStructureError("ref must be given exactly when coef is nonzero")
 
@@ -293,63 +306,56 @@ class SolvedPartition:
     residual: float             # |R(lam)| at the returned root
 
 
-def _pencil(system: PartitionEquationSystem):
-    """The pencil M(lam) = A0 + lam * A1 with M(lam) . (s_1..s_k, 1) = 0.
+def _matrix(system: PartitionEquationSystem):
+    """The integer matrix C = 2B of the equations as lam * v = B v, v = (s_1..s_k, 1).
 
-    Exact `Fraction` matrices (A0, A1), one row per equation; the last
-    column carries the affine part.  Row i is lam * lhs - const - coef * ref,
-    where the name "half" stands for 1/2 in the last column.
+    Column j is unknown j and column k the constant 1, of which "half" is
+    half.  Row `lhs` of C is 2 * const in column k and 2 * coef in the
+    `ref` column; for lhs "half" the factors are 4, as lam * v_k = 2 * lam / 2.
     """
     k = len(system.unknowns)
-    column = {name: (j, Fraction(1)) for j, name in enumerate(system.unknowns)}
-    column["half"] = (k, _HALF)
-    a0 = [[Fraction(0)] * (k + 1) for _ in system.equations]
-    a1 = [[Fraction(0)] * (k + 1) for _ in system.equations]
-    for eq, row0, row1 in zip(system.equations, a0, a1):
-        j, w = column[eq.lhs]
-        row1[j] = w
-        row0[k] = -eq.const
+    column = {name: j for j, name in enumerate(system.unknowns)}
+    column["half"] = k
+    c = [[0] * (k + 1) for _ in range(k + 1)]
+    for eq in system.equations:
+        i = column[eq.lhs]
+        f = 4 if i == k else 2
+        c[i][k] = int(f * eq.const)
         if eq.coef:
-            j, w = column[eq.ref]
-            row0[j] -= eq.coef * w
-    return a0, a1
+            j = column[eq.ref]
+            c[i][j] += f * eq.coef // (2 if j == k else 1)
+    return c
 
 
-def _det_polynomial(a0, a1):
-    """R(lam) = det(A0 + lam * A1) as primitive integer coefficients, low -> high.
+def _det_polynomial(c):
+    """R(lam) = det(lam I - C / 2) as primitive integer coefficients, low -> high.
 
-    A1 has one nonzero entry per row, in distinct columns, so it is an
-    invertible scaled permutation and R(lam) = det(A1) * det(lam I - B)
-    with B = -A1^-1 A0: row i of A0, divided by minus its A1 entry, is
-    the row of B numbered by that entry's column.  Such a row has at most
-    two nonzeros, the `ref` and the affine column.  The characteristic
-    polynomial of B comes exactly from the Faddeev-LeVerrier recursion
-    M_k = B M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(B M_k) / k, in O(n^3)
-    with the zeros of B skipped; the primitive form drops det(A1).
+    The characteristic polynomial of the integer matrix C comes from the
+    Faddeev-LeVerrier recursion M_k = C M_(k-1) + c_(n-k+1) I,
+    c_(n-k) = -tr(C M_k) / k, whose divisions are exact, in O(n^3) with
+    the zeros of C skipped; each row has at most two nonzeros, the `ref`
+    and the affine column.  mu = 2 lam scales coefficient i by 2^i.
     """
-    n = len(a0)
-    b = [None] * n
-    for r0, r1 in zip(a0, a1):
-        j, w = next((j, w) for j, w in enumerate(r1) if w)
-        b[j] = [(c, -x / w) for c, x in enumerate(r0) if x]
-    zero = Fraction(0)        # sum() over no terms is the int 0, and 0 / k a float
-    m, poly = [[zero] * n for _ in range(n)], [Fraction(1)]     # M_0 = 0, c_n = 1
+    n = len(c)
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in c]
+    m, poly = [[0] * n for _ in range(n)], [1]      # M_0 = 0, c_n = 1
     for k in range(1, n + 1):
-        m = [[sum((v * m[j][c] for j, v in row), zero) for c in range(n)] for row in b]
+        m = [[sum(v * m[j][col] for j, v in row) for col in range(n)] for row in rows]
         for i in range(n):
             m[i][i] += poly[-1]
-        poly.append(-sum((v * m[j][i] for i, row in enumerate(b) for j, v in row), zero) / k)
-    return _to_primitive_int(poly[::-1])
+        poly.append(-sum(v * m[j][i] for i, row in enumerate(rows) for j, v in row) // k)
+    return tuple(_primitive([x << i for i, x in enumerate(reversed(poly))]))
 
 
 def _solve(system: PartitionEquationSystem) -> SolvedPartition:
     """The root of R, the breakpoints at it and their checks; no residual gate."""
-    a0, a1 = _pencil(system)
-    poly = _det_polynomial(a0, a1)
+    c = _matrix(system)
+    poly = _det_polynomial(c)
     lam = largest_real_root(poly)
-    m = np.array(a1, dtype=float) * lam + np.array(a0, dtype=float)
-    m = m[[i for i, eq in enumerate(system.equations) if eq.lhs != "half"]]
-    values = [float(s) for s in np.linalg.solve(m[:, :-1], -m[:, -1])]
+    k = len(system.unknowns)
+    a = np.array([[(lam if i == j else 0.0) - x / 2 for j, x in enumerate(row[:k])]
+                  for i, row in enumerate(c[:k])]).reshape(k, k)     # (0, 0) for k = 0
+    values = [float(s) for s in np.linalg.solve(a, [row[k] / 2 for row in c[:k]])]
     for name, v in zip(system.unknowns, values):
         if not 0.0 < v < 0.5:
             raise PartitionError(f"solved breakpoint {name} = {v!r} lies outside (0, 1/2)")
@@ -388,11 +394,16 @@ def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
     `solve_partition_system` but without its residual gate.  In closed form,
     with d = (2n - eps2)^2 + 8 m eps1 >= (2n - 3)^2 > 0,
     lam = (2n + eps2 + sqrt(d)) / 2 and xi = 2m / (2n - eps2 + sqrt(d)).
-    PartitionError is raised when xi is outside (0, 1/2).
+    PartitionError is raised for m or n that are not such integers, for
+    an n whose slope, below 2n + 3, exceeds the largest double, and when
+    xi is outside (0, 1/2).
     """
-    m, n = int(m), int(n)
-    if not 0 < m < n:
+    ints = _as_int(m), _as_int(n)
+    if None in ints or not 0 < ints[0] < ints[1]:
         raise PartitionError(f"need integers 0 < m < n, got m={m}, n={n}")
+    m, n = ints
+    if 2 * n + 3 > sys.float_info.max:
+        raise PartitionError("n is too large: the slope, below 2n + 3, exceeds the largest double")
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise PartitionError("eps1 and eps2 must be +1 or -1")
     solved = _solve(PartitionEquationSystem(

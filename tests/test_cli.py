@@ -301,6 +301,14 @@ def test_solve_partition_three_interval(capsys):
     assert report["lambda"] == pytest.approx((3 + math.sqrt(33)) / 2, abs=1e-12)
 
 
+def test_solve_partition_three_interval_beyond_the_double_range(capsys):
+    # the input is at fault, not a method: exit 2, not 3
+    code, out, err = run(capsys, "solve-partition", "--three-interval", f"1,{10 ** 400},1,1")
+    assert (code, out) == (2, "")
+    assert err == ("error[validation]: n is too large: "
+                   "the slope, below 2n + 3, exceeds the largest double\n")
+
+
 def test_solve_partition_requires_one_input(capsys):
     code, _, err = run(capsys, "solve-partition")
     assert code == 2

@@ -27,7 +27,7 @@ from detdiff import (
     validate_consistency,
     zigzag_map,
 )
-from detdiff.partition import _det_polynomial, _pencil
+from detdiff.partition import _det_polynomial, _matrix
 
 SQRT3 = math.sqrt(3.0)
 SQRT33 = math.sqrt(33.0)
@@ -94,6 +94,21 @@ def test_three_interval_parameter_validation():
         solve_three_interval(0, 2, 1, 1)
     with pytest.raises(PartitionError):
         solve_three_interval(1, 2, 0, 1)
+
+
+@pytest.mark.parametrize("m,n", [(1, 2.5), (1.5, 3), (1, math.inf)])
+def test_three_interval_rejects_non_integers(m, n):
+    # int() would truncate 2.5 to 2 and solve the n = 2 system instead
+    with pytest.raises(PartitionError, match="need integers"):
+        solve_three_interval(m, n, 1, -1)
+
+
+def test_three_interval_rejects_a_slope_beyond_the_double_range():
+    # lam < 2n + 3: the input is at fault, not the solver
+    with pytest.raises(PartitionError, match="exceeds the largest double"):
+        solve_three_interval(1, 10 ** 400, 1, 1)
+    lam, xi = solve_three_interval(1, 10 ** 307, 1, 1)
+    assert lam == 2e307 and 0 < xi < 0.5
 
 
 def _three_interval_system(m, n, eps1, eps2):
@@ -208,6 +223,8 @@ def test_largest_real_root_errors():
         largest_real_root((2, 1))           # root at -2 < 1
     with pytest.raises(RootSolveError):
         largest_real_root((5,))             # constant
+    with pytest.raises(ValueError, match="not all integers"):
+        largest_real_root((1.5, -4, 1))     # not truncated to (1, -4, 1)
 
 
 def _exact(coeffs, x):
@@ -230,12 +247,18 @@ def test_largest_real_root_close_and_repeated_roots(coeffs, expected):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=5))
-def test_largest_real_root_is_the_nearest_double(factors):
-    # a product of factors q*x - p, repeats allowed; its roots are the p/q
+@given(st.lists(st.tuples(st.integers(-300, 300), st.integers(1, 97)), min_size=1, max_size=9),
+       st.lists(st.integers(1, 50), max_size=2))
+def test_largest_real_root_is_the_nearest_double(factors, squares):
+    # a product of factors q*x - p, repeats allowed, whose roots are the p/q, and
+    # of x^2 + c without real roots.  Up to degree 13 with large p and q, the
+    # pseudo-remainders grow and carry a content, and the complex roots give
+    # chain members with negative leading terms
     coeffs = [1]
     for p, q in factors:
         coeffs = _times(coeffs, q, p)
+    for c in squares:
+        coeffs = [c * a + b for a, b in zip(coeffs + [0, 0], [0, 0] + coeffs)]
     above = [Fraction(p, q) for p, q in factors if Fraction(p, q) > 1]
     if not above:
         with pytest.raises(RootSolveError):
@@ -266,7 +289,7 @@ def _is_nearest_double_to_a_root(x, coeffs):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_chain_polynomial_and_correctly_rounded_root(k):
     poly = (1,) + (0,) * (k - 1) + (-4, 1)          # x^(k+1) - 4x^k + 1
-    assert _det_polynomial(*_pencil(_chain_system(k))) == poly
+    assert _det_polynomial(_matrix(_chain_system(k))) == poly
     assert _is_nearest_double_to_a_root(largest_real_root(poly), poly)
 
 
@@ -313,12 +336,30 @@ def _systems(draw):
     return PartitionEquationSystem(tuple(names), tuple(draw(st.permutations(eqs))))
 
 
+def _pencil(system):
+    """(A0, A1) with (A0 + lam A1) (s_1..s_k, 1) = 0, straight from the equations.
+
+    Row i is lam * lhs - const - coef * ref, where an unknown is its unit
+    vector and "half" is 1/2 in the last, affine, column.
+    """
+    k = len(system.unknowns)
+    value = {name: [Fraction(j == i) for j in range(k + 1)]
+             for i, name in enumerate(system.unknowns)}
+    value["half"] = [Fraction(0)] * k + [Fraction(1, 2)]
+    value[None] = [Fraction(0)] * (k + 1)
+    one = [Fraction(0)] * k + [Fraction(1)]
+    a0 = [[-eq.const * c - eq.coef * r for c, r in zip(one, value[eq.ref])]
+          for eq in system.equations]
+    a1 = [value[eq.lhs] for eq in system.equations]
+    return a0, a1
+
+
 @settings(max_examples=200, deadline=None)
 @given(_systems())
 def test_det_polynomial_is_exact(system):
     # det(A0 + t A1) = kappa R(t) at n + 2 points t, with one nonzero kappa
     a0, a1 = _pencil(system)
-    poly = _det_polynomial(a0, a1)
+    poly = _det_polynomial(_matrix(system))
     assert len(poly) == len(a0) + 1 and math.gcd(*poly) == 1 and poly[-1] > 0
     kappas = set()
     for t in range(len(a0) + 2):
@@ -371,8 +412,18 @@ def test_system_structure_validation():
     with pytest.raises(SystemStructureError):
         Equation("xi", Fraction(1), 2, "xi")
     with pytest.raises(SystemStructureError):
+        Equation("xi", Fraction(1), 0.5, "xi")
+    with pytest.raises(SystemStructureError):
         solve_partition_system(PartitionEquationSystem(
             ("xi",), (Equation("half", Fraction(2)),)))  # equation count
+
+
+def test_equation_coefficient_becomes_an_int():
+    # the integer matrix of the solver needs an int coef, not -1.0
+    eq = Equation("half", 2, -1.0, "xi")
+    assert type(eq.coef) is int and eq == Equation("half", 2, -1, "xi")
+    system = PartitionEquationSystem(("xi",), (Equation("xi", Fraction(1, 2)), eq))
+    assert solve_partition_system(system).polynomial == (1, -4, 1)
 
 
 def test_system_breakpoint_interiority():
