@@ -148,6 +148,12 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
         "pass --partition or --partition-system")
 
 
+def _one_partition_source(args):
+    """--partition and --partition-system name the same partition: take at most one."""
+    if args.partition and args.partition_system:
+        raise PartitionError("pass at most one of --partition or --partition-system")
+
+
 def _emit(args, text: str):
     if getattr(args, "out", None):
         write_text(args.out, text)
@@ -185,13 +191,14 @@ def cmd_solve_partition(args):
                                  "lam/2 - n - eps1*xi": lam / 2 - n - e1 * xi}}
         prov = {"version": VERSION, "input": f"three-interval:{m},{n},{e1},{e2}"}
     else:
-        data = _load_json_arg(args.system)
-        solved = solve_partition_system(PartitionEquationSystem.from_dict(data))
+        system = PartitionEquationSystem.from_dict(_load_json_arg(args.system))
+        solved = solve_partition_system(system)
         payload = {"lambda": solved.lam,
                    "breakpoints": list(solved.breakpoints),
                    "polynomial": list(solved.polynomial),
                    "residual": solved.residual}
-        prov = {"version": VERSION, "system_hash": spec_hash(data)}
+        # the system as read, so how its numbers are spelled does not change the hash
+        prov = {"version": VERSION, "system_hash": spec_hash(system.to_dict())}
     _emit(args, _json_report(payload, prov))
     return 0
 
@@ -232,6 +239,7 @@ def _method_report(name, args, spec, lift_map):
 
 
 def cmd_diffusion(args):
+    _one_partition_source(args)
     spec = _map_spec_from_args(args.map)
     lift_map = _resolve_map(spec)
     prov = {"version": VERSION, "map_hash": spec_hash(spec), "seed": args.seed}
@@ -266,6 +274,8 @@ def cmd_scan(args):
 
     if args.lambda_grid:
         lams = [parse_algebraic(v) for v in args.lambda_grid.split(",") if v.strip()]
+        if not lams:
+            raise MapDefinitionError(f"--lambda-grid {args.lambda_grid!r} holds no point")
     else:
         lo = getattr(args, "from")
         if lo is None or args.to is None:
@@ -297,6 +307,7 @@ def cmd_evolve(args):
     from .density import evolve, gaussian_profile, kolmogorov_distance, unit_pulse
     from .transfer import diffusion_spectral
 
+    _one_partition_source(args)
     spec = _map_spec_from_args(args.map)
     lift_map = _resolve_map(spec)
     tset = _partition_for(args, lift_map)

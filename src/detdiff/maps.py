@@ -3,10 +3,10 @@
 A lifting map is defined by its restriction to the fundamental interval
 I0 = [-1/2, 1/2) and extended to the whole line through the lift-1
 identity f(k + x) = k + f(x) for every integer k.  The restriction is
-piecewise linear: strictly increasing breakpoints x_0 = -1/2 < ... <
-x_m = 1/2 and, for each piece, the pair of endpoint values
-(f(x_{j-1}+), f(x_j-)).  Pieces may be mutually discontinuous, but every
-piece must have nonzero slope.
+piecewise linear: finite, strictly increasing breakpoints x_0 = -1/2 <
+... < x_m = 1/2, by the rule that partition cells share, and, for each
+piece, the pair of endpoint values (f(x_{j-1}+), f(x_j-)).  Pieces may
+be mutually discontinuous, but every piece must have nonzero slope.
 """
 
 from __future__ import annotations
@@ -93,14 +93,35 @@ class Interval(NamedTuple):
 EMPTY_INTERVAL = Interval(math.inf, -math.inf)
 
 
+def _unit_breakpoints(raw, what: str, error: type) -> tuple:
+    """The breakpoint rule of maps and partitions: floats -1/2 = x_0 < ... < x_m = 1/2.
+
+    Ends within 1e-12 of -1/2 and 1/2 are snapped to them; a breach
+    raises `error` with a message about the breakpoints of a `what`."""
+    try:
+        bp = [float(b) for b in raw]
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} breakpoints must be numbers ({exc})") from None
+    if len(bp) < 2:
+        raise error(f"a {what} needs at least two breakpoints")
+    if not all(map(math.isfinite, bp)):    # NaN would pass every comparison below
+        raise error(f"{what} breakpoints {tuple(bp)} are not all finite")
+    if abs(bp[0] + _HALF) > _BREAKPOINT_TOL or abs(bp[-1] - _HALF) > _BREAKPOINT_TOL:
+        raise error(f"{what} breakpoints must span [-1/2, 1/2], got [{bp[0]}, {bp[-1]}]")
+    bp[0], bp[-1] = -_HALF, _HALF
+    if any(b >= c for b, c in zip(bp, bp[1:])):
+        raise error(f"{what} breakpoints must be strictly increasing")
+    return tuple(bp)
+
+
 class PiecewiseLinearLiftMap:
     """Piecewise-linear map on I0 = [-1/2, 1/2) with its lift-1 extension.
 
     Parameters
     ----------
     breakpoints : sequence of float
-        Strictly increasing, first exactly -1/2 and last exactly +1/2
-        (a tolerance of 1e-12 is accepted and snapped).
+        Finite and strictly increasing, first -1/2 and last +1/2 (ends
+        within 1e-12 are snapped): the rule of `MarkovPartition` too.
     values : sequence of (float, float)
         One pair per piece: the value at the left end and the value
         approached at the right end of the piece.  Equal endpoint values
@@ -108,20 +129,11 @@ class PiecewiseLinearLiftMap:
     """
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[Sequence[float]]):
+        bp = np.array(_unit_breakpoints(breakpoints, "map", MapDefinitionError))
         try:
-            bp = np.array([float(b) for b in breakpoints], dtype=float)
             vals = [(float(a), float(b)) for a, b in values]
         except (TypeError, ValueError) as exc:
-            raise MapDefinitionError(
-                f"breakpoints must be numbers and values number pairs ({exc})") from None
-        if bp.ndim != 1 or bp.size < 2:
-            raise MapDefinitionError("need at least two breakpoints")
-        if abs(bp[0] + _HALF) > _BREAKPOINT_TOL or abs(bp[-1] - _HALF) > _BREAKPOINT_TOL:
-            raise MapDefinitionError(
-                f"breakpoints must span [-1/2, 1/2], got [{bp[0]}, {bp[-1]}]")
-        bp[0], bp[-1] = -_HALF, _HALF
-        if np.any(np.diff(bp) <= 0):
-            raise MapDefinitionError("breakpoints must be strictly increasing")
+            raise MapDefinitionError(f"map values must be number pairs ({exc})") from None
         if len(vals) != bp.size - 1:
             raise MapDefinitionError(
                 f"{bp.size - 1} pieces require {bp.size - 1} value pairs, got {len(vals)}")

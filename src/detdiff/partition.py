@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PartitionError, RootSolveError, SystemStructureError
-from .maps import _BREAKPOINT_TOL, PiecewiseLinearLiftMap
+from .maps import _BREAKPOINT_TOL, PiecewiseLinearLiftMap, _unit_breakpoints
 
 __all__ = [
     "MarkovPartition",
@@ -49,32 +49,18 @@ _GRID_TOL = 1e-9        # how far an image end may miss the cell-boundary grid i
 
 @dataclass(frozen=True)
 class MarkovPartition:
-    """Cell boundaries -1/2 = y_0 < y_1 < ... < y_m = 1/2 inside I0."""
+    """Cell boundaries -1/2 = y_0 < y_1 < ... < y_m = 1/2 inside I0, by the map breakpoint rule."""
 
     breakpoints: tuple
 
     def __post_init__(self):
-        try:
-            bp = tuple(float(b) for b in self.breakpoints)
-        except (TypeError, ValueError) as exc:
-            raise PartitionError(f"partition breakpoints must be numbers ({exc})") from None
-        if len(bp) < 2:
-            raise PartitionError("a partition needs at least two breakpoints")
-        if not all(map(math.isfinite, bp)):    # NaN would pass every comparison below
-            raise PartitionError(f"partition breakpoints {bp} are not all finite")
-        if abs(bp[0] + 0.5) > _BREAKPOINT_TOL or abs(bp[-1] - 0.5) > _BREAKPOINT_TOL:
-            raise PartitionError("partition must span exactly [-1/2, 1/2]")
-        bp = (-0.5,) + bp[1:-1] + (0.5,)
-        if any(b >= c for b, c in zip(bp, bp[1:])):
-            raise PartitionError("partition breakpoints must be strictly increasing")
-        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "breakpoints",
+                           _unit_breakpoints(self.breakpoints, "partition", PartitionError))
 
     @classmethod
     def symmetric(cls, positive_breakpoints: Sequence[float], include_zero: bool):
         """Partition symmetric about 0 from its positive interior breakpoints."""
         pos = sorted(float(p) for p in positive_breakpoints)
-        if any(not 0.0 < p < 0.5 for p in pos):
-            raise PartitionError("positive breakpoints must lie strictly in (0, 1/2)")
         neg = [-p for p in reversed(pos)]
         mid = [0.0] if include_zero else []
         return cls(tuple([-0.5] + neg + mid + pos + [0.5]))
@@ -159,9 +145,10 @@ def largest_real_root(int_coeffs):
     The Sturm chain counts the distinct roots above a point x = n / d,
     evaluated as integers p(x) * d^deg.  Bisection over doubles keeps the
     largest root in (lo, hi] until lo and hi are adjacent doubles; the
-    count at their exact midpoint then picks the nearer one.  Raises
-    ValueError for a coefficient that is not an integer, RootSolveError
-    when the polynomial is constant or has no root above 1.
+    count at their exact midpoint then picks the nearer one; hi starts
+    above the exact Cauchy bound, capped at the largest double.  Raises
+    ValueError for a non-integer coefficient, RootSolveError for a constant
+    polynomial or no root above 1, PartitionError for a root above the cap.
     """
     p = [_as_int(c) for c in int_coeffs]
     if None in p:
@@ -170,7 +157,8 @@ def largest_real_root(int_coeffs):
         p.pop()
     if len(p) < 2:
         raise RootSolveError("polynomial is constant; no root to solve for")
-    hi = 2.0 + max(abs(float(c) / float(p[-1])) for c in p[:-1])
+    bound = 2 + Fraction(max(map(abs, p[:-1])), abs(p[-1]))        # every root is below it
+    hi = min(math.nextafter(float(min(bound, sys.float_info.max)), math.inf), sys.float_info.max)
     chain = _sturm_chain(p)
 
     def changes(signs):
@@ -188,7 +176,9 @@ def largest_real_root(int_coeffs):
     if not roots_above(lo):
         raise RootSolveError(
             f"no real root in ({lo}, {hi:.3g}] for coefficients {tuple(int_coeffs)}")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+    if hi < bound and roots_above(hi):
+        raise PartitionError("the largest real root exceeds the largest double")
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:      # lo + hi may overflow
         lo, hi = (mid, hi) if roots_above(mid) else (lo, mid)
     return hi if roots_above((Fraction(lo) + Fraction(hi)) / 2) else lo
 
@@ -204,7 +194,7 @@ class Equation:
 
     `lhs` is an unknown name or the literal "half" standing for the fixed
     boundary 1/2.  `const` is an integer or half-integer, `coef` is -1, 0
-    or +1 and `ref` names another (or the same) unknown.
+    or +1, numbers (not strings or bools), and `ref` names another (or the same) unknown.
     """
 
     lhs: str
@@ -213,13 +203,17 @@ class Equation:
     ref: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "const", Fraction(self.const))
-        if self.const.denominator not in (1, 2):
+        try:
+            const = None if isinstance(self.const, (str, bool)) else Fraction(self.const)
+        except (TypeError, ValueError, OverflowError):
+            const = None
+        if const is None or const.denominator not in (1, 2):
             raise SystemStructureError(
-                f"constant {self.const} is neither integer nor half-integer")
-        coef = _as_int(self.coef)
+                f"constant {self.const!r} is neither integer nor half-integer")
+        coef = None if isinstance(self.coef, bool) else _as_int(self.coef)
         if coef not in (-1, 0, 1):
-            raise SystemStructureError(f"coefficient {self.coef} must be -1, 0 or +1")
+            raise SystemStructureError(f"coefficient {self.coef!r} must be -1, 0 or +1")
+        object.__setattr__(self, "const", const)
         object.__setattr__(self, "coef", coef)
         if (self.coef == 0) != (self.ref is None):
             raise SystemStructureError("ref must be given exactly when coef is nonzero")
@@ -272,17 +266,14 @@ class PartitionEquationSystem:
                 if not isinstance(target, dict):
                     raise SystemStructureError(
                         f"equation target must be an object, got {target!r}")
-                coef = Fraction(target.get("coef", 0))
-                if coef.denominator != 1:
-                    raise SystemStructureError(f"coefficient {target['coef']} is not an integer")
                 ref = target.get("ref")
                 eqs.append(Equation(
                     lhs=name(raw["lhs"]),
-                    const=Fraction(target.get("const", 0)),
-                    coef=int(coef),
+                    const=target.get("const", 0),
+                    coef=target.get("coef", 0),
                     ref=None if ref is None else name(ref),
                 ))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise SystemStructureError(f"malformed partition system: {exc}") from exc
         return cls(unknowns, tuple(eqs))
 
@@ -375,9 +366,9 @@ def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
     nearest its largest real root above 1.  The k defining rows form
     lam I - C, each row of C with at most one +-1, so for lam > 1 they have
     one solution, and at a root of R it satisfies the `half` row too.
-    PartitionError is raised unless the breakpoints increase strictly
-    inside (0, 1/2), then RootSolveError unless the float |R(lam)|
-    reported as `residual` is below 1e-13.
+    PartitionError is raised for a slope beyond the largest double and
+    unless the breakpoints increase strictly inside (0, 1/2), then
+    RootSolveError unless the float `residual` |R(lam)| is below 1e-13.
     """
     solved = _solve(system)
     if solved.residual >= _RESIDUAL_TOL:
@@ -395,15 +386,12 @@ def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
     with d = (2n - eps2)^2 + 8 m eps1 >= (2n - 3)^2 > 0,
     lam = (2n + eps2 + sqrt(d)) / 2 and xi = 2m / (2n - eps2 + sqrt(d)).
     PartitionError is raised for m or n that are not such integers, for
-    an n whose slope, below 2n + 3, exceeds the largest double, and when
-    xi is outside (0, 1/2).
+    a slope beyond the largest double, and when xi is outside (0, 1/2).
     """
     ints = _as_int(m), _as_int(n)
     if None in ints or not 0 < ints[0] < ints[1]:
         raise PartitionError(f"need integers 0 < m < n, got m={m}, n={n}")
     m, n = ints
-    if 2 * n + 3 > sys.float_info.max:
-        raise PartitionError("n is too large: the slope, below 2n + 3, exceeds the largest double")
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise PartitionError("eps1 and eps2 must be +1 or -1")
     solved = _solve(PartitionEquationSystem(

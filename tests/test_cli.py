@@ -147,6 +147,26 @@ def test_diffusion_rejects_a_nan_partition_breakpoint(capsys):
     assert err == "error[validation]: partition breakpoints (-0.5, nan, 0.5) are not all finite\n"
 
 
+def test_diffusion_rejects_a_nan_map_breakpoint(capsys):
+    # maps and partitions share one breakpoint rule: a NaN end is not snapped to -1/2
+    code, out, err = run(capsys, "diffusion", "--method", "closed-form", "--map",
+                         '{"type":"pieces","breakpoints":[NaN,0.0,0.5],'
+                         '"values":[[-1.5,1.5],[-1.5,1.5]]}')
+    assert (code, out) == (2, "")
+    assert err == "error[validation]: map breakpoints (nan, 0.0, 0.5) are not all finite\n"
+
+
+@pytest.mark.parametrize("command", ["diffusion", "evolve"])
+def test_at_most_one_partition_source(capsys, command):
+    # two sources of one partition: neither may be dropped without a word
+    code, out, err = run(capsys, command, "--map", "linear", "lambda=2+sqrt(3)",
+                         "--partition", "[-0.5, 0.5]",
+                         "--partition-system", json.dumps(EXAMPLE_SYSTEM))
+    assert (code, out) == (2, "")
+    assert err == ("error[validation]: pass at most one of --partition "
+                   "or --partition-system\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--map", "linear", "lambda=1e160", "--N", "2000", "--n", "10"],
     ["diffusion", "--map", "linear", "lambda=1e160", "--method", "mc",
@@ -284,7 +304,9 @@ def test_solve_partition_system_inline(capsys):
     assert report["residual"] < 1e-13
 
 
-@pytest.mark.parametrize("field", ['"const":0.3', '"const":0.5,"coef":-1.7,"ref":"xi"'])
+@pytest.mark.parametrize("field", ['"const":0.3', '"const":0.5,"coef":-1.7,"ref":"xi"',
+                                   '"const":"1/2"', '"const":0.5,"coef":"-1","ref":"xi"',
+                                   '"const":true'])
 def test_solve_partition_rejects_non_integer_fields(capsys, field):
     system = ('{"unknowns":["xi"],"equations":[{"lhs":"xi","target":{' + field + '}},'
               '{"lhs":"half","target":{"const":2,"coef":-1,"ref":"xi"}}]}')
@@ -292,6 +314,29 @@ def test_solve_partition_rejects_non_integer_fields(capsys, field):
     assert code == 2
     assert out == ""
     assert err.startswith("error[validation]:")
+
+
+def test_system_hash_does_not_depend_on_how_numbers_are_spelled(capsys):
+    spelled = {"unknowns": ["xi"], "equations": [
+        {"lhs": "xi", "target": {"const": 0.5, "coef": 0}},
+        {"lhs": "half", "target": {"const": 2.0, "coef": -1.0, "ref": "xi"}}]}
+    reports = []
+    for system in (EXAMPLE_SYSTEM, spelled):
+        code, out, _ = run(capsys, "solve-partition", "--system", json.dumps(system))
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["provenance"]["system_hash"] == "5264dfb0385c1a25"
+
+
+def test_solve_partition_system_beyond_the_double_range(capsys):
+    # lam / 2 = 1e308 - xi: the slope is no double, so the input is at fault (exit 2, not 3)
+    system = {"unknowns": ["xi"], "equations": [
+        {"lhs": "xi", "target": {"const": 0.5}},
+        {"lhs": "half", "target": {"const": 1e308, "coef": -1, "ref": "xi"}}]}
+    code, out, err = run(capsys, "solve-partition", "--system", json.dumps(system))
+    assert (code, out) == (2, "")
+    assert err == "error[validation]: the largest real root exceeds the largest double\n"
 
 
 def test_solve_partition_three_interval(capsys):
@@ -305,8 +350,7 @@ def test_solve_partition_three_interval_beyond_the_double_range(capsys):
     # the input is at fault, not a method: exit 2, not 3
     code, out, err = run(capsys, "solve-partition", "--three-interval", f"1,{10 ** 400},1,1")
     assert (code, out) == (2, "")
-    assert err == ("error[validation]: n is too large: "
-                   "the slope, below 2n + 3, exceeds the largest double\n")
+    assert err == "error[validation]: the largest real root exceeds the largest double\n"
 
 
 def test_solve_partition_requires_one_input(capsys):
@@ -400,6 +444,14 @@ def test_scan_rejects_a_grid_past_the_point_limit(capsys, monkeypatch, to, step,
     assert code == 2
     assert out == ""
     assert err == f"error[validation]: scan grid of {count} points exceeds 10000\n"
+
+
+@pytest.mark.parametrize("grid", [",", " , ,"])
+def test_scan_rejects_an_empty_grid(capsys, grid):
+    # a header-only CSV is no scan
+    code, out, err = run(capsys, "scan", "--lambda-grid", grid, "--N", "100", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == f"error[validation]: --lambda-grid {grid!r} holds no point\n"
 
 
 def test_scan_explicit_grid(capsys):

@@ -13,6 +13,7 @@ from detdiff import (
     CASES,
     ConsistencyError,
     Equation,
+    MapDefinitionError,
     MarkovPartition,
     PartitionEquationSystem,
     PartitionError,
@@ -60,12 +61,17 @@ def test_partition_validation():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("at", [0, 1, 2])
 def test_partition_rejects_non_finite_breakpoints(bad, at):
-    # every comparison with NaN is false: a NaN used to pass every check
+    # every comparison with NaN is false, so a NaN passes any span or order
+    # test, at an end too.  Partitions and maps share the rule, so both
+    # constructors are checked on every input
     bps = [-0.5, 0.1, 0.5]
     bps[at] = bad
-    with pytest.raises(PartitionError) as err:
-        MarkovPartition(tuple(bps))
-    assert str(err.value) == f"partition breakpoints {tuple(bps)!r} are not all finite"
+    for build, error, what in [
+            (MarkovPartition, PartitionError, "partition"),
+            (lambda b: PiecewiseLinearLiftMap(b, [(-1.5, 1.5)] * 2), MapDefinitionError, "map")]:
+        with pytest.raises(error) as err:
+            build(tuple(bps))
+        assert str(err.value) == f"{what} breakpoints {tuple(bps)!r} are not all finite"
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +110,7 @@ def test_three_interval_rejects_non_integers(m, n):
 
 
 def test_three_interval_rejects_a_slope_beyond_the_double_range():
-    # lam < 2n + 3: the input is at fault, not the solver
+    # lam > 2n - 3: the input is at fault, not the solver
     with pytest.raises(PartitionError, match="exceeds the largest double"):
         solve_three_interval(1, 10 ** 400, 1, 1)
     lam, xi = solve_three_interval(1, 10 ** 307, 1, 1)
@@ -241,6 +247,8 @@ def _times(coeffs, q, p):
     (tuple(_times((9000003, -6000001, 1000000), 1, 2)), 3.000001),  # ... and 2
     ((9, -6, 1), 3.0),                                              # (x - 3)^2
     ((-18, 21, -8, 1), 3.0),                                        # (x - 3)^2 (x - 2)
+    # the root is above 2 + float(-c0) / 5 in doubles: the bound must be exact
+    ((-4395320446360605889, 5), float(Fraction(4395320446360605889, 5))),
 ])
 def test_largest_real_root_close_and_repeated_roots(coeffs, expected):
     assert largest_real_root(coeffs) == expected
@@ -481,9 +489,11 @@ def test_from_dict_rejects_a_string_of_unknowns():
 
 
 @pytest.mark.parametrize("target", [{"const": 0.3}, {"const": 0.5, "coef": -1.7, "ref": "xi"},
-                                    {"const": float("inf")}])
+                                    {"const": float("inf")}, {"const": "1/2"},
+                                    {"coef": "-1", "ref": "xi"}, {"const": True}])
 def test_from_dict_rejects_instead_of_rounding(target):
-    # 0.3 is no half-integer and -1.7 no integer: neither is rounded to one
+    # 0.3 is no half-integer and -1.7 no integer: neither is rounded to one;
+    # a string is not parsed and True is not the number 1
     data = {"unknowns": ["xi"],
             "equations": [{"lhs": "xi", "target": target},
                           {"lhs": "half", "target": {"const": 2, "coef": -1, "ref": "xi"}}]}
