@@ -117,35 +117,34 @@ def _resolve_map(spec: dict) -> PiecewiseLinearLiftMap:
 def _partition_for(args, lift_map) -> TransitionMatrixSet:
     """Transfer matrices over --partition, --partition-system, or map breakpoints.
 
-    `build_transition_matrices` is the one consistency check: it raises
-    ConsistencyError naming the first cell segment whose image is not a
-    union of whole cells, by the rule `validate_consistency` reports on.
+    `build_transition_matrices` is the one consistency check, by the rule
+    `validate_consistency` reports on.  --partition is used as given; the
+    partition solved from --partition-system and the map breakpoints are
+    each tried as given, then with 0 added.
     """
     from .partition import MarkovPartition, PartitionEquationSystem, solve_partition_system
     from .transfer import build_transition_matrices
 
-    if getattr(args, "partition", None):
+    if args.partition:
         bps = _load_json_arg(args.partition)
         if not isinstance(bps, list):
             raise PartitionError(f"--partition must be a JSON list of breakpoints, got {bps!r}")
         bps = [parse_algebraic(v) for v in bps]
         return build_transition_matrices(lift_map, MarkovPartition(tuple(bps)))
-    if getattr(args, "partition_system", None):
+    if args.partition_system:
         system = PartitionEquationSystem.from_dict(_load_json_arg(args.partition_system))
-        solved = solve_partition_system(system)
-        return build_transition_matrices(
-            lift_map, MarkovPartition.symmetric(solved.breakpoints, args.include_zero))
-    candidates = [tuple(lift_map.breakpoints)]
-    if 0.0 not in lift_map.breakpoints:
-        candidates.append(tuple(sorted(set(lift_map.breakpoints) | {0.0})))
-    for bps in candidates:
+        given = MarkovPartition.symmetric(solve_partition_system(system).breakpoints, False)
+        source = "the solved --partition-system"
+    else:
+        given, source = MarkovPartition(lift_map.breakpoints), "the map breakpoints"
+    bps = given.breakpoints
+    for candidate in dict.fromkeys([bps, tuple(sorted({*bps, 0.0}))]):   # one when 0 is in bps
         try:
-            return build_transition_matrices(lift_map, MarkovPartition(bps))
+            return build_transition_matrices(lift_map, MarkovPartition(candidate))
         except ConsistencyError:
             pass
-    raise ConsistencyError(
-        "no consistent partition found from the map breakpoints; "
-        "pass --partition or --partition-system")
+    raise ConsistencyError(f"no consistent partition found from {source}, "
+                           "as given or with 0 added; pass --partition")
 
 
 def _one_partition_source(args):
@@ -400,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--partition", help="explicit JSON list of cell breakpoints")
         p.add_argument("--partition-system",
                        help="JSON boundary-equation system (inline or file)")
-        p.add_argument("--include-zero", action="store_true",
-                       help="include 0 as a breakpoint when building from a system")
 
     def add_run(p, default_n):
         p.add_argument("--N", type=int, default=100_000, help="ensemble size")

@@ -49,7 +49,6 @@ CDF sees slices of at most 8192 samples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,6 +352,8 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     overflows raises OverflowError.  D is the single-horizon estimate
     variance/(2n), its standard error that of a normal sample variance;
     the KS statistic is against a normal law of the estimated moments.
+    A zero variance leaves that law undefined: the KS statistic is then
+    NaN, and no warning is issued.
     """
     samples = np.asarray(samples, dtype=float)
     if not np.isfinite(samples).all():
@@ -367,11 +368,7 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     # the stderr is finite only if the variance is
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise OverflowError("ensemble moments overflow double precision")
-    if var == 0.0:
-        warnings.warn("degenerate sample set: variance is zero, KS undefined")
-        ks = float("nan")
-    else:
-        ks = ks_normal(samples, mean, np.sqrt(var))
+    ks = ks_normal(samples, mean, np.sqrt(var)) if var > 0.0 else float("nan")
     return EnsembleStats(
         sample_count=n,
         step_count=n_steps,

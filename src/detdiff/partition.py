@@ -10,6 +10,9 @@ exactly, as primitive integer coefficients, from the characteristic
 polynomial of C.  The slope is its largest real root, rounded to the
 nearest double with integer Sturm counts at dyadic points, and the
 breakpoints, three-cell family included, solve the square defining rows.
+The Markov rule itself, that a map sends each linear segment of a cell
+onto whole cells, is `_markov_verdict`: it builds the transfer matrices
+as it checks them, for `validate_consistency` and the transfer module.
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-13   # |R(lam)| at the solved slope must be below this
-_GRID_TOL = 1e-9        # how far an image end may miss the cell-boundary grid in `_cell_images`
+_GRID_TOL = 1e-9        # Markov rule: how far an image end may miss the cell-boundary grid
+_SPAN_MAX = 100_000     # Markov rule: how many cells one segment's image may cover
+_MASS_TOL = 1e-12       # Markov rule: how far the matrices may change a cell's mass
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +343,8 @@ def _det_polynomial(c):
     return tuple(_primitive([x << i for i, x in enumerate(reversed(poly))]))
 
 
-def _solve(system: PartitionEquationSystem) -> SolvedPartition:
-    """The root of R, the breakpoints at it and their checks; no residual gate."""
+def _solve(system: PartitionEquationSystem):
+    """The root of R, the breakpoints at it and R itself; no residual."""
     c = _matrix(system)
     poly = _det_polynomial(c)
     lam = largest_real_root(poly)
@@ -353,8 +358,7 @@ def _solve(system: PartitionEquationSystem) -> SolvedPartition:
     if any(a >= b for a, b in zip(values, values[1:])):
         raise PartitionError(
             f"inconsistent system: solved breakpoints are not strictly ordered: {values}")
-    return SolvedPartition(lam=lam, breakpoints=tuple(values), polynomial=poly,
-                           residual=abs(_peval(poly, lam)))
+    return lam, tuple(values), poly
 
 
 def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
@@ -368,13 +372,17 @@ def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
     one solution, and at a root of R it satisfies the `half` row too.
     PartitionError is raised for a slope beyond the largest double and
     unless the breakpoints increase strictly inside (0, 1/2), then
-    RootSolveError unless the float `residual` |R(lam)| is below 1e-13.
+    RootSolveError unless the float `residual` |R(lam)| is below 1e-13,
+    an overflowing one included.
     """
-    solved = _solve(system)
-    if solved.residual >= _RESIDUAL_TOL:
-        raise RootSolveError(
-            f"|R({solved.lam!r})| = {solved.residual:.3g} is not below {_RESIDUAL_TOL:g}")
-    return solved
+    lam, breakpoints, poly = _solve(system)
+    try:
+        residual = abs(_peval(poly, lam))
+    except OverflowError:       # a coefficient of R beyond the double range
+        residual = math.inf
+    if not residual < _RESIDUAL_TOL:
+        raise RootSolveError(f"|R({lam!r})| = {residual:.3g} is not below {_RESIDUAL_TOL:g}")
+    return SolvedPartition(lam, breakpoints, poly, residual)
 
 
 def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
@@ -394,14 +402,52 @@ def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
     m, n = ints
     if eps1 not in (-1, 1) or eps2 not in (-1, 1):
         raise PartitionError("eps1 and eps2 must be +1 or -1")
-    solved = _solve(PartitionEquationSystem(
+    lam, (xi,), _ = _solve(PartitionEquationSystem(
         ("xi",), (Equation("xi", m, eps2, "xi"), Equation("half", n, eps1, "xi"))))
-    return solved.lam, solved.breakpoints[0]
+    return lam, xi
 
 
 # ---------------------------------------------------------------------------
 # consistency of a map with a partition
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TransitionMatrixSet:
+    """Shift-indexed transfer matrices plus the cell geometry they act on."""
+
+    shifts: tuple                 # sorted integers
+    matrices: np.ndarray          # (n_shifts, m, m), nonnegative
+    breakpoints: tuple            # partition breakpoints inside I0
+
+    @property
+    def m(self) -> int:
+        return self.matrices.shape[1]
+
+    @property
+    def cell_lengths(self) -> np.ndarray:
+        return np.diff(np.asarray(self.breakpoints))
+
+    def matrix(self, shift: int) -> np.ndarray:
+        try:
+            return self.matrices[self.shifts.index(shift)]
+        except ValueError:
+            return np.zeros((self.m, self.m))
+
+    def total(self) -> np.ndarray:
+        """E = sum_j p_j, the transfer matrix of the compactified system."""
+        return self.matrices.sum(axis=0)
+
+    def mass_residual(self) -> float:
+        """Worst violation of per-cell mass conservation."""
+        lengths = self.cell_lengths
+        col_mass = np.einsum("sij,i->j", self.matrices, lengths)
+        return float(np.max(np.abs(col_mass - lengths)))
+
+    def to_json_dict(self) -> dict:
+        """Shift -> row-major entries, for golden tests and reports."""
+        return {str(s): [float(v) for v in mat.ravel()]
+                for s, mat in zip(self.shifts, self.matrices)}
 
 
 @dataclass(frozen=True)
@@ -414,18 +460,20 @@ class ConsistencyReport:
         return self.passed
 
 
-def _cell_images(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
-    """The Markov rule, one maximal linear segment of the map at a time.
+def _markov_verdict(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
+    """The Markov rule, whole: (transfer matrices or None, ConsistencyReport).
 
     The segments [lo, hi) are the map pieces refined by the cell
     boundaries.  Cell i of unit interval k is numbered k * m + i, so grid
     point g is the boundary k + y_i.  Each end of a segment's image is
-    matched to its nearest grid point: the image covers cells
-    first .. stop - 1, and `miss` is the larger distance of an end from
-    its grid point (inf when the image covers no cell).  Yields
-    (lo, hi, src, weight, first, stop, miss), with src the cell that
-    holds the segment and weight = 1/|slope| the density it deposits on
-    each covered cell.
+    matched to its nearest grid point, and the image covers cells
+    first .. stop - 1.  Both ends must lie within _GRID_TOL of their grid
+    points (the miss is inf when the image covers no cell) and the image
+    may cover at most _SPAN_MAX cells; each covered cell then gets
+    density 1/|slope| from the segment's cell, in the shift matrix of its
+    unit interval.  When every segment passes, the matrices must also
+    keep each cell's mass to _MASS_TOL.  Each failure is one message; the
+    matrices come back only with a passing report.
     """
     bp = partition.breakpoints
     m = partition.m
@@ -438,6 +486,8 @@ def _cell_images(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
 
     pieces = lift_map.breakpoints.tolist()
     cuts = sorted({*bp, *pieces})   # np.union1d imports numpy.ma
+    matrices: dict[int, np.ndarray] = {}
+    messages, worst = [], 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (lo + hi)
         src = bisect.bisect_left(bp, mid) - 1
@@ -447,7 +497,25 @@ def _cell_images(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
         (first, miss_lo), (stop, miss_hi) = map(
             grid_point, sorted((slope * lo + icpt, slope * hi + icpt)))
         miss = max(miss_lo, miss_hi) if stop > first else math.inf
-        yield lo, hi, src, 1.0 / abs(slope), first, stop, miss
+        segment = f"image of cell segment [{lo!r}, {hi!r})"
+        if miss > _GRID_TOL:
+            worst = max(worst, miss)
+            messages.append(f"{segment} misses the cell-boundary grid by {miss:.3g}")
+        elif stop - first > _SPAN_MAX:
+            messages.append(f"{segment} spans {stop - first} cells, more than {_SPAN_MAX}")
+        else:
+            weight = 1.0 / abs(slope)
+            for g in range(first, stop):
+                k, i = divmod(g, m)
+                matrices.setdefault(k, np.zeros((m, m)))[i, src] += weight
+    tset = None
+    if not messages:
+        shifts = tuple(sorted(matrices))
+        tset = TransitionMatrixSet(shifts, np.stack([matrices[s] for s in shifts]), bp)
+        if (resid := tset.mass_residual()) > _MASS_TOL:
+            messages.append(f"mass conservation violated by {resid:.3g}")
+            tset = None
+    return tset, ConsistencyReport(not messages, worst, tuple(messages))
 
 
 def validate_consistency(lift_map: PiecewiseLinearLiftMap,
@@ -455,19 +523,11 @@ def validate_consistency(lift_map: PiecewiseLinearLiftMap,
     """Check that the map sends each linear segment of a cell onto whole cells.
 
     The segments are the map pieces refined by the cell boundaries, so a
-    cell may hold several whole pieces.  Each segment whose image ends
-    lie more than 1e-9 from the integer-translated cell-boundary grid
-    gets a message; `worst_violation` is the largest such distance, 0.0
-    on a pass and inf when an image is too short to cover a single cell.
-    This is the rule `build_transition_matrices` enforces; here it is
-    diagnostics only and nothing is raised.
+    cell may hold several whole pieces.  The report is the verdict of the
+    one Markov rule, `_markov_verdict`: it passes exactly when
+    `build_transition_matrices` succeeds, which raises its first message.
+    `worst_violation` is the largest grid miss that breaks the rule, 0.0
+    when there is none and inf when an image is too short to cover a
+    single cell.  Nothing is raised here.
     """
-    messages = []
-    worst = 0.0
-    for lo, hi, _, _, _, _, miss in _cell_images(lift_map, partition):
-        if miss > _GRID_TOL:
-            worst = max(worst, miss)
-            messages.append(f"image of cell segment [{lo!r}, {hi!r}) "
-                            f"misses the cell-boundary grid by {miss:.3g}")
-    return ConsistencyReport(passed=not messages, worst_violation=worst,
-                             messages=tuple(messages))
+    return _markov_verdict(lift_map, partition)[1]

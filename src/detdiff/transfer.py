@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError
 from .maps import PiecewiseLinearLiftMap
-from .partition import _GRID_TOL, MarkovPartition, _cell_images
+from .partition import MarkovPartition, TransitionMatrixSet, _markov_verdict
 
 __all__ = [
     "TransitionMatrixSet",
@@ -39,54 +39,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TransitionMatrixSet:
-    """Shift-indexed transfer matrices plus the cell geometry they act on."""
-
-    shifts: tuple                 # sorted integers
-    matrices: np.ndarray          # (n_shifts, m, m), nonnegative
-    breakpoints: tuple            # partition breakpoints inside I0
-
-    @property
-    def m(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def cell_lengths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.breakpoints))
-
-    def matrix(self, shift: int) -> np.ndarray:
-        try:
-            return self.matrices[self.shifts.index(shift)]
-        except ValueError:
-            return np.zeros((self.m, self.m))
-
-    def total(self) -> np.ndarray:
-        """E = sum_j p_j, the transfer matrix of the compactified system."""
-        return self.matrices.sum(axis=0)
-
-    def mass_residual(self) -> float:
-        """Worst violation of per-cell mass conservation."""
-        lengths = self.cell_lengths
-        col_mass = np.einsum("sij,i->j", self.matrices, lengths)
-        return float(np.max(np.abs(col_mass - lengths)))
-
-    def to_json_dict(self) -> dict:
-        """Shift -> row-major entries, for golden tests and reports."""
-        return {str(s): [float(v) for v in mat.ravel()]
-                for s, mat in zip(self.shifts, self.matrices)}
-
-
 def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
                               partition: MarkovPartition) -> TransitionMatrixSet:
     """Transfer matrices of a map over a consistent partition.
 
     Every maximal linear segment of the map inside a cell must map onto
     an exact union of (integer-translated) cells; each covered cell
-    receives density 1/|slope|.  This is the rule `validate_consistency`
-    reports on; here a segment whose image misses the cell-boundary grid
-    by more than 1e-9, or spans more than 100000 cells, raises
-    ConsistencyError naming that cell segment.
+    receives density 1/|slope|.  The one Markov rule, grid miss, span
+    limit and mass check, is `partition._markov_verdict`, whose report
+    `validate_consistency` returns; here its first message is raised as
+    ConsistencyError.
 
     Parameters
     ----------
@@ -96,26 +58,9 @@ def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
         which case each cell carries a single slope.  Cells containing
         several whole pieces are also accepted.
     """
-    m = partition.m
-    matrices: dict[int, np.ndarray] = {}
-    for lo, hi, src, weight, first, stop, miss in _cell_images(lift_map, partition):
-        if miss > _GRID_TOL:
-            raise ConsistencyError(f"image of cell segment [{lo!r}, {hi!r}) "
-                                   f"misses the cell-boundary grid by {miss:.3g}")
-        if stop - first > 100000:
-            raise ConsistencyError(f"image of cell segment [{lo!r}, {hi!r}) "
-                                   f"spans {stop - first} cells, more than 100000")
-        for g in range(first, stop):
-            k, i = divmod(g, m)
-            matrices.setdefault(k, np.zeros((m, m)))[i, src] += weight
-
-    shifts = tuple(sorted(matrices))
-    stack = np.stack([matrices[s] for s in shifts])
-    tset = TransitionMatrixSet(shifts=shifts, matrices=stack,
-                               breakpoints=tuple(partition.breakpoints))
-    resid = tset.mass_residual()
-    if resid > 1e-12:
-        raise ConsistencyError(f"mass conservation violated by {resid:.3g}")
+    tset, report = _markov_verdict(lift_map, partition)
+    if not report:
+        raise ConsistencyError(report.messages[0])
     return tset
 
 

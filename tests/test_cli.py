@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from detdiff import cli
+import detdiff
+from detdiff import CASES, cli
 from detdiff.cli import main, parse_algebraic
 from detdiff.errors import MapDefinitionError, RootSolveError, exit_code
 
@@ -73,6 +78,30 @@ def test_diffusion_spectral_with_partition_system(capsys, tmp_path):
         math.sqrt(3) / 6, abs=1e-8)
     assert report["methods"]["spectral"]["alpha"][1] == pytest.approx(
         (3 + math.sqrt(3)) / 6, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["one-plus-sqrt3", "two-plus-sqrt2", "even-4"])
+def test_diffusion_spectral_adds_zero_to_a_solved_partition(capsys, name):
+    # a solved partition is tried as given, then with 0 added, like the map
+    # breakpoints; these three catalog partitions hold 0
+    case = CASES[name]
+    code, out, err = run(capsys, "diffusion", "--map", json.dumps({"type": "linear",
+                                                                  "lambda": case.lam}),
+                         "--partition-system", json.dumps(case.system.to_dict()),
+                         "--method", "spectral")
+    assert (code, err) == (0, "")
+    spectral = json.loads(out)["methods"]["spectral"]
+    assert spectral["partition"] == pytest.approx(case.partition().breakpoints, abs=1e-15)
+    assert spectral["alpha"] == pytest.approx(case.alpha, abs=1e-8)
+
+
+def test_diffusion_reports_a_partition_that_fits_neither_way(capsys):
+    code, out, err = run(capsys, "diffusion", "--map", '{"type":"linear","lambda":3}',
+                         "--partition-system", json.dumps(EXAMPLE_SYSTEM),
+                         "--method", "spectral")
+    assert (code, out) == (2, "")
+    assert err == ("error[validation]: no consistent partition found from the solved "
+                   "--partition-system, as given or with 0 added; pass --partition\n")
 
 
 def test_diffusion_all_methods(capsys):
@@ -353,6 +382,16 @@ def test_solve_partition_three_interval_beyond_the_double_range(capsys):
     assert err == "error[validation]: the largest real root exceeds the largest double\n"
 
 
+def test_solve_partition_three_interval_with_r_beyond_the_double_range(capsys):
+    # the slope 1.6e308 is a double though a coefficient of R is not, and the
+    # three-cell family reports no residual
+    code, out, err = run(capsys, "solve-partition", "--three-interval",
+                         f"{4 * 10 ** 307},{8 * 10 ** 307},-1,1")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["lambda"], report["xi"]) == (1.6e308, 0.25)
+
+
 def test_solve_partition_requires_one_input(capsys):
     code, _, err = run(capsys, "solve-partition")
     assert code == 2
@@ -492,6 +531,18 @@ def test_simulate_csv(capsys):
                       "drift_estimate", "d_stderr", "ks_statistic"]
     values = lines[2].split(",")
     assert int(values[0]) == 2000
+
+
+def test_simulate_a_zero_variance_ensemble_warns_nothing():
+    # every sample stays at 0: the KS statistic is NaN, with no warning
+    # that -W error would turn into a traceback
+    src = str(Path(detdiff.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "detdiff.cli", "simulate",
+         "--map", "linear", "lambda=1e-300", "--N", "100", "--n", "5"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[2].endswith(",nan")
 
 
 def test_evolve_trace_and_snapshots(capsys, tmp_path):

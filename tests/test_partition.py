@@ -109,6 +109,15 @@ def test_three_interval_rejects_non_integers(m, n):
         solve_three_interval(m, n, 1, -1)
 
 
+def test_residual_beyond_the_double_range():
+    # the slope is a double but a coefficient of R, 2.4e308, is not: the
+    # three-cell family takes no residual, and the residual gate names it
+    m, n = 4 * 10 ** 307, 8 * 10 ** 307
+    assert solve_three_interval(m, n, -1, 1) == (1.6e308, 0.25)
+    with pytest.raises(RootSolveError, match=r"^\|R\(1\.6e\+308\)\| = inf is not below"):
+        solve_partition_system(_three_interval_system(m, n, -1, 1))
+
+
 def test_three_interval_rejects_a_slope_beyond_the_double_range():
     # lam > 2n - 3: the input is at fault, not the solver
     with pytest.raises(PartitionError, match="exceeds the largest double"):
@@ -549,18 +558,42 @@ _RULE_PAIRS = {
     "slope4-unit": (_SLOPE4, MarkovPartition.unit()),
     "zigzag-own": (_ZIGZAG, _own_partition(_ZIGZAG)),
     "sliver-unit": (_SLIVER, MarkovPartition.unit()),
+    # every image end on the grid, but too many cells for the matrices
+    "linear-1000000001-unit": (linear_map(1000000001.0), MarkovPartition.unit()),
+    # xi = 1/(2 lam) rounded: every image end within 1e-9 of the grid, but
+    # the matrices lose mass by 4.31e-10, 3.11e-11 and 8.88e-12
+    **{f"two-plus-sqrt3-xi-{digits}-digits": (
+        linear_map(2.0 + SQRT3), MarkovPartition.symmetric(
+            [round(1.0 / (2.0 * (2.0 + SQRT3)), digits)], include_zero=False))
+       for digits in (9, 10, 11)},
 }
+
+
+def _one_verdict(lift_map, part):
+    """Whether the map is Markov on part, after asserting that validate and build agree."""
+    report = validate_consistency(lift_map, part)
+    try:
+        build_transition_matrices(lift_map, part)
+    except ConsistencyError as exc:
+        assert report.messages[:1] == (str(exc),) and not report
+        return False
+    assert report and report.messages == ()
+    return True
 
 
 @pytest.mark.parametrize("name", list(_RULE_PAIRS))
 def test_consistency_agrees_with_matrix_build(name):
-    lift_map, part = _RULE_PAIRS[name]
-    try:
-        build_transition_matrices(lift_map, part)
-        built = True
-    except ConsistencyError:
-        built = False
-    assert bool(validate_consistency(lift_map, part)) == built
+    _one_verdict(*_RULE_PAIRS[name])
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_solved_partitions_get_one_verdict_with_and_without_zero(name):
+    case = CASES[name]
+    solved = solve_partition_system(case.system)
+    verdicts = [_one_verdict(linear_map(solved.lam),
+                             MarkovPartition.symmetric(solved.breakpoints, include_zero))
+                for include_zero in (False, True)]
+    assert verdicts[case.include_zero]      # the catalog partition is one of the two
 
 
 @pytest.mark.parametrize("name", list(CASES))
