@@ -108,23 +108,15 @@ def tangent_kick(h: float, normal_angle: Callable) -> Callable:
 def sawtooth_kick(lam: float) -> Callable:
     """Piecewise-linear kick f(x) = lam * {x) with {x) the signed fractional part.
 
-    ValueError for a NaN or infinite lam.
+    ValueError for a NaN or infinite lam, and from the kick for a NaN or
+    infinite x, scalar or array.
     """
     lam = float(lam)
     if not math.isfinite(lam):
         raise ValueError(f"sawtooth kick needs a finite slope, got lam = {lam!r}")
 
     def kick(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return lam * fractional_part(x)
-        # a kick may be called every step: one output array, no
-        # finiteness scan; a non-finite x gives NaN there
-        f = np.add(x, 0.5)
-        np.floor(f, out=f)
-        np.subtract(x, f, out=f)
-        f *= lam
-        return f
+        return lam * fractional_part(x)
 
     kick.lam = lam
     return kick
@@ -210,11 +202,11 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
         raise ValueError("checkpoints must lie in [1, n_steps]")
 
     lam = getattr(kick, "lam", None)
-    # The sawtooth of a fraction u is lam * (u - floor(u + 1/2)).  The
+    # The sawtooth of a fraction u is lam * {u) = lam * (u - [u)).  The
     # carry gets x = u + v with |x| < 1 + n_steps |lam| / 2.  Below 2^52,
     # x and 1/2 are multiples of ulp(x) unless |x| < 1/2, so the carry
     # leaves a fraction u with 0 <= fl(u + 1/2) < 1, as uniform_stream
-    # does; then floor(u + 1/2) = 0 and the kick is exactly lam * u.
+    # does; then [u) = 0 and the kick is exactly lam * u.
     sawtooth = lam is not None and n_steps * abs(lam) < 2.0**52
     # checkpoint c lies c - 1 steps from x_1; discards count at the last, n_steps - 1
     horizons = sorted({c - 1 for c in cps} | {n_steps - 1})

@@ -279,6 +279,9 @@ def cmd_scan(args):
         lo = getattr(args, "from")
         if lo is None or args.to is None:
             raise MapDefinitionError("pass --lambda-grid or both --from and --to")
+        for name, bound in (("--from", lo), ("--to", args.to), ("--step", args.step)):
+            if not math.isfinite(bound):
+                raise MapDefinitionError(f"{name} {bound} is not finite")
         if args.step <= 0:
             raise MapDefinitionError("--step must be positive")
         if args.to < lo:

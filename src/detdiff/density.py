@@ -204,11 +204,11 @@ def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:
 def closed_form_d(lift_map: PiecewiseLinearLiftMap) -> float:
     """Exact diffusion coefficient for half-integer-valued piecewise maps.
 
-    Requires every linear piece to take two distinct half-integer values
-    at its ends; HalfIntegerValueError is raised otherwise.  Each piece
-    is split at the preimages of half-integers; a subsegment of length L
-    whose values sweep [c - 1/2, c + 1/2] contributes (c^2 + 1/12) * L to
-    the integral of |f|^2, and
+    Requires every piece end value to be exactly some k + 1/2;
+    HalfIntegerValueError is raised otherwise.  Each piece is split at
+    the preimages of half-integers; a subsegment of length L whose values
+    sweep [c - 1/2, c + 1/2] contributes (c^2 + 1/12) * L to the integral
+    of |f|^2, and
 
         D = (1/2) * integral_{-1/2}^{1/2} |f(x)|^2 dx - 1/24.
 
@@ -228,11 +228,8 @@ def closed_form_d(lift_map: PiecewiseLinearLiftMap) -> float:
     bp = lift_map.breakpoints
     for j in range(lift_map.n_pieces):
         # the integers just above the two end values
-        a, b = sorted(round(float(v) + 0.5)
+        a, b = sorted(int(float(v) + 0.5)
                       for v in (lift_map.left_values[j], lift_map.right_values[j]))
-        if a == b:
-            raise HalfIntegerValueError(
-                f"piece {j} takes the same half-integer value {a - 0.5} at both ends")
         width = Fraction(float(bp[j + 1])) - Fraction(float(bp[j]))
         total += (squares_below(b) - squares_below(a) + Fraction(b - a, 12)) * width / (b - a)
     return float(total / 2 - Fraction(1, 24))

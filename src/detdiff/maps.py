@@ -35,37 +35,48 @@ __all__ = [
 
 _HALF = 0.5
 _BREAKPOINT_TOL = 1e-12
-_HALF_INTEGER_TOL = 1e-9     # how far from the k + 1/2 grid a value still counts as on it
 
 # Interval indices are exact in doubles only below 2**53.
 _MAX_INDEX = float(2**53)
+
+
+def _label(x):
+    """floor(x + 1/2), unchecked: the one rule of [x) and {x), as doubles."""
+    return np.floor(np.add(x, _HALF))
+
+
+def _finite(x, what: str):
+    """x as a float array; ValueError "<what> requires finite input" unless all finite."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} requires finite input")
+    return arr
 
 
 def nearest_integer(x):
     """Nearest-integer label [x): the k with x in [k - 1/2, k + 1/2).
 
     Ties at half-integers round up, consistent with the half-open cells.
-    Scalars return ``int``, arrays return an int64 array.
+    Scalars return ``int``, arrays return an int64 array; OverflowError
+    for an array label outside the int64 range [-2^63, 2^63).
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("nearest_integer requires finite input")
-    k = np.floor(arr + _HALF)
+    arr = _finite(x, "nearest_integer")
+    k = _label(arr)
     if arr.ndim == 0:
         return int(k)
+    if k.size and not (-2.0**63 <= k.min() and k.max() < 2.0**63):
+        raise OverflowError("nearest_integer of an array needs labels in the "
+                            "int64 range [-2^63, 2^63); pass scalars for larger ones")
     return k.astype(np.int64)
 
 
 def fractional_part(x):
     """Signed fractional part {x) = x - [x), lying in [-1/2, 1/2)."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("fractional_part requires finite input")
+    arr = _finite(x, "fractional_part")
+    k = _label(arr)
     if arr.ndim == 0:
-        return float(arr - np.floor(arr + _HALF))
-    out = arr + _HALF
-    np.floor(out, out=out)
-    return np.subtract(arr, out, out=out)
+        return float(arr - k)
+    return np.subtract(arr, k, out=k)
 
 
 class Interval(NamedTuple):
@@ -164,14 +175,14 @@ class PiecewiseLinearLiftMap:
         return self.min_slope() > 1.0
 
     def has_half_integer_values(self) -> bool:
-        """True when every piece endpoint value sits on the k + 1/2 grid.
+        """True when every piece endpoint value v is exactly some k + 1/2.
 
-        No double of magnitude 2^52 or more is k + 1/2, though adding
-        1/2 to it rounds onto the grid.
+        Below 2^52, K - 1/2 is exact for K = [v), so v is on the grid when
+        K - 1/2 == v (v + 1/2 == K would pass 0.5 + 2^-53, as 1 + 2^-53 rounds
+        to 1); no double of magnitude 2^52 or more is k + 1/2.
         """
         v = np.concatenate([self.left_values, self.right_values])
-        return bool(np.all(np.abs(v) < 2.0**52)
-                    and np.all(np.abs(v + _HALF - np.round(v + _HALF)) <= _HALF_INTEGER_TOL))
+        return bool(np.all(np.abs(v) < 2.0**52) and np.all(_label(v) - _HALF == v))
 
     # -- evaluation ---------------------------------------------------
 
@@ -215,23 +226,17 @@ class PiecewiseLinearLiftMap:
 
     def _eval_array(self, x):
         """Vectorised evaluation without finiteness checks: k + f(x - k), k the cell of x."""
-        k = np.floor(x + _HALF)
+        k = _label(x)
         return k + self._map_fraction(x - k)
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("map evaluation requires finite input")
+        arr = _finite(x, "map evaluation")
         out = self._eval_array(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
     def shift(self, x):
         """Shift function s(x) = f(x) - x; 1-periodic by construction."""
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("shift evaluation requires finite input")
+        arr = _finite(x, "shift evaluation")
         out = self._eval_array(arr) - arr
         return float(out) if arr.ndim == 0 else out
 
@@ -338,7 +343,7 @@ def compute_route(lift_map: PiecewiseLinearLiftMap, x0: float, n: int) -> tuple:
     for _ in range(n):
         if abs(x) >= _MAX_INDEX:
             raise OverflowError("interval index exceeded the exact-integer range")
-        route.append(int(math.floor(x + _HALF)))
+        route.append(int(_label(x)))
         x = float(lift_map._eval_array(np.asarray(x)))
     return tuple(route)
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PartitionError, RootSolveError, SystemStructureError
-from .maps import _BREAKPOINT_TOL, PiecewiseLinearLiftMap, _unit_breakpoints
+from .maps import _BREAKPOINT_TOL, PiecewiseLinearLiftMap, _label, _unit_breakpoints
 
 __all__ = [
     "MarkovPartition",
@@ -364,12 +364,13 @@ def _solve(system: PartitionEquationSystem):
 def solve_partition_system(system: PartitionEquationSystem) -> SolvedPartition:
     """Eliminate the breakpoints, solve R(lam) = 0, back-substitute.
 
-    The boundary system is the linear pencil M(lam) = A0 + lam * A1 in
-    (s_1..s_k, 1); R(lam) = det M(lam) is computed exactly, as primitive
-    integer coefficients of degree k + 1, and the slope is the double
-    nearest its largest real root above 1.  The k defining rows form
-    lam I - C, each row of C with at most one +-1, so for lam > 1 they have
-    one solution, and at a root of R it satisfies the `half` row too.
+    The boundary system is lam * v = B v in v = (s_1..s_k, 1), C = 2B;
+    R(lam) = det(lam I - B) comes exactly from the characteristic
+    polynomial of C, as primitive integer coefficients of degree k + 1,
+    and the slope is the double nearest its largest real root above 1.
+    The k defining rows form lam I - B on the unknowns, each row with at
+    most one +-1 in B, so for lam > 1 they have one solution, and at a
+    root of R it satisfies the `half` row too.
     PartitionError is raised for a slope beyond the largest double and
     unless the breakpoints increase strictly inside (0, 1/2), then
     RootSolveError unless the float `residual` |R(lam)| is below 1e-13,
@@ -479,7 +480,7 @@ def _markov_verdict(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition
     m = partition.m
 
     def grid_point(value):
-        k = math.floor(value + 0.5)
+        k = int(_label(value))
         off = value - k
         dist, i = min((abs(b - off), i) for i, b in enumerate(bp))
         return k * m + i, dist

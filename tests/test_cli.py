@@ -118,7 +118,8 @@ def test_diffusion_all_methods(capsys):
     assert methods["mc"]["method"] == "monte-carlo"
 
 
-# the first piece's ends, -0.5 and -0.4999999999, round to one half-integer
+# the first piece's ends, -0.5 and -0.4999999999, are not both on the
+# half-integer grid, though within 1e-9 of one
 _FLAT_PIECE = ('{"type":"pieces","breakpoints":[-0.5,0.0,0.5],'
                '"values":[[-0.5,-0.4999999999],[0.5,1.5]]}')
 
@@ -136,7 +137,8 @@ def test_diffusion_all_records_the_flat_piece(capsys):
                        "--N", "2000", "--n", "10")
     assert code == 0
     error = json.loads(out)["methods"]["closed-form"]["error"]
-    assert error.startswith("HalfIntegerValueError:")
+    assert error == ("HalfIntegerValueError: closed form requires half-integer "
+                     "values at all piece endpoints")
 
 
 def test_diffusion_heuristic_rejected_for_zigzag(capsys):
@@ -483,6 +485,21 @@ def test_scan_rejects_a_grid_past_the_point_limit(capsys, monkeypatch, to, step,
     assert code == 2
     assert out == ""
     assert err == f"error[validation]: scan grid of {count} points exceeds 10000\n"
+
+
+@pytest.mark.parametrize("bounds,name", [
+    (["--from", "nan", "--to", "5"], "--from nan"),
+    (["--from=-inf", "--to", "5"], "--from -inf"),
+    (["--from", "3", "--to", "nan"], "--to nan"),
+    (["--from", "3", "--to", "inf"], "--to inf"),
+    (["--from", "3", "--to", "5", "--step", "nan"], "--step nan"),
+    (["--from", "3", "--to", "5", "--step", "inf"], "--step inf"),
+], ids=["from-nan", "from-minus-inf", "to-nan", "to-inf", "step-nan", "step-inf"])
+def test_scan_rejects_a_non_finite_bound(capsys, bounds, name):
+    # NaN passed every range check, and a step of inf made a NaN lambda
+    code, out, err = run(capsys, "scan", *bounds, "--N", "10", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error[validation]: {name} is not finite\n"
 
 
 @pytest.mark.parametrize("grid", [",", " , ,"])

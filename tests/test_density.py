@@ -225,6 +225,17 @@ def test_closed_form_rejects_values_beyond_the_half_integer_grid():
         closed_form_d(linear_map(1e80))
 
 
+@pytest.mark.parametrize("miss", [1e-10, -1e-12, 2.0**-40, 2.0**-53],
+                         ids=["1e-10", "-1e-12", "2^-40", "2^-53"])
+def test_closed_form_rejects_ends_just_off_the_grid(miss):
+    # an end a hair from 1/2 is not snapped onto it: 0.5 + 2^-53 is one
+    # ulp above, and 0.5 + 2^-53 + 1/2 rounds to 1
+    lift_map = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-1.5, 0.5 + miss), (-0.5, 1.5)])
+    assert not lift_map.has_half_integer_values()
+    with pytest.raises(HalfIntegerValueError):
+        closed_form_d(lift_map)
+
+
 def test_closed_form_zigzag():
     assert closed_form_d(zigzag_map(1, 0.3)) == pytest.approx(0.4, abs=1e-13)
     p, xi = 2, 0.2

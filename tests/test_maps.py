@@ -30,12 +30,40 @@ from conftest import make_random_monotone_map
 finite_x = st.floats(-10.0, 10.0).filter(lambda x: abs(x + 0.5 - round(x + 0.5)) > 1e-9)
 
 
+# (x, [x), {x)) with the bits the label floor(x + 1/2) gives in doubles:
+# x + 1/2 rounds up to 1 for the largest double below 1/2, so its label is
+# 1 and its fraction -1/2; 1e300 is its own label
+_PINNED_SPLITS = [
+    (0.49999999999999994, 1, -0.5),
+    (0.5, 1, -0.5),
+    (-0.5, 0, -0.5),
+    (2.5, 3, -0.5),
+    (2.0**52 - 0.5, 2**52, -0.5),
+    (1e300, int(1e300), 0.0),
+]
+
+
 def test_nearest_integer_convention():
     assert nearest_integer(0.4) == 0
     assert nearest_integer(-0.5) == 0
     assert nearest_integer(2.5) == 3
     assert nearest_integer(0.0) == 0
     np.testing.assert_array_equal(nearest_integer([0.4, -0.5, 2.5]), [0, 0, 3])
+    for x, label, _ in _PINNED_SPLITS:
+        assert nearest_integer(x) == label
+    within = [(x, label) for x, label, _ in _PINNED_SPLITS if abs(x) < 2.0**63]
+    out = nearest_integer([x for x, _ in within])
+    assert out.dtype == np.int64
+    assert out.tolist() == [label for _, label in within]
+
+
+def test_nearest_integer_of_an_array_past_int64_raises():
+    # a cast would wrap 1e19 to -2^63 with a RuntimeWarning
+    assert nearest_integer(1e19) == 10**19
+    assert nearest_integer(np.array([-2.0**63])).tolist() == [-2**63]
+    for x in (1e19, 2.0**63, -1e300):
+        with pytest.raises(OverflowError, match=r"int64 range \[-2\^63, 2\^63\)"):
+            nearest_integer(np.array([0.0, x]))
 
 
 def test_nearest_integer_rejects_non_finite():
@@ -50,6 +78,9 @@ def test_fractional_part_range():
     fr = fractional_part(xs)
     assert np.all(fr >= -0.5) and np.all(fr < 0.5)
     np.testing.assert_allclose(fr + nearest_integer(xs), xs, rtol=0, atol=0)
+    want = [fraction.hex() for _, _, fraction in _PINNED_SPLITS]
+    assert [fractional_part(x).hex() for x, _, _ in _PINNED_SPLITS] == want
+    assert [v.hex() for v in fractional_part([x for x, _, _ in _PINNED_SPLITS]).tolist()] == want
 
 
 def test_eval_linear_examples():
@@ -253,6 +284,9 @@ def test_half_integer_detection():
     assert linear_map(3.0).has_half_integer_values()
     assert zigzag_map(1, 0.3).has_half_integer_values()
     assert not linear_map(3.7).has_half_integer_values()
+    # ends at +-(2^52 - 1/2) are on the grid; +-(2^52 + 1) are integers
+    assert linear_map(2.0**53 - 1).has_half_integer_values()
+    assert not linear_map(2.0**53 + 2).has_half_integer_values()
 
 
 def _searchsorted_eval(m, x):
