@@ -456,9 +456,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(argv) -> list:
+    """'--opt -1e3' as '--opt=-1e3': every option but --help takes a value, and
+    argparse reads one that starts with '-' as an option unless it is a plain number."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        # not after '--', which ends the options, nor after --help or a prefix of it
+        if (prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except Exception as exc:

@@ -36,7 +36,7 @@ class EigenConvergenceError(DetdiffError):
 
 
 class IrreducibilityError(DetdiffError):
-    """The summed transfer matrix lacks a simple positive unit eigenpair."""
+    """The summed transfer matrix is reducible: some cell cannot reach another."""
 
 
 class HalfIntegerValueError(DetdiffError):

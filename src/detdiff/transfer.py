@@ -12,8 +12,9 @@ dynamics; its leading eigenvalue z(t) carries the transport
 coefficients via D = -Re z''(0) / 2 and drift = Im z'(0).  The z(t)
 curve comes from the dense spectrum of P(t); D, the drift and the
 stationary density come from one bordered linear system at t = 0
-(second-order eigenvalue perturbation), with no step size and no
-iteration.
+(second-order eigenvalue perturbation), with no step size, no
+iteration and no eigensolve: irreducibility is decided on the support
+graph of E = P(0).
 """
 
 from __future__ import annotations
@@ -117,15 +118,24 @@ def _spectral_core(tset: TransitionMatrixSet):
     perturbation of the unit eigenvalue, the matrix form of the
     Taylor-Green-Kubo formula.
 
+    Both solves need E irreducible, so that eigenvalue 1 is simple with
+    a positive eigenvector (Perron-Frobenius).  For a nonnegative matrix
+    that is a fact of its support graph, and E > 0 is the exact support
+    (each entry is a sum of positive weights 1/|slope|), so the test is
+    reachability between all cells, with no threshold.  The check that
+    the solved alpha is positive stays as a guard on rounding: K's
+    condition grows like 1/delta when E's second eigenvalue is 1 - delta.
+
     Returns (alpha, drift, d, solve_residual).
     """
     m = tset.m
     lengths = tset.cell_lengths
     E = tset.total()
-    near_one = int(np.sum(np.abs(np.linalg.eigvals(E) - 1.0) < 1e-8))
-    if near_one != 1:
-        raise IrreducibilityError(
-            f"eigenvalue-1 eigenspace has dimension {near_one}; matrix not irreducible")
+    # entry (i, l): some path of at most m - 1 edges l -> i in the support of E
+    unreached = np.argwhere(~np.linalg.matrix_power((E > 0) | np.eye(m, dtype=bool), m - 1))
+    if len(unreached):
+        raise IrreducibilityError(f"cell {unreached[0][0]} cannot be reached from cell "
+                                  f"{unreached[0][1]}; the transfer matrix is reducible")
 
     shifts = np.asarray(tset.shifts, dtype=float)
     P1 = np.tensordot(shifts, tset.matrices, axes=(0, 0))
@@ -139,6 +149,7 @@ def _spectral_core(tset: TransitionMatrixSet):
     rhs_alpha[m] = 1.0
     sol_alpha = np.linalg.solve(K, rhs_alpha)
     alpha = sol_alpha[:m]
+    # a float guard: alpha > 0 in exact arithmetic, but K's condition grows like 1/delta
     if np.min(alpha) <= 0:
         raise IrreducibilityError("stationary density is not strictly positive")
     drift = float(lengths @ P1 @ alpha)
@@ -157,8 +168,9 @@ def stationary_density(tset: TransitionMatrixSet) -> np.ndarray:
 
     The positive right eigenvector of E = sum_j p_j at eigenvalue 1,
     normalised so that sum_j alpha_j * len_j = 1 (unit mass over one
-    period).  Raises IrreducibilityError unless eigenvalue 1 is simple
-    and its eigenvector strictly positive.
+    period).  Raises IrreducibilityError when some cell cannot be reached
+    from another through the support of E, or when the solved density
+    is not strictly positive.
     """
     return _spectral_core(tset)[0]
 

@@ -178,15 +178,6 @@ def test_diffusion_rejects_a_nan_partition_breakpoint(capsys):
     assert err == "error[validation]: partition breakpoints (-0.5, nan, 0.5) are not all finite\n"
 
 
-def test_diffusion_rejects_a_nan_map_breakpoint(capsys):
-    # maps and partitions share one breakpoint rule: a NaN end is not snapped to -1/2
-    code, out, err = run(capsys, "diffusion", "--method", "closed-form", "--map",
-                         '{"type":"pieces","breakpoints":[NaN,0.0,0.5],'
-                         '"values":[[-1.5,1.5],[-1.5,1.5]]}')
-    assert (code, out) == (2, "")
-    assert err == "error[validation]: map breakpoints (nan, 0.0, 0.5) are not all finite\n"
-
-
 @pytest.mark.parametrize("command", ["diffusion", "evolve"])
 def test_at_most_one_partition_source(capsys, command):
     # two sources of one partition: neither may be dropped without a word
@@ -360,28 +351,11 @@ def test_system_hash_does_not_depend_on_how_numbers_are_spelled(capsys):
     assert json.loads(reports[0])["provenance"]["system_hash"] == "5264dfb0385c1a25"
 
 
-def test_solve_partition_system_beyond_the_double_range(capsys):
-    # lam / 2 = 1e308 - xi: the slope is no double, so the input is at fault (exit 2, not 3)
-    system = {"unknowns": ["xi"], "equations": [
-        {"lhs": "xi", "target": {"const": 0.5}},
-        {"lhs": "half", "target": {"const": 1e308, "coef": -1, "ref": "xi"}}]}
-    code, out, err = run(capsys, "solve-partition", "--system", json.dumps(system))
-    assert (code, out) == (2, "")
-    assert err == "error[validation]: the largest real root exceeds the largest double\n"
-
-
 def test_solve_partition_three_interval(capsys):
     code, out, _ = run(capsys, "solve-partition", "--three-interval", "1,2,1,-1")
     assert code == 0
     report = json.loads(out)
     assert report["lambda"] == pytest.approx((3 + math.sqrt(33)) / 2, abs=1e-12)
-
-
-def test_solve_partition_three_interval_beyond_the_double_range(capsys):
-    # the input is at fault, not a method: exit 2, not 3
-    code, out, err = run(capsys, "solve-partition", "--three-interval", f"1,{10 ** 400},1,1")
-    assert (code, out) == (2, "")
-    assert err == "error[validation]: the largest real root exceeds the largest double\n"
 
 
 def test_solve_partition_three_interval_with_r_beyond_the_double_range(capsys):
@@ -449,6 +423,83 @@ def test_a_json_integer_beyond_the_doubles_is_one_validation_error(capsys, argv)
 
 
 # ---------------------------------------------------------------------------
+# the CLI contract: one row per case, its exit code and a fragment of its one
+# stderr line (a clean exit writes no stderr line)
+# ---------------------------------------------------------------------------
+
+
+def _system(xi_target, half_target):
+    return json.dumps({"unknowns": ["xi"], "equations": [
+        {"lhs": "xi", "target": xi_target}, {"lhs": "half", "target": half_target}]})
+
+
+_TRANSIENT_MAP = json.dumps({"type": "pieces", "breakpoints": [-0.5, -1 / 6, 1 / 6, 0.5],
+                             "values": [[-1.5, -0.5], [1 / 6, 0.5], [-7 / 6, -5 / 6]]})
+
+_CONTRACT = [
+    pytest.param(["diffusion", "--map", f'{{"type":"linear","lambda":{_HUGE}}}'],
+                 2, "integer of 401 characters is too large for a double", id="huge-integer"),
+    pytest.param(["scan", "--from", "3", "--to", "1e300", "--step", "1e-300", "--N", "10",
+                  "--n", "2"], 2, "scan grid of inf points exceeds 10000", id="scan-unbounded"),
+    # lam xi = 7 + xi and lam / 2 = 8 - xi: the root puts xi on 1/2, a cell end
+    pytest.param(["solve-partition", "--system",
+                  _system({"const": 7, "coef": 1, "ref": "xi"},
+                          {"const": 8, "coef": -1, "ref": "xi"})],
+                 2, "solved breakpoint xi = 0.5 lies outside (0, 1/2)", id="boundary-breakpoint"),
+    # the input is at fault, not a method: exit 2, not 3
+    pytest.param(["solve-partition", "--three-interval", f"1,{_HUGE},1,1"],
+                 2, "the largest real root exceeds the largest double", id="three-interval-huge"),
+    # lam / 2 = 1e308 - xi: the slope is no double
+    pytest.param(["solve-partition", "--system",
+                  _system({"const": 0.5}, {"const": 1e308, "coef": -1, "ref": "xi"})],
+                 2, "the largest real root exceeds the largest double", id="system-beyond"),
+    # maps and partitions share one breakpoint rule: a NaN end is not snapped to -1/2
+    pytest.param(["diffusion", "--method", "closed-form", "--map",
+                  '{"type":"pieces","breakpoints":[NaN,0.0,0.5],'
+                  '"values":[[-1.5,1.5],[-1.5,1.5]]}'],
+                 2, "map breakpoints (nan, 0.0, 0.5) are not all finite", id="nan-map"),
+    pytest.param(["solve-partition", "--system",
+                  _system({"const": "1/2"}, {"const": 2, "coef": -1, "ref": "xi"})],
+                 2, "constant '1/2' is neither integer nor half-integer", id="string-constant"),
+    pytest.param(["diffusion", "--map", "linear", "lambda=2+sqrt(3)", "--partition",
+                  "[-0.5,0.5]", "--partition-system", json.dumps(EXAMPLE_SYSTEM),
+                  "--method", "spectral"],
+                 2, "pass at most one of --partition or --partition-system", id="two-partitions"),
+    pytest.param(["scan", "--lambda-grid", ",", "--N", "100", "--n", "5"],
+                 2, "--lambda-grid ',' holds no point", id="empty-grid"),
+    # the lambda = 2 + sqrt(3) partition rounded to 10 digits loses mass
+    pytest.param(["diffusion", "--map", "linear", "lambda=2+sqrt(3)", "--partition",
+                  "[-0.5,-0.1339745962,0.1339745962,0.5]", "--method", "spectral"],
+                 2, "mass conservation violated by", id="ten-digits"),
+    # the ends miss the half-integer grid by 4e-10, and are not snapped onto it
+    pytest.param(["diffusion", "--map", "linear", "lambda=3.0000000008", "--method",
+                  "closed-form"],
+                 2, "closed form requires half-integer values at all piece endpoints",
+                 id="off-grid"),
+    pytest.param(["scan", "--from", "nan", "--to", "5", "--N", "10", "--n", "2"],
+                 2, "--from nan is not finite", id="scan-nan"),
+    pytest.param(["solve-partition", "--three-interval", "1,100000,1,1"], 0, "",
+                 id="three-interval-large-n"),
+    # no cell maps into cell 0, so the stationary density vanishes there
+    pytest.param(["diffusion", "--map", _TRANSIENT_MAP, "--method", "spectral"],
+                 3, "cell 0 cannot be reached from cell 1; the transfer matrix is reducible",
+                 id="transient-cell"),
+]
+
+
+@pytest.mark.parametrize("argv,code,fragment", _CONTRACT)
+def test_cli_contract(capsys, argv, code, fragment):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error[numerical]: " if code == 3 else "error[validation]: ")
+        assert err.count("\n") == 1 and fragment in err
+    else:
+        assert (err, out.endswith("\n")) == ("", True)
+
+
+# ---------------------------------------------------------------------------
 # scan / simulate / evolve / billiard
 # ---------------------------------------------------------------------------
 
@@ -500,6 +551,21 @@ def test_scan_rejects_a_non_finite_bound(capsys, bounds, name):
     code, out, err = run(capsys, "scan", *bounds, "--N", "10", "--n", "2")
     assert (code, out) == (2, "")
     assert err == f"error[validation]: {name} is not finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--from", "-1e3", "--to", "-999", "--step", "0.5", "--N", "200", "--n", "3"],
+    ["scan", "--from", "-inf", "--to", "5"],
+    ["scan", "--lambda-grid", "-3,-2.5", "--N", "200", "--n", "3"],
+    ["billiard", "--lambda", "-1e2", "--N", "200", "--n", "10"],
+    ["billiard", "--lambda", "-2-sqrt(3)", "--N", "200", "--n", "10"],
+], ids=["from-exponent", "from-minus-inf", "negative-grid", "lambda-exponent", "lambda-surd"])
+def test_a_negative_option_value_reads_as_with_equals(capsys, argv):
+    # argparse alone takes '-1e3' or '-inf' for an option, not a value
+    joined = [*argv[:1], f"{argv[1]}={argv[2]}", *argv[3:]]
+    spaced = run(capsys, *argv)
+    assert spaced == run(capsys, *joined)
+    assert spaced[0] == 0 or spaced == (2, "", "error[validation]: --from -inf is not finite\n")
 
 
 @pytest.mark.parametrize("grid", [",", " , ,"])

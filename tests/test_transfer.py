@@ -236,12 +236,39 @@ def test_stationary_density_golden(name, golden_tsets):
     assert np.all(alpha > 0)
 
 
-def test_stationary_density_reducible_rejected():
-    matrices = np.array([np.eye(2)])
-    tset = TransitionMatrixSet(shifts=(0,), matrices=matrices,
-                               breakpoints=(-0.5, 0.0, 0.5))
-    with pytest.raises(IrreducibilityError):
-        stationary_density(tset)
+# no cell maps into cell 0 of the transient map; its orbits fall onto a
+# two-cycle of cells 1 and 2
+_TRANSIENT = PiecewiseLinearLiftMap([-0.5, -1 / 6, 1 / 6, 0.5],
+                                    [(-1.5, -0.5), (1 / 6, 0.5), (-7 / 6, -5 / 6)])
+_NEVER_MIXING = PiecewiseLinearLiftMap([-0.5, -0.25, 0.0, 0.25, 0.5],
+                                       [(-0.5, 0.0), (0.5, 1.0), (0.0, 0.5), (-1.0, -0.5)])
+
+
+@pytest.mark.parametrize("make_tset", [
+    lambda: TransitionMatrixSet(shifts=(0,), matrices=np.array([np.eye(2)]),
+                                breakpoints=(-0.5, 0.0, 0.5)),
+    lambda: build_transition_matrices(_NEVER_MIXING, MarkovPartition((-0.5, 0.0, 0.5))),
+    lambda: build_transition_matrices(_TRANSIENT, MarkovPartition(_TRANSIENT.breakpoints)),
+], ids=["identity", "never-mixing", "transient-cell"])
+def test_stationary_density_reducible_rejected(make_tset):
+    # a fact of the support graph: cell 0 is not reached from cell 1 in any of them
+    with pytest.raises(IrreducibilityError,
+                       match="^cell 0 cannot be reached from cell 1; "
+                             "the transfer matrix is reducible$"):
+        stationary_density(make_tset())
+
+
+@pytest.mark.parametrize("delta", [1e-8, 2e-9, 1e-12])
+def test_spectral_solves_a_leaky_map(delta):
+    # two half-cells that leak into each other through pieces of width delta:
+    # irreducible for every delta > 0, though E's eigenvalues 1 and 1 - 4 delta
+    # come as close as one likes; every orbit stays in [-1/2, 3/2), so D = 0
+    lift = PiecewiseLinearLiftMap([-0.5, -delta, 0.0, delta, 0.5],
+                                  [(-0.5, 0.0), (1.0, 1.5), (-1.5, -1.0), (0.0, 0.5)])
+    rep = diffusion_spectral(build_transition_matrices(lift, MarkovPartition((-0.5, 0.0, 0.5))))
+    np.testing.assert_allclose(rep.alpha, [1.0, 1.0], rtol=0, atol=1e-15)
+    assert abs(rep.d) <= 1e-15
+    assert rep.diagnostics["solve_residual"] <= 1e-15
 
 
 @pytest.mark.parametrize("name", list(CASES))
