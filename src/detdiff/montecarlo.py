@@ -15,14 +15,20 @@ relaxation of the cell distribution), so its bias c/(2n) only vanishes
 as the horizon grows.  `estimate_d_increment` removes the constant by
 differencing two horizons and is the recommended cross-method check.
 
-Maps whose slopes are all exact powers of two are iterated exactly in
-binary floating point, so orbits exhaust their 52 fractional bits and
-freeze on the dyadic lattice after ~26 steps.  For those maps (only) a
-seeded dither of amplitude 2^-48 is added to each image fraction every
-step, above its rounding floor; it plays the role of the rounding noise
-that every other slope generates naturally and keeps the ensemble
-statistics faithful.  Sample i of N reads it at step t from 16-bit lane
-t*N + i of a keyed Philox stream, four lanes to a 64-bit word.
+A stretching map whose slopes are all integers, one of them even, is
+iterated exactly in binary floating point: a slope 2^k m, m odd, drops k
+bits of the fraction per step, so its orbits would freeze on the dyadic
+lattice after about 53/k steps.  For those maps (only) a seeded dither is
+added to each image fraction every P steps, where 2^k is the largest
+power of two dividing any slope; it plays the role of the rounding noise
+that every other slope generates naturally.  The budget: a W-bit lane
+puts W fresh bits at resolution 2^-54 into the fraction, and the P steps
+until the next dither drop k P of them, so P = max(1, floor((W - 4)/k))
+with W = 32 leaves four.  Measured edges: k P = W fails at both W = 16
+and W = 32, while k P <= W - 2 passes.  A slope divisible by 2^29 drops
+more bits per step than a lane holds; it gets P = 1 and is under budget.
+Sample i of N reads its dither at step t = 0 mod P from 32-bit lane
+(t // P) N + i of a keyed Philox stream, two lanes to a 64-bit word.
 
 `simulate_ensemble`, `estimate_d_increment` and the billiard channel
 share one chunk runner, which cuts the sample range into chunks of
@@ -37,9 +43,9 @@ blocks of sorted samples where the maximum gap can be.
 
 Memory is bounded by the outputs, plus one N-sized temporary, plus
 per-chunk scratch.  A chunk allocates its fractions and cells, and its
-carry, map and dither buffers, once; a lifting-map step then allocates
-only the dither's raw lanes, a quarter the size of the chunk's
-fractions, and the last positions overwrite the cells.
+carry, map and dither buffers, once; a dithered step then allocates
+only the dither's raw lanes, half the size of the chunk's fractions,
+and the last positions overwrite the cells.
 `estimate_stats` rejects non-finite samples instead of copying the rest: the
 centred copy inside the variance and then the sorted copy of
 `ks_normal` are the N-sized temporaries, never alive together, and the
@@ -80,21 +86,23 @@ _KS_JOIN = 4
 #: longest slice of sorted samples that the normal CDF sees at once
 _KS_SLICE = 1 << 13
 
-#: dither amplitude, above the rounding floor of a fraction in [-1/2, 1/2)
-DITHER_AMPLITUDE = 2.0**-48
-# a 16-bit lane w gives the dither (w + 1/2) 2^-64 - 2^-49: both terms
-# and their sum are multiples of 2^-65 below 2^-48, so it is exact
-_LANE_SCALE = DITHER_AMPLITUDE / 65536
-_LANE_OFFSET = _LANE_SCALE / 2 - DITHER_AMPLITUDE / 2
+#: bits of a dither lane, two lanes to a Philox word
+_LANE_BITS = 32
+# a lane w gives the dither (w + 1/2 - 2^31) 2^-53: w 2^-53, the offset
+# and their sum are multiples of 2^-54 below 2^-21, so it is exact
+_LANE_SCALE = 2.0**-53
+_LANE_OFFSET = (0.5 - 2.0**31) * _LANE_SCALE
 _DITHER_KEY_SALT = 0x9E3779B97F4A7C15
 
 
-def _dither_key(lift_map, seed):
-    """Key of the dither stream; None unless a stretching map has only power-of-two slopes."""
+def _dither_period(lift_map):
+    """Steps P between dithers; 0 unless a stretching map has integer slopes, one even."""
     slopes = np.abs(lift_map.slopes)
-    if lift_map.min_slope() > 1.0 and all(math.frexp(s)[0] == 0.5 for s in slopes):
-        return int(seed) ^ _DITHER_KEY_SALT
-    return None
+    if lift_map.min_slope() <= 1.0 or np.any(slopes != np.floor(slopes)):
+        return 0
+    # the slope 2^k m, m odd, that drops the most bits per step
+    k = max((v & -v).bit_length() - 1 for v in map(int, slopes))
+    return max(1, (_LANE_BITS - 4) // k) if k else 0
 
 
 @dataclass(frozen=True)
@@ -159,30 +167,30 @@ def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
     """Positions of n_samples lifting-map orbits after each step count in `horizons`.
 
     Each chunk runs `_iterate_chunk` with a step that maps each fraction
-    through its piece and adds the dither made from 16-bit lane
-    w = t*n_samples + i of its keyed stream for sample i at step t, so
-    results do not depend on the chunking: d = (w + 1/2) 2^-64 - 2^-49,
-    exact.
+    through its piece and, at the steps t = 0 mod P of a dithered map, adds
+    the dither made from 32-bit lane w = (t // P) n_samples + i of its
+    keyed stream for sample i, so results do not depend on the chunking:
+    d = (w + 1/2 - 2^31) 2^-53, exact.
     """
     if n_samples < 1 or horizons[0] < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
-    key = _dither_key(lift_map, seed)
+    period = _dither_period(lift_map)
     outs = [np.empty(n_samples) for _ in horizons]
 
     def run(start, stop):
         u = uniform_stream(seed, start, stop - start)
         scratch = lift_map._fraction_scratch(u.size)
-        if key is not None:
-            read = _stream(key)
+        if period:
+            read = _stream(int(seed) ^ _DITHER_KEY_SALT)
             dither = np.empty_like(u)
 
         def step(u, t):
             lift_map._map_fraction(u, scratch)
-            if key is not None:
-                # word k of the stream holds lanes 4k .. 4k + 3, lowest 16 bits first
-                word, lane = divmod(t * n_samples + start, 4)
-                lanes = read(word, (lane + u.size + 3) // 4).astype("<u8", copy=False)
-                np.multiply(lanes.view("<u2")[lane:lane + u.size], _LANE_SCALE, out=dither)
+            if period and t % period == 0:
+                # word k of the stream holds lanes 2k and 2k + 1, lowest 32 bits first
+                word, lane = divmod(t // period * n_samples + start, 2)
+                lanes = read(word, (lane + u.size + 1) // 2).astype("<u8", copy=False)
+                np.multiply(lanes.view("<u4")[lane:lane + u.size], _LANE_SCALE, out=dither)
                 u += np.add(dither, _LANE_OFFSET, out=dither)
 
         for out, x in zip(outs, _iterate_chunk(step, u, np.zeros_like(u), horizons)):
@@ -199,8 +207,10 @@ def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
 
     Starting points are uniform on [-1/2, 1/2), drawn from per-index
     counter-based substreams of `seed`, so the output is bitwise
-    reproducible for any thread count or chunk size.  Maps whose slopes
-    are all powers of two get the 2^-48 dither.  A position that
+    reproducible for any thread count or chunk size.  Stretching maps
+    whose slopes are all integers, one of them even, get the dither of
+    32-bit lanes every P = max(1, floor(28/k)) steps, 2^k the largest
+    power of two dividing a slope.  A position that
     overflows raises OverflowError, so every position is finite.
     """
     out, = _lift_ensemble(lift_map, n_samples, [n_steps], seed, threads)

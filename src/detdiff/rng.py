@@ -5,7 +5,7 @@ the value for sample index i is word i of that stream.  Chunks are
 generated independently by advancing the counter to the chunk start, so
 any parallel schedule reproduces the single-threaded sample set bit for
 bit.  The dither of the ensemble simulators reads a stream of its own
-key in 16-bit lanes, four to a word.  Both read through `_stream`, the
+key in 32-bit lanes, two to a word.  Both read through `_stream`, the
 one reader that seeks a Philox stream.
 """
 

@@ -9,6 +9,7 @@ import pytest
 from detdiff import (
     CASES,
     DEFAULT_SEED,
+    MarkovPartition,
     PiecewiseLinearLiftMap,
     build_transition_matrices,
     diffusion_spectral,
@@ -31,6 +32,20 @@ from detdiff.rng import _stream
 
 N = 100_000
 STEPS = 50
+
+_HALF_SPLIT = MarkovPartition((-0.5, 0.0, 0.5))
+_ZIGZAG = zigzag_map(1, 0.25)
+#: slopes 4 and 2, drift 1/4
+_DRIFT = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+#: maps with integer slopes, one even, each with a Markov partition and
+#: the horizon of its wide ensemble; lambda = 4096 evolves its lattice
+#: only 4 steps, as each step spreads it over 4097 shifts
+_DITHERED_MAPS = {
+    **{f"linear-{lam}": (linear_map(lam), _HALF_SPLIT, 4 if lam == 4096 else 40)
+       for lam in (4, 8, 16, 256, 4096, 6)},
+    "zigzag": (_ZIGZAG, MarkovPartition(tuple(_ZIGZAG.breakpoints)), 40),
+    "drift": (_DRIFT, _HALF_SPLIT, 40),
+}
 
 
 def test_uniform_stream_chunk_invariance():
@@ -101,24 +116,45 @@ def test_stream_reads_words_in_any_order(monkeypatch):
         np.testing.assert_array_equal(read(start, count), words[start:start + count])
 
 
-def test_dither_reads_little_endian_quarter_words(ensemble_constants):
-    # reference: lane 4k + m of the dither stream is bits 16m .. 16m + 15 of
-    # word k on any host, and sample i at step t reads lane t*n + i; chunks
-    # of 999 samples start mid-word and mid-block
-    n, steps, seed = 2001, 3, 17
+def test_dither_reads_little_endian_half_words(ensemble_constants):
+    # reference: lane 2k + m of the dither stream is bits 32m .. 32m + 31 of
+    # word k on any host, and sample i reads lane (t // P) n + i at the steps
+    # t = 0 mod P; the drift map's slopes 4 and 2 give P = 28 // 2 = 14, the
+    # horizon 31 is no multiple of it, and chunks of 999 samples start
+    # mid-word and mid-block
+    n, steps, seed, period = 2001, 31, 17, 14
     key = seed ^ montecarlo._DITHER_KEY_SALT
-    words = np.random.Philox(key=key).random_raw((n * steps + 3) // 4)
-    lanes = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
+    words = np.random.Philox(key=key).random_raw((n * 3 + 1) // 2)
+    lanes = (words[:, None] >> np.array([0, 32], dtype=np.uint64)) & np.uint64(0xFFFFFFFF)
     lanes = lanes.ravel()
     u, cell = uniform_stream(seed, 0, n), np.zeros(n)
     for t in range(steps):
-        u = 4.0 * u + ((lanes[t * n:(t + 1) * n] + 0.5) * 2.0**-64 - 2.0**-49)
+        u = np.where(u < 0.0, u * 4.0 + 1.5, u * 2.0 - 0.5)
+        if t % period == 0:
+            w = lanes[t // period * n:(t // period + 1) * n]
+            u = u + (w + 0.5 - 2.0**31) * 2.0**-53
         carry = np.floor(u + 0.5)
         u -= carry
         cell += carry
+    assert montecarlo._dither_period(_DRIFT) == period
     with ensemble_constants(chunk=999):
-        np.testing.assert_array_equal(simulate_ensemble(linear_map(4.0), n, steps, seed),
-                                      cell + u)
+        np.testing.assert_array_equal(simulate_ensemble(_DRIFT, n, steps, seed), cell + u)
+
+
+def test_dither_period_follows_the_bit_budget():
+    # a slope 2^k m, m odd, drops k bits a step, and a 32-bit lane may lose
+    # 28 of its bits before the next one; maps whose slopes are odd,
+    # fractional or not stretching get no dither
+    period = montecarlo._dither_period
+    assert [period(linear_map(lam)) for lam in (4, 6, 16, 256, 4096, 2.0**28)] == \
+        [14, 28, 7, 3, 2, 1]
+    assert [period(linear_map(lam)) for lam in (3, 5, 2.5, 2 + 3**0.5, 1.0)] == [0] * 5
+    assert period(zigzag_map(1, 0.25)) == 14
+    # past the budget's edge P stays 1, and even integers as large as
+    # 1e160 = 2^k m keep their error classes: their positions stay finite
+    for lam in (2.0**29, 6.0 * 2.0**40, 1e160):
+        assert period(linear_map(lam)) == 1
+    assert np.isfinite(simulate_ensemble(linear_map(2.0**29), 1000, 8, seed=1)).all()
 
 
 def test_lane_dither_does_not_depend_on_chunks_or_threads(ensemble_constants):
@@ -224,6 +260,25 @@ def test_increment_estimator_long_horizon_power_of_two_slopes():
             d, stderr = estimate_d_increment(lift_map, 20_000, 1000, seed=seed)
             assert stderr > 0
             assert abs(d - d_exact) <= 4.0 * stderr, (seed, d, d_exact, stderr)
+
+
+@pytest.mark.parametrize("name", list(_DITHERED_MAPS))
+def test_dithered_ensembles_reach_the_exact_d(name):
+    # P = max(1, 28 // k) steps between dithers keeps every even slope
+    # diffusing: wide, against the lattice's exact Var(x_n)/(2n), and long,
+    # against the centred spectral D.  A dither too small to survive the
+    # rounding of f(u) shows as 6-10 sigma at lambda = 16 even at n = 200,
+    # and zigzag(1, 1/4) and lambda = 6 freeze outright without one
+    lift_map, partition, wide_n = _DITHERED_MAPS[name]
+    tset = build_transition_matrices(lift_map, partition)
+    _, var = evolve(tset, unit_pulse(partition.breakpoints), wide_n).continuous_moments()
+    rep = diffusion_spectral(tset)
+    for seed in range(1, 6):
+        stats = estimate_stats(simulate_ensemble(lift_map, 20_000, wide_n, seed), wide_n)
+        d, stderr = estimate_d_increment(lift_map, 4000, 200, seed)
+        for got, sigma, exact in ((stats.d_estimate, stats.d_stderr, var / (2.0 * wide_n)),
+                                  (d, stderr, rep.d - rep.drift**2 / 2.0)):
+            assert sigma > 0 and abs(got - exact) <= 4.0 * sigma, (seed, got, exact, sigma)
 
 
 def _traced_peak(f, *args, **kwargs):
@@ -398,11 +453,11 @@ def test_bad_thread_env_is_reported(monkeypatch):
 # change that alters samples on purpose must update them
 GOLDEN_DIGESTS = {
     "ensemble_lambda3": "53209d6066ea6202305cfea3b7a89c67e773f1d2ebc734c6baf3efe48717b717",
-    "ensemble_lambda4_dithered": "032e0613087ade2e2e587bf0e3d5cc4b0fd31880e713bf38e17b6db6c735931b",
-    "ensemble_multichunk": "f468788b6c63272ab65a0b408d03982e2f0cdce59a01eccb861f1292a4b6772a",
+    "ensemble_lambda4_dithered": "2b8ec07c3c7b44717d9b464abdc025d3e6c2b83ae2042c1c0097b9baec76eebb",
+    "ensemble_multichunk": "20c6378013804429e9482629f5bfcecfd5d6c3fdf89ab8b9aa3520cf3a3010db",
     "ensemble_threads2": "3cd395bf10f3cedee78a7a1cf91f2aef022e3c1ea95377bd05350b7ade48ae44",
     "ensemble_far_jumps": "0cb1cafbed8a45ce5f65b08a0cd7964797bdecb3db5e66a759f4d471b3b1bf43",
-    "increment_drift": "622272ce7fc6557c28994e7143b336efcfc882ff9799d8f8139a272c99977966",
+    "increment_drift": "4b778fe3b8872ed6e91716f41cf53fc28197c5e80e1341f7096a91f8ec6d2535",
     "increment_far_jumps": "a8f93f20a7ed3d1ddd29b003bb46ad725fedac877fff1dd8b0027c0022b7f85a",
     "channel_lambda3": "c2871a2ee1eccc95eeea57ad35a0a490df88387fa1b76c07b81edebd10b5634c",
 }
