@@ -11,7 +11,7 @@ whose variance grows cubically when the kicks decorrelate.  The ensemble
 simulator keeps each position as an integer cell plus a fraction in
 [-1/2, 1/2), like the lifting-map ensembles, and calls the kick with
 the fraction only; a position that overflows raises OverflowError, and a
-sample is discarded only when the kick returns a non-finite value.
+kick that returns a non-finite value raises ValueError.
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ class ChannelReport:
     checkpoints: tuple                 # step counts
     variances: tuple                   # ensemble Var(x_c) per checkpoint
     theoretical: Optional[tuple]       # independent-kick prediction, if lam known
-    discarded: int                     # samples non-finite after n_steps
-    discard_warning: bool
+    discarded: int = 0                 # always 0: every sample is finite or the run raises
 
     def rows(self):
         """(checkpoint, variance, theoretical_variance, exponent_so_far) rows."""
@@ -183,23 +182,28 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     Starts at x_0 = 0 with x_1 uniform on [-1/2, 1/2) and iterates
     v_{n+1} = v_n + f(x_n), x_{n+1} = x_n + v_{n+1} on the carry loop of
     `montecarlo`, calling the kick with the fraction of x_n in [-1/2, 1/2)
-    chunk by chunk.  A kick with a `lam` attribute is taken to be
-    `sawtooth_kick(lam)`: its step adds lam times the fraction to the
-    velocity through one chunk buffer, bit for bit the sawtooth, without
-    calling it.  Records the position variance at the checkpoints
+    chunk by chunk, up to the last checkpoint.  A kick with a `lam`
+    attribute is taken to be `sawtooth_kick(lam)`: its step adds lam times
+    the fraction to the velocity through one chunk buffer, bit for bit the
+    sawtooth, without calling it.  Records the position variance at the
+    checkpoints, a nonempty list of integer step counts in [1, n_steps]
     (defaults: n/8, n/4, n/2, n).  The growth exponent is the
-    least-squares slope of log variance against log step count.  Samples
-    non-finite at n_steps are discarded and counted; losing more than 1%
-    flags a warning.  Any overflow raises OverflowError.
+    least-squares slope of log variance against log step count.  Every
+    sample is finite: a kick that returns a non-finite value raises
+    ValueError, and any overflow raises OverflowError.
     """
     if n_samples < 1 or n_steps < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
     if checkpoints is None:
         checkpoints = [max(1, n_steps // 8), max(1, n_steps // 4),
                        max(1, n_steps // 2), n_steps]
-    cps = sorted(set(int(c) for c in checkpoints))
-    if any(c < 1 or c > n_steps for c in cps):
+    if len(checkpoints) == 0 or not all(isinstance(c, (int, np.integer)) for c in checkpoints):
+        raise ValueError("checkpoints must be a nonempty list of integer step counts")
+    cps = sorted({int(c) for c in checkpoints})
+    if cps[0] < 1 or cps[-1] > n_steps:
         raise ValueError("checkpoints must lie in [1, n_steps]")
+    if n_samples < 2:
+        raise ValueError("variance undefined: need at least two finite samples")
 
     lam = getattr(kick, "lam", None)
     # The sawtooth of a fraction u is lam * {u) = lam * (u - [u)).  The
@@ -208,8 +212,6 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     # leaves a fraction u with 0 <= fl(u + 1/2) < 1, as uniform_stream
     # does; then [u) = 0 and the kick is exactly lam * u.
     sawtooth = lam is not None and n_steps * abs(lam) < 2.0**52
-    # checkpoint c lies c - 1 steps from x_1; discards count at the last, n_steps - 1
-    horizons = sorted({c - 1 for c in cps} | {n_steps - 1})
 
     def run(start, stop):
         u = uniform_stream(seed, start, stop - start)
@@ -221,37 +223,32 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
             u += v
 
         moments = []
-        for x in _iterate_chunk(step, u, np.zeros_like(u), horizons):
-            # a non-finite kick leaves a NaN sample, discarded here; huge
-            # finite positions can sum to inf - inf, caught after the pooling
-            alive = x if np.isfinite(x).all() else x[np.isfinite(x)]
+        # checkpoint c lies c - 1 steps from x_1
+        for x in _iterate_chunk(step, u, np.zeros_like(u), [c - 1 for c in cps]):
+            # NaN is sticky through the carry loop, so every earlier non-finite kick shows here
+            if not np.isfinite(x).all():
+                raise ValueError("the kick returned a non-finite value")
+            # huge finite positions can sum to inf - inf, caught after the pooling
             with np.errstate(over="ignore", invalid="ignore"):
-                mean = alive.mean() if alive.size else 0.0
-                dev = alive - mean
+                mean = x.mean()
+                dev = x - mean
                 dev *= dev
-                moments.append((alive.size, mean, dev.sum()))
+                moments.append((x.size, mean, dev.sum()))
         return moments
 
     counts, means, m2s = np.transpose(_run_chunks(run, n_samples, threads))
-    cnt = counts.sum(axis=1)
-    # counts fall with the horizon, so every checkpoint pools at least two
-    if cnt[-1] < 2:
-        raise ValueError("variance undefined: need at least two finite samples")
     # Chan et al.: pool the per-chunk counts, means and centred sums of squares
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = (counts * means).sum(axis=1) / cnt
-        pooled = (m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1) / (cnt - 1)
-    variances = pooled[:len(cps)].tolist()
+        mean = (counts * means).sum(axis=1) / n_samples
+        variances = ((m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1)
+                     / (n_samples - 1)).tolist()
     if not np.isfinite(variances).all():
         raise OverflowError("channel variance overflows double precision")
 
     theo = tuple(theoretical_variance(c, lam) for c in cps) if lam is not None else None
-    discarded = n_samples - int(cnt[-1])
     return ChannelReport(
         growth_exponent=_loglog_slope(cps, variances),
         checkpoints=tuple(cps),
         variances=tuple(variances),
         theoretical=theo,
-        discarded=discarded,
-        discard_warning=discarded / n_samples > 0.01,
     )

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 # only what every subcommand needs loads with the module: each command
 # imports the rest itself, so a cold start compiles no unused subsystem
-from .errors import ConsistencyError, MapDefinitionError, PartitionError, exit_code
+from .errors import ConsistencyError, MapDefinitionError, PartitionError, exit_code, failure_record
 from .reports import (VERSION, canonical_json, provenance_line, render_csv, spec_hash,
                       write_text)
 from .rng import DEFAULT_SEED
@@ -249,10 +249,9 @@ def cmd_diffusion(args):
             try:
                 methods[name] = _method_report(name, args, spec, lift_map)
             except Exception as exc:
-                codes.append(exit_code(exc))
-                if codes[-1] is None:
-                    raise
-                methods[name] = {"error": f"{type(exc).__name__}: {exc}"}
+                code, error = failure_record(exc)
+                codes.append(code)
+                methods[name] = {"error": error}
         good = {k: v for k, v in methods.items() if "error" not in v}
         if not good:
             return _error(max(codes), "every method failed: " + "; ".join(
@@ -287,7 +286,8 @@ def cmd_scan(args):
         if args.to < lo:
             raise MapDefinitionError(f"--to {args.to} is below --from {lo}")
         span = (args.to - lo) / args.step
-        count = round(span) + 1 if math.isfinite(span) else math.inf
+        # span counts steps; one a rounding error short of an integer reaches --to
+        count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
         if count > _SCAN_POINTS_MAX:
             raise MapDefinitionError(
                 f"scan grid of {count:.3g} points exceeds {_SCAN_POINTS_MAX}")
@@ -366,9 +366,7 @@ def cmd_billiard(args):
 
     lam = parse_algebraic(getattr(args, "lambda"))
     kick = sawtooth_kick(lam)
-    checkpoints = None
-    if args.checkpoints:
-        checkpoints = [int(c) for c in args.checkpoints.split(",")]
+    checkpoints = [int(c) for c in args.checkpoints.split(",")] if args.checkpoints else None
     report = simulate_channel(kick, args.N, args.n, args.seed, checkpoints=checkpoints)
     text = render_csv(
         ["checkpoint", "variance", "theoretical_variance", "exponent_so_far"],
@@ -378,9 +376,6 @@ def cmd_billiard(args):
                         discarded=report.discarded),
     )
     _emit(args, text)
-    if report.discard_warning:
-        print(f"warning: {report.discarded} samples discarded "
-              f"({report.discarded / args.N:.1%})", file=sys.stderr)
     return 0
 
 

@@ -53,3 +53,10 @@ def exit_code(exc):
                         GrazingReflectionError, OverflowError)):
         return 3
     return 2 if isinstance(exc, (DetdiffError, ValueError, KeyError, OSError)) else None
+
+
+def failure_record(exc):
+    """(exit code, "Type: message") of a failure `exit_code` classifies; any other re-raises."""
+    if (code := exit_code(exc)) is None:
+        raise exc
+    return code, f"{type(exc).__name__}: {exc}"

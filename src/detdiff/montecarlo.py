@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import exit_code
+from .errors import failure_record
 from .maps import PiecewiseLinearLiftMap, linear_map
 from .rng import _stream, resolve_threads, uniform_stream
 
@@ -146,7 +146,8 @@ def _iterate_chunk(step, u, cell, horizons):
     part floor(u + 1/2) of each goes into its integer-valued cell through
     one reused carry buffer.  The last positions overwrite the cell.  This
     is the overflow rule of every simulator: an overflow raises
-    OverflowError, and a non-finite step leaves a NaN (carry inf - inf).
+    OverflowError, and a non-finite fraction, which only a caller's kick
+    can make, turns NaN (carry inf - inf) for the caller to reject.
     """
     carry = np.empty_like(u)
     for done, horizon in zip([0, *horizons], horizons):
@@ -430,10 +431,10 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
 
     Returns one dict per grid point with keys lambda, d_mc, stderr,
     d_heuristic, d_omega, ks.  The same seed (hence the same initial
-    ensemble) is reused across grid points.  A point failing as
-    `errors.exit_code` classifies is a NaN row with "Type: message" under
-    `error`, and its `exit_code`; any other error ends the scan, as does a
-    bad `DETDIFF_THREADS`, resolved first.
+    ensemble) is reused across grid points.  A failed point is a NaN row
+    with the `error` and `exit_code` of its `errors.failure_record`; an
+    unclassified error ends the scan, as does a bad `DETDIFF_THREADS`,
+    resolved first.
     """
     # imported here: the other simulators never need the density module
     from .density import heuristic_d, omega_approx_d
@@ -451,10 +452,8 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
             row.update(d_mc=stats.d_estimate, stderr=stats.d_stderr,
                        ks=stats.ks_statistic)
         except Exception as exc:
-            code = exit_code(exc)
-            if code is None:
-                raise
-            row.update(error=f"{type(exc).__name__}: {exc}", exit_code=code)
+            code, error = failure_record(exc)
+            row.update(error=error, exit_code=code)
         for column, estimate in (("d_heuristic", heuristic_d), ("d_omega", omega_approx_d)):
             try:
                 row[column] = estimate(lam)

@@ -199,26 +199,54 @@ def test_sawtooth_step_keeps_the_kick_beyond_2_to_52():
 
 
 def test_simulate_channel_checkpoint_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lie in"):
         simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=[0, 10])
+    # none, a fraction and a float are not a list of integer step counts
+    for bad in ([], [3.7, 10], [10.0]):
+        with pytest.raises(ValueError, match="nonempty list of integer step counts"):
+            simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=bad)
+    rep = simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=np.array([20, 10]))
+    assert rep.checkpoints == (10, 20) and all(type(c) is int for c in rep.checkpoints)
 
 
-def test_simulate_channel_discards_non_finite():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_simulate_channel_raises_on_a_non_finite_kick(threads):
     def half_explode(u):
         return np.where(u > 0, np.inf, 0.0)
 
+    calls = []
+
+    def one_nan(u):
+        # a single NaN kick, between two checkpoints of one chunk
+        calls.append(None)
+        return np.full_like(u, np.nan) if len(calls) == 17 else np.zeros_like(u)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = simulate_channel(half_explode, 2000, 20, seed=0)
-    assert rep.discarded > 0
-    assert rep.discard_warning
-    assert np.all(np.isfinite(rep.variances))
+        for kick in (half_explode, one_nan):
+            with pytest.raises(ValueError, match="the kick returned a non-finite value"):
+                simulate_channel(kick, 2 * _CHUNK + 1, 20, seed=0, threads=threads)
 
 
 def test_simulate_channel_needs_two_finite_samples():
-    # an inf kick leaves every sample NaN, so the pooled count at n_steps is 0
     with pytest.raises(ValueError, match="need at least two finite samples"):
+        simulate_channel(sawtooth_kick(3.0), 1, 10, seed=0)
+    # an inf kick makes every sample NaN
+    with pytest.raises(ValueError, match="the kick returned a non-finite value"):
         simulate_channel(lambda u: np.full_like(u, np.inf), 3 * _CHUNK // 2, 10, seed=0)
+
+
+def test_simulate_channel_stops_at_its_last_checkpoint():
+    # checkpoint 50 lies 49 steps from x_1, so no kick is made past step 49
+    calls = []
+
+    def counting(u):
+        calls.append(u.size)
+        return 3.0 * u
+
+    rep = simulate_channel(counting, 100, 200, seed=4, checkpoints=[10, 50])
+    assert len(calls) == 49
+    assert rep == simulate_channel(counting, 100, 50, seed=4, checkpoints=[10, 50])
 
 
 def test_simulate_channel_memory_does_not_grow_with_samples():

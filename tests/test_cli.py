@@ -514,6 +514,23 @@ def test_scan_grid_rows(capsys):
     assert len(lines) == 2 + 9
 
 
+@pytest.mark.parametrize("lo,to,step,count", [
+    ("3", "5", "0.3", 7),        # 3 + 7 * 0.3 = 5.1 passes --to
+    ("3", "3.6", "1", 1),        # 3 + 1 = 4 passes --to
+    ("3", "4.2", "0.1", 13),     # span 12.000000000000002
+    ("0.1", "0.3", "0.1", 3),    # span 1.9999999999999996 keeps its end point
+    ("3", "5", "0.25", 9),
+])
+def test_scan_grid_stays_inside_to(capsys, lo, to, step, count):
+    code, out, _ = run(capsys, "scan", "--from", lo, "--to", to, "--step", step,
+                       "--N", "200", "--n", "3")
+    assert code == 0
+    lams = [float(line.split(",")[0]) for line in out.strip().split("\n")[2:]]
+    assert len(lams) == count
+    assert lams[-1] == float(lo) + (count - 1) * float(step)
+    assert lams[-1] <= float(to) + 1e-12
+
+
 def test_scan_rejects_a_descending_range(capsys):
     code, out, err = run(capsys, "scan", "--from", "5", "--to", "3", "--N", "500", "--n", "10")
     assert code == 2
