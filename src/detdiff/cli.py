@@ -20,9 +20,8 @@ from typing import TYPE_CHECKING
 # only what every subcommand needs loads with the module: each command
 # imports the rest itself, so a cold start compiles no unused subsystem
 from .errors import ConsistencyError, MapDefinitionError, PartitionError, exit_code, failure_record
-from .reports import (VERSION, canonical_json, provenance_line, render_csv, spec_hash,
-                      write_text)
-from .rng import DEFAULT_SEED
+from .reports import (DEFAULT_SEED, VERSION, canonical_json, check_seed, provenance_line,
+                      render_csv, spec_hash, write_text)
 
 if TYPE_CHECKING:
     from .maps import PiecewiseLinearLiftMap
@@ -67,6 +66,18 @@ def _json_int(text: str) -> int:
     if not math.isfinite(float(text)):
         raise ValueError(f"integer of {len(text)} characters is too large for a double")
     return int(text)
+
+
+def _seed(text: str) -> int:
+    """--seed: an integer in the seed range, checked before any numeric import."""
+    try:
+        seed = int(text)
+    except ValueError:      # the wording argparse gives for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return check_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_json_arg(value: str):
@@ -401,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run(p, default_n):
         p.add_argument("--N", type=int, default=100_000, help="ensemble size")
         p.add_argument("--n", type=int, default=default_n, help="iteration steps")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
 
     p = sub.add_parser("solve-partition", help="solve a boundary-equation system")
     p.add_argument("--system", help="JSON system (inline or file)")

@@ -319,12 +319,15 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     blocks whose bound could beat the best gap found there, in slices of
     at most `_KS_SLICE` = 8192 samples.  So the sorted copy is the one
     N-sized temporary: the other temporaries hold a slice or N/128 block
-    ends.  The result is == to evaluating F at every sample.
+    ends.  The result is == to evaluating F at every sample.  A zero `std`
+    leaves the law undefined: the statistic is then NaN, with no warning.
     """
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
         raise ValueError("need at least one sample")
+    if std == 0:
+        return float("nan")
 
     def cdf(x):
         return _ndtr((x - mean) / std)

@@ -1,4 +1,10 @@
-"""Deterministic report writers: canonical JSON, CSV with provenance."""
+"""Deterministic report writers: canonical JSON, CSV with provenance.
+
+Also the home of the seed that provenance records: `DEFAULT_SEED` and
+`check_seed`, the rule of the seed range, live here and not in `rng`, so
+the CLI reads and checks a seed without loading numpy; `rng` re-exports
+`DEFAULT_SEED` and applies `check_seed` to every stream key.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,16 @@ import json
 __all__ = ["canonical_json", "spec_hash", "provenance_line", "render_csv", "write_text"]
 
 VERSION = "1.0.0"
+
+#: documented default seed used by the CLI when none is given
+DEFAULT_SEED = 20140502
+
+
+def check_seed(seed: int) -> int:
+    """`seed` if it keys a Philox stream, 0 <= seed < 2^128; else ValueError."""
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must be in [0, 2**128), not {seed}")
+    return seed
 
 
 def canonical_json(obj) -> str:

@@ -6,7 +6,10 @@ generated independently by advancing the counter to the chunk start, so
 any parallel schedule reproduces the single-threaded sample set bit for
 bit.  The dither of the ensemble simulators reads a stream of its own
 key in 32-bit lanes, two to a word.  Both read through `_stream`, the
-one reader that seeks a Philox stream.
+one reader that seeks a Philox stream; it rejects a key outside the
+Philox range [0, 2^128) by `reports.check_seed`.  `DEFAULT_SEED` and that
+rule live in the numpy-free `reports`, and this module re-exports
+`DEFAULT_SEED`.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import os
 
 import numpy as np
 
-__all__ = ["uniform_stream", "resolve_threads", "DEFAULT_SEED"]
+from .reports import DEFAULT_SEED, check_seed
 
-#: documented default seed used by the CLI when none is given
-DEFAULT_SEED = 20140502
+__all__ = ["uniform_stream", "resolve_threads", "DEFAULT_SEED"]
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -26,7 +28,8 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
 
     Independent of how the index range is chunked: the stream is keyed
     by `seed` and read from word `start`.  The array is freshly drawn and
-    shifted in place, so the caller owns it and may overwrite it.
+    shifted in place, so the caller owns it and may overwrite it.  A seed
+    outside [0, 2^128) raises ValueError.
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
@@ -44,9 +47,10 @@ def _stream(key: int):
     advance, which wraps modulo 2^256 and so may also step back, moves it
     to the block that holds the read, unless the read starts in the block
     the generator emits next.  Every read takes whole blocks, so the
-    generator never holds spare words.
+    generator never holds spare words.  A key outside [0, 2^128), the
+    Philox key range, raises ValueError.
     """
-    bitgen = np.random.Philox(key=int(key))
+    bitgen = np.random.Philox(key=check_seed(int(key)))
     gen = np.random.Generator(bitgen)
     at = 0      # the block the generator emits next
 

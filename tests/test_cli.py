@@ -698,7 +698,7 @@ def test_reports_byte_identical(tmp_path, capsys):
 
 # the detdiff modules loaded in a fresh interpreter: `import detdiff.cli`
 # loads only what every subcommand needs, and each subcommand adds its own
-_CLI_MODULES = {"cli", "errors", "reports", "rng"}
+_CLI_MODULES = {"cli", "errors", "reports"}
 _LIST_MODULES = "print(*sorted(m[8:] for m in sys.modules if m.startswith('detdiff.')))"
 
 
@@ -717,6 +717,53 @@ def test_cli_import_does_not_load_scipy(fresh_python, tmp_path):
         "assert main(sys.argv[1:]) == 0; print('_hashlib' in sys.modules)",
         "solve-partition", "--three-interval", "1,2,1,-1",
         "--out", str(tmp_path / "out")).strip() == "False"
+
+
+# argument lists that end main() in argparse, before any command runs
+_PARSE_ONLY = [
+    ["--help"],
+    *([command, "--help"] for command in
+      ("solve-partition", "diffusion", "scan", "evolve", "simulate", "billiard")),
+    ["scan", "--N", "abc"],
+    ["billiard", "--lambda", "3", "--seed", "-1"],
+]
+
+
+def test_cli_front_end_does_not_load_numpy(fresh_python):
+    # numpy loads with the first command that computes, not with the front end
+    out = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "import detdiff.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            code = detdiff.cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(code, 'numpy' in sys.modules)\n",
+        json.dumps(_PARSE_ONLY))
+    assert out.splitlines() == ["False"] + ["0 False"] * 7 + ["2 False"] * 2
+
+
+@pytest.mark.parametrize("seed,valid", [
+    (-1, False), (0, True), ((1 << 128) - 1, True), (1 << 128, False),
+])
+def test_seed_range_is_checked_at_parse_time(capsys, seed, valid):
+    # lambda = 4 is dithered: its dither key seed ^ _DITHER_KEY_SALT must fit too
+    argv = ["simulate", "--map", "linear", "lambda=4", "--N", "50", "--n", "30",
+            "--seed", str(seed)]
+    if valid:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("# detdiff=1.0.0 map=") and f" seed={seed}\n" in out
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument --seed: seed must be in [0, 2**128), not {seed}\n" \
+            in capsys.readouterr().err
 
 
 # the eight README commands at small N
@@ -751,15 +798,15 @@ def test_matrices_and_commands_do_not_load_numpy_ma(fresh_python, tmp_path):
 @pytest.mark.parametrize("argv,modules", [
     (["solve-partition", "--three-interval", "1,2,1,-1"], {"maps", "partition"}),
     (["simulate", "--map", '{"type":"zigzag","p":1,"xi":0.25}', "--N", "1000", "--n", "5"],
-     {"maps", "montecarlo"}),
+     {"maps", "montecarlo", "rng"}),
     (["billiard", "--lambda", "3", "--N", "1000", "--n", "5"],
-     {"maps", "montecarlo", "billiard"}),
+     {"maps", "montecarlo", "billiard", "rng"}),
     (["scan", "--from", "3", "--to", "3.5", "--N", "1000", "--n", "5"],
-     {"maps", "montecarlo", "density"}),
+     {"maps", "montecarlo", "density", "rng"}),
     (["evolve", "--map", '{"type":"linear","lambda":3}', "--checkpoints", "10"],
      {"maps", "partition", "transfer", "density"}),
     (["diffusion", "--map", '{"type":"linear","lambda":3}', "--N", "1000", "--n", "5"],
-     {"maps", "partition", "transfer", "density", "montecarlo"}),
+     {"maps", "partition", "transfer", "density", "montecarlo", "rng"}),
 ], ids=["solve-partition", "simulate", "billiard", "scan", "evolve", "diffusion"])
 def test_command_loads_only_its_modules(fresh_python, tmp_path, argv, modules):
     out = fresh_python(

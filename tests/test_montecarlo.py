@@ -59,6 +59,27 @@ def test_uniform_stream_is_shifted_philox_doubles():
     np.testing.assert_array_equal(uniform_stream(11, 45, 255), doubles[45:] - 0.5)
 
 
+@pytest.mark.parametrize("seed,valid", [
+    (-1, False), (0, True), ((1 << 128) - 1, True), (1 << 128, False),
+])
+def test_seed_must_be_a_philox_key(seed, valid):
+    lam4 = linear_map(4.0)
+    # lambda = 4 is dithered, so its dither key seed ^ _DITHER_KEY_SALT is read too
+    assert montecarlo._dither_period(lam4) > 0
+    runs = [
+        lambda: uniform_stream(seed, 0, 5),
+        lambda: simulate_ensemble(lam4, 100, 30, seed),
+        lambda: estimate_d_increment(lam4, 100, 30, seed),
+        lambda: simulate_channel(sawtooth_kick(3.0), 100, 20, seed),
+    ]
+    for call in runs:
+        if valid:
+            call()
+        else:
+            with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*128\), not "):
+                call()
+
+
 def test_same_seed_bitwise_identical():
     a = simulate_ensemble(linear_map(3.0), 20_000, STEPS, seed=123)
     b = simulate_ensemble(linear_map(3.0), 20_000, STEPS, seed=123)
@@ -351,6 +372,16 @@ def test_ks_normal_basic():
     assert ks_normal(s, 0.0, 1e9) > 0.4     # flat cdf against spread data
     assert ks_normal(np.sort(np.random.default_rng(0).normal(size=4000)),
                      0.0, 1.0) < 0.03
+
+
+def test_ks_normal_of_a_zero_std_is_nan_without_a_warning():
+    # RuntimeWarning is an error under the suite's filter
+    for samples in ([0.0, 0.0, 0.0], [-1.0, 0.0, 2.0]):
+        for std in (0.0, -0.0):
+            assert math.isnan(ks_normal(np.array(samples), 0.0, std))
+    # a negative or NaN std is unchanged: the CDF falls with s, or is NaN
+    assert ks_normal(np.array([-1.0, 0.0, 2.0]), 0.0, -1.0) > 0.9
+    assert math.isnan(ks_normal(np.array([-1.0, 0.0, 2.0]), 0.0, math.nan))
 
 
 def test_far_shift_map_keeps_its_fraction():
