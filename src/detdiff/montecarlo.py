@@ -27,8 +27,9 @@ until the next dither drop k P of them, so P = max(1, floor((W - 4)/k))
 with W = 32 leaves four.  Measured edges: k P = W fails at both W = 16
 and W = 32, while k P <= W - 2 passes.  A slope divisible by 2^29 drops
 more bits per step than a lane holds; it gets P = 1 and is under budget.
-Sample i of N reads its dither at step t = 0 mod P from 32-bit lane
-(t // P) N + i of a keyed Philox stream, two lanes to a 64-bit word.
+Sample i of N reads its dither at step t = 0 mod P from lane (t // P) N + i
+of `rng._lanes` of the key seed ^ `_DITHER_KEY_SALT`: a pure function of
+key and index, whatever chunk or thread reads it.
 
 `simulate_ensemble`, `estimate_d_increment` and the billiard channel
 share one chunk runner, which cuts the sample range into chunks of
@@ -44,8 +45,8 @@ blocks of sorted samples where the maximum gap can be.
 Memory is bounded by the outputs, plus one N-sized temporary, plus
 per-chunk scratch.  A chunk allocates its fractions and cells, and its
 carry, map and dither buffers, once; a dithered step then allocates
-only the dither's raw lanes, half the size of the chunk's fractions,
-and the last positions overwrite the cells.
+only a bit generator and the dither's raw lanes, half the size of the
+chunk's fractions, and the last positions overwrite the cells.
 `estimate_stats` rejects non-finite samples instead of copying the rest: the
 centred copy inside the variance and then the sorted copy of
 `ks_normal` are the N-sized temporaries, never alive together, and the
@@ -61,7 +62,8 @@ import numpy as np
 
 from .errors import failure_record
 from .maps import PiecewiseLinearLiftMap, linear_map
-from .rng import _stream, resolve_threads, uniform_stream
+from .reports import check_seed
+from .rng import _lanes, resolve_threads, uniform_stream
 
 __all__ = [
     "EnsembleStats",
@@ -86,7 +88,7 @@ _KS_JOIN = 4
 #: longest slice of sorted samples that the normal CDF sees at once
 _KS_SLICE = 1 << 13
 
-#: bits of a dither lane, two lanes to a Philox word
+#: bits of a dither lane of `rng._lanes`
 _LANE_BITS = 32
 # a lane w gives the dither (w + 1/2 - 2^31) 2^-53: w 2^-53, the offset
 # and their sum are multiples of 2^-54 below 2^-21, so it is exact
@@ -169,29 +171,27 @@ def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
 
     Each chunk runs `_iterate_chunk` with a step that maps each fraction
     through its piece and, at the steps t = 0 mod P of a dithered map, adds
-    the dither made from 32-bit lane w = (t // P) n_samples + i of its
-    keyed stream for sample i, so results do not depend on the chunking:
+    the dither made from lane w = (t // P) n_samples + i of `rng._lanes`
+    of its key for sample i, so results do not depend on the chunking:
     d = (w + 1/2 - 2^31) 2^-53, exact.
     """
     if n_samples < 1 or horizons[0] < 1:
         raise ValueError("n_samples and n_steps must be >= 1")
     period = _dither_period(lift_map)
+    dither_key = int(seed) ^ _DITHER_KEY_SALT
     outs = [np.empty(n_samples) for _ in horizons]
 
     def run(start, stop):
         u = uniform_stream(seed, start, stop - start)
         scratch = lift_map._fraction_scratch(u.size)
         if period:
-            read = _stream(int(seed) ^ _DITHER_KEY_SALT)
             dither = np.empty_like(u)
 
         def step(u, t):
             lift_map._map_fraction(u, scratch)
             if period and t % period == 0:
-                # word k of the stream holds lanes 2k and 2k + 1, lowest 32 bits first
-                word, lane = divmod(t // period * n_samples + start, 2)
-                lanes = read(word, (lane + u.size + 1) // 2).astype("<u8", copy=False)
-                np.multiply(lanes.view("<u4")[lane:lane + u.size], _LANE_SCALE, out=dither)
+                lanes = _lanes(dither_key, t // period * n_samples + start, u.size)
+                np.multiply(lanes, _LANE_SCALE, out=dither)
                 u += np.add(dither, _LANE_OFFSET, out=dither)
 
         for out, x in zip(outs, _iterate_chunk(step, u, np.zeros_like(u), horizons)):
@@ -436,12 +436,13 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
     d_heuristic, d_omega, ks.  The same seed (hence the same initial
     ensemble) is reused across grid points.  A failed point is a NaN row
     with the `error` and `exit_code` of its `errors.failure_record`; an
-    unclassified error ends the scan, as does a bad `DETDIFF_THREADS`,
-    resolved first.
+    unclassified error ends the scan, as do a seed outside [0, 2^128) and a
+    bad `DETDIFF_THREADS`, both checked first.
     """
     # imported here: the other simulators never need the density module
     from .density import heuristic_d, omega_approx_d
 
+    check_seed(seed)
     threads = resolve_threads(threads)
     rows = []
     for lam in lams:

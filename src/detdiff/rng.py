@@ -1,15 +1,16 @@
 """Counter-based random streams for reproducible ensembles.
 
-All ensemble draws come from a Philox stream keyed by the user seed;
-the value for sample index i is word i of that stream.  Chunks are
-generated independently by advancing the counter to the chunk start, so
-any parallel schedule reproduces the single-threaded sample set bit for
-bit.  The dither of the ensemble simulators reads a stream of its own
-key in 32-bit lanes, two to a word.  Both read through `_stream`, the
-one reader that seeks a Philox stream; it rejects a key outside the
-Philox range [0, 2^128) by `reports.check_seed`.  `DEFAULT_SEED` and that
-rule live in the numpy-free `reports`, and this module re-exports
-`DEFAULT_SEED`.
+All ensemble draws come from Philox streams read as pure functions of
+key and index: `_words(key, start, count)` is words [start, start +
+count) of the stream of `key`, built at the counter that emits word
+`start`, so no reader keeps a position and any chunking or parallel
+schedule reproduces the single-threaded sample set bit for bit.  Sample
+i draws its uniform from word i of the stream of the user seed.  The
+dither of the ensemble simulators reads `_lanes`, the 32-bit lanes of a
+stream of its own key, lane 2k + j being bits 32j to 32j + 31 of word k.
+A key outside the Philox range [0, 2^128) raises by `reports.check_seed`.
+`DEFAULT_SEED` and that rule live in the numpy-free `reports`, and this
+module re-exports `DEFAULT_SEED`.
 """
 
 from __future__ import annotations
@@ -33,40 +34,34 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     """
     if start < 0 or count < 0:
         raise ValueError("start and count must be nonnegative")
-    u = _stream(seed)(start, count, doubles=True)
+    u = _words(seed, start, count, doubles=True)
     u -= 0.5
     return u
 
 
-def _stream(key: int):
-    """read(start, count, doubles=False): words [start, start + count) of the stream of `key`.
+def _words(key: int, start: int, count: int, doubles: bool = False) -> np.ndarray:
+    """Words [start, start + count) of the Philox stream of `key`.
 
-    With `doubles`, the words come as the doubles `Generator.random` makes
-    of them, (word >> 11) 2^-53 on [0, 1).  One Philox counter tick emits a
-    block of 4 words.  One bit generator serves every read: a relative
-    advance, which wraps modulo 2^256 and so may also step back, moves it
-    to the block that holds the read, unless the read starts in the block
-    the generator emits next.  Every read takes whole blocks, so the
-    generator never holds spare words.  A key outside [0, 2^128), the
-    Philox key range, raises ValueError.
+    Word i is a pure function of (key, i): counter c emits words 4c to
+    4c + 3, so a bit generator built at counter start // 4 reads them from
+    there, whatever was read before.  With `doubles`, the words come as the
+    doubles `Generator.random` makes of them, (word >> 11) 2^-53 on [0, 1).
+    A key outside [0, 2^128), the Philox key range, raises ValueError.
     """
-    bitgen = np.random.Philox(key=check_seed(int(key)))
-    gen = np.random.Generator(bitgen)
-    at = 0      # the block the generator emits next
+    block, lead = divmod(int(start), 4)
+    bitgen = np.random.Philox(key=check_seed(int(key)), counter=block)
+    n = lead + int(count)
+    return (np.random.Generator(bitgen).random(n) if doubles else bitgen.random_raw(n))[lead:]
 
-    def read(start: int, count: int, doubles: bool = False) -> np.ndarray:
-        nonlocal at
-        block, lead = divmod(int(start), 4)
-        if block != at:     # an advance costs microseconds even by 0
-            bitgen.advance(block - at)
-        n = lead + int(count)
-        # whole blocks only: Philox keeps the unread words of a partial
-        # block and hands them out first, and only an advance drops them
-        at = block + (n + 3) // 4
-        size = 4 * (at - block)
-        return (gen.random(size) if doubles else bitgen.random_raw(size))[lead:n]
 
-    return read
+def _lanes(key: int, start: int, count: int) -> np.ndarray:
+    """32-bit lanes [start, start + count) of the Philox stream of `key`.
+
+    Lane 2k + j is bits 32j to 32j + 31 of word k of `_words`, on any host.
+    """
+    word, lane = divmod(start, 2)
+    words = _words(key, word, (lane + count + 1) // 2).astype("<u8", copy=False)
+    return words.view("<u4")[lane:lane + count]
 
 
 def resolve_threads(threads=None) -> int:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from detdiff import (
 )
 from detdiff import montecarlo
 from detdiff.montecarlo import _ndtr
-from detdiff.rng import _stream
+from detdiff.rng import _lanes, _words
 
 N = 100_000
 STEPS = 50
@@ -71,6 +72,8 @@ def test_seed_must_be_a_philox_key(seed, valid):
         lambda: simulate_ensemble(lam4, 100, 30, seed),
         lambda: estimate_d_increment(lam4, 100, 30, seed),
         lambda: simulate_channel(sawtooth_kick(3.0), 100, 20, seed),
+        # a bad seed belongs to the whole scan, not to one failed row per lambda
+        lambda: scan_lambda([3.0, 4.0], 100, 5, seed),
     ]
     for call in runs:
         if valid:
@@ -97,44 +100,35 @@ def test_chunking_and_threads_do_not_change_samples(ensemble_constants):
     np.testing.assert_array_equal(a, c)
 
 
-def test_stream_reads_words_in_any_order(monkeypatch):
+def test_stream_reads_words_in_any_order():
     words = np.random.Philox(key=11).random_raw(3000)
     doubles = np.random.Generator(np.random.Philox(key=11)).random(3000)
-    read = _stream(11)
     # in any order: forwards, backwards, overlapping, from every offset in a
-    # block, as words or as doubles from the one generator
+    # block, as words or as doubles
     for i, (start, count) in enumerate(((0, 5), (1024, 250), (3, 1), (1, 4), (1500, 1),
                                         (10, 0), (2997, 3), (2, 1750), (7, 9))):
         if i % 2:
-            np.testing.assert_array_equal(read(start, count, doubles=True),
+            np.testing.assert_array_equal(_words(11, start, count, doubles=True),
                                           doubles[start:start + count])
         else:
-            np.testing.assert_array_equal(read(start, count), words[start:start + count])
+            np.testing.assert_array_equal(_words(11, start, count), words[start:start + count])
 
-    advances = []
+    # lane 2k + j is bits 32j .. 32j + 31 of word k; a word holds lanes
+    # 2k and 2k + 1 and a block of 4 words lanes 8c .. 8c + 7, so these
+    # start on odd lanes, straddle words and blocks, or read one lane
+    lanes = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], axis=1).ravel()
+    reads = ((0, 1), (1, 1), (3, 2), (7, 2), (5, 12), (9, 0), (15, 3), (1001, 999),
+             (4000, 1), (5997, 3), (6, 5000))
+    for start, count in reads:
+        got = _lanes(11, start, count)
+        assert got.dtype == np.dtype("<u4")
+        np.testing.assert_array_equal(got, lanes[start:start + count])
 
-    class CountingPhilox(np.random.Philox):
-        def advance(self, delta):
-            advances.append(delta)
-            return super().advance(delta)
-
-    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
-    read = _stream(11)
-    # back to back, as the steps of one chunk read them; a block holds 4
-    # words, and a read that starts in the block the generator emits next
-    # needs no advance: only the first read and the two that start inside
-    # the last block of the read before them move the generator
-    start = 40
-    for count in (4, 12, 200, 1, 3, 2, 750):
-        np.testing.assert_array_equal(read(start, count), words[start:start + count])
-        start += count
-    assert advances == [10, -1, -1]
-
-    # a gap of less than a block after a read that ended mid-block: the
-    # generator must not hand out the spare words of that block
-    read = _stream(11)
-    for start, count in ((40, 1), (44, 1), (47, 1), (52, 4)):
-        np.testing.assert_array_equal(read(start, count), words[start:start + count])
+    # two threads reading ranges at once share no reader state
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda r: _lanes(11, *r), reads * 20))
+    for (start, count), g in zip(reads * 20, got):
+        np.testing.assert_array_equal(g, lanes[start:start + count])
 
 
 def test_dither_reads_little_endian_half_words(ensemble_constants):
@@ -195,7 +189,7 @@ def test_lane_dither_does_not_depend_on_chunks_or_threads(ensemble_constants):
 
 @pytest.mark.parametrize("n", [montecarlo._CHUNK - 1, montecarlo._CHUNK + 1,
                                2 * montecarlo._CHUNK + 1])
-def test_tiles_do_not_change_samples(n, ensemble_constants):
+def test_chunk_edges_do_not_change_samples(n, ensemble_constants):
     # 1000 samples per chunk against the default, whose last chunk is short
     drift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
     for lift_map in (zigzag_map(1, 0.25), linear_map(4.0), drift):
