@@ -9,11 +9,12 @@ anomalous transport.
 
 The namespace is lazy (PEP 562, as in Scientific Python SPEC 1):
 `import detdiff` loads no submodule.  `_EXPORTS` maps each submodule to
-the names it re-exports; the first access to one of those names, or to
-the submodule itself, imports that submodule and caches the result here,
-so `detdiff.evolve is detdiff.density.evolve`.  `__all__` lists every
-re-exported name and submodule, so `from detdiff import *` binds them
-all.
+the names it re-exports, and is the one list of public names: each of
+those submodules sets its own `__all__` to its entry.  The first access
+to one of those names, or to the submodule itself, imports that
+submodule and caches the result here, so `detdiff.evolve is
+detdiff.density.evolve`.  `__all__` lists every re-exported name and
+submodule, so `from detdiff import *` binds them all.
 """
 
 import importlib
@@ -28,7 +29,7 @@ _EXPORTS = {
     ),
     "catalog": ("CASES", "GOLDEN_NAMES", "SolvableCase"),
     "density": (
-        "LatticeDensity", "closed_form_d", "evolve", "gaussian_profile",
+        "LatticeDensity", "closed_form_d", "closed_form_drift", "evolve", "gaussian_profile",
         "heuristic_d", "kolmogorov_distance", "omega_approx_d", "omega_factor",
         "second_moment", "unit_pulse",
     ),

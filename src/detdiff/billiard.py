@@ -22,22 +22,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import GrazingReflectionError
 from .maps import fractional_part
 from .montecarlo import _iterate_chunk, _run_chunks
 from .rng import uniform_stream
 
-__all__ = [
-    "BilliardState",
-    "exact_step",
-    "approximate_step",
-    "tangent_kick",
-    "sawtooth_kick",
-    "position_from_kicks",
-    "theoretical_variance",
-    "ChannelReport",
-    "simulate_channel",
-]
+__all__ = _EXPORTS["billiard"]
 
 _GRAZE_TOL = 1e-12
 

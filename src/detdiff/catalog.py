@@ -19,10 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _EXPORTS
 from .maps import PiecewiseLinearLiftMap, linear_map
 from .partition import Equation, MarkovPartition, PartitionEquationSystem
 
-__all__ = ["SolvableCase", "CASES", "GOLDEN_NAMES"]
+__all__ = _EXPORTS["catalog"]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)

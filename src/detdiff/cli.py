@@ -158,6 +158,17 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
                            "as given or with 0 added; pass --partition")
 
 
+def _checkpoints(text: str) -> list:
+    """--checkpoints: sorted, unique, positive step counts, or MapDefinitionError."""
+    try:
+        counts = sorted({int(c) for c in text.split(",")})
+    except ValueError:
+        counts = []
+    if not counts or counts[0] < 1:
+        raise MapDefinitionError(f"--checkpoints {text!r} is not a list of positive step counts")
+    return counts
+
+
 def _one_partition_source(args):
     """--partition and --partition-system name the same partition: take at most one."""
     if args.partition and args.partition_system:
@@ -215,10 +226,10 @@ def cmd_solve_partition(args):
 
 def _method_report(name, args, spec, lift_map):
     if name == "closed-form":
-        from .density import closed_form_d
+        from .density import closed_form_d, closed_form_drift
 
-        d = closed_form_d(lift_map)
-        return {"d": d, "drift": 0.0, "method": "closed-form", "diagnostics": {}}
+        return {"d": closed_form_d(lift_map), "drift": closed_form_drift(lift_map),
+                "method": "closed-form", "diagnostics": {}}
     if name == "spectral":
         from .transfer import diffusion_spectral
 
@@ -267,8 +278,12 @@ def cmd_diffusion(args):
         if not good:
             return _error(max(codes), "every method failed: " + "; ".join(
                 f"{name}: {rep['error']}" for name, rep in methods.items()))
-        deltas = {f"{a}|{b}": abs(good[a]["d"] - good[b]["d"])
-                  for a, b in itertools.combinations(sorted(good), 2)}
+        # every d but Monte Carlo's is raw, -Re z''(0)/2; Monte Carlo's
+        # Var/(2n) is about the ensemble mean: compare centred values
+        centred = {k: v["d"] if k == "mc" else v["d"] - v["drift"] ** 2 / 2
+                   for k, v in good.items()}
+        deltas = {f"{a}|{b}": abs(centred[a] - centred[b])
+                  for a, b in itertools.combinations(sorted(centred), 2)}
         payload = {"map": spec, "methods": methods, "deltas": deltas}
     else:
         payload = {"map": spec,
@@ -317,6 +332,7 @@ def cmd_scan(args):
 
 
 def cmd_evolve(args):
+    checkpoints = _checkpoints(args.checkpoints)
     from .density import evolve, gaussian_profile, kolmogorov_distance, unit_pulse
     from .transfer import diffusion_spectral
 
@@ -325,9 +341,6 @@ def cmd_evolve(args):
     lift_map = _resolve_map(spec)
     tset = _partition_for(args, lift_map)
     rep = diffusion_spectral(tset)
-    checkpoints = sorted({int(c) for c in args.checkpoints.split(",")})
-    if any(c < 1 for c in checkpoints):
-        raise MapDefinitionError("checkpoints must be positive step counts")
 
     dens = unit_pulse(tset.breakpoints)
     done = 0
@@ -373,11 +386,11 @@ def cmd_simulate(args):
 
 
 def cmd_billiard(args):
+    checkpoints = None if args.checkpoints is None else _checkpoints(args.checkpoints)
     from .billiard import sawtooth_kick, simulate_channel
 
     lam = parse_algebraic(getattr(args, "lambda"))
     kick = sawtooth_kick(lam)
-    checkpoints = [int(c) for c in args.checkpoints.split(",")] if args.checkpoints else None
     report = simulate_channel(kick, args.N, args.n, args.seed, checkpoints=checkpoints)
     text = render_csv(
         ["checkpoint", "variance", "theoretical_variance", "exponent_so_far"],

@@ -16,22 +16,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import MapDefinitionError
 
-__all__ = [
-    "PiecewiseLinearLiftMap",
-    "Interval",
-    "nearest_integer",
-    "fractional_part",
-    "eval_map",
-    "shift_function",
-    "validate_stretching",
-    "compute_route",
-    "reconstruct_initial",
-    "linear_map",
-    "zigzag_map",
-    "map_from_spec",
-]
+__all__ = _EXPORTS["maps"]
 
 _HALF = 0.5
 _BREAKPOINT_TOL = 1e-12

@@ -60,19 +60,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import failure_record
 from .maps import PiecewiseLinearLiftMap, linear_map
 from .reports import check_seed
 from .rng import _lanes, resolve_threads, uniform_stream
 
-__all__ = [
-    "EnsembleStats",
-    "simulate_ensemble",
-    "estimate_stats",
-    "estimate_d_increment",
-    "ks_normal",
-    "scan_lambda",
-]
+__all__ = _EXPORTS["montecarlo"]
 
 #: samples per chunk: the unit of scheduling, of the step loop and of
 #: the channel's reduction

@@ -26,20 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import PartitionError, RootSolveError, SystemStructureError
 from .maps import _BREAKPOINT_TOL, PiecewiseLinearLiftMap, _label, _unit_breakpoints
 
-__all__ = [
-    "MarkovPartition",
-    "Equation",
-    "PartitionEquationSystem",
-    "SolvedPartition",
-    "solve_three_interval",
-    "solve_partition_system",
-    "largest_real_root",
-    "ConsistencyReport",
-    "validate_consistency",
-]
+__all__ = _EXPORTS["partition"]
 
 _RESIDUAL_TOL = 1e-13   # |R(lam)| at the solved slope must be below this
 _GRID_TOL = 1e-9        # Markov rule: how far an image end may miss the cell-boundary grid

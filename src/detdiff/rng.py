@@ -19,9 +19,10 @@ import os
 
 import numpy as np
 
+from . import _EXPORTS
 from .reports import DEFAULT_SEED, check_seed
 
-__all__ = ["uniform_stream", "resolve_threads", "DEFAULT_SEED"]
+__all__ = _EXPORTS["rng"]
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:

@@ -24,20 +24,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError
 from .maps import PiecewiseLinearLiftMap
 from .partition import MarkovPartition, TransitionMatrixSet, _markov_verdict
 
-__all__ = [
-    "TransitionMatrixSet",
-    "DiffusionReport",
-    "build_transition_matrices",
-    "characteristic_matrix",
-    "leading_eigenpair",
-    "leading_eigenvalue",
-    "stationary_density",
-    "diffusion_spectral",
-]
+__all__ = _EXPORTS["transfer"]
 
 
 def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,

@@ -24,6 +24,9 @@ from test_montecarlo import _traced_peak
 def test_state_validation():
     with pytest.raises(ValueError):
         BilliardState(0.0, 1.0, h=0.0)
+    for x_curr in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^incoming slope must be finite$"):
+            exact_step(BilliardState(0.0, x_curr))
 
 
 def test_exact_step_flat_wall_conserves_slope():
@@ -126,6 +129,8 @@ def test_theoretical_variance_values():
     n = 400
     ratio = theoretical_variance(2 * n, 2.0) / theoretical_variance(n, 2.0)
     assert ratio == pytest.approx(8.0, rel=2e-2)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        theoretical_variance(-1, 3.0)
 
 
 def test_theoretical_variance_monotonicity():

@@ -118,6 +118,25 @@ def test_diffusion_all_methods(capsys):
     assert methods["mc"]["method"] == "monte-carlo"
 
 
+# slopes 4 and 2: drift 1/4, raw D 1/8 and centred D 1/8 - (1/4)^2/2 = 3/32
+_DRIFT_MAP = ('{"type":"pieces","breakpoints":[-0.5,0,0.5],'
+              '"values":[[-0.5,1.5],[-0.5,0.5]]}')
+
+
+def test_diffusion_all_compares_centred_d_on_a_drifting_map(capsys):
+    code, out, _ = run(capsys, "diffusion", "--map", _DRIFT_MAP, "--method", "all",
+                       "--N", "20000", "--n", "20")
+    assert code == 0
+    report = json.loads(out)
+    closed, spectral, mc = (report["methods"][k] for k in ("closed-form", "spectral", "mc"))
+    assert (closed["d"], closed["drift"]) == (0.125, 0.25)
+    assert (spectral["d"], spectral["drift"]) == pytest.approx((0.125, 0.25), abs=1e-14)
+    # Monte Carlo's d is centred as it stands; the raw ones lose drift^2/2
+    assert report["deltas"]["closed-form|mc"] == abs(3 / 32 - mc["d"]) < 0.01
+    assert report["deltas"]["mc|spectral"] == pytest.approx(abs(3 / 32 - mc["d"]), abs=1e-14)
+    assert report["deltas"]["closed-form|spectral"] < 1e-14
+
+
 # the first piece's ends, -0.5 and -0.4999999999, are not both on the
 # half-integer grid, though within 1e-9 of one
 _FLAT_PIECE = ('{"type":"pieces","breakpoints":[-0.5,0.0,0.5],'
@@ -480,6 +499,19 @@ _CONTRACT = [
                  2, "--from nan is not finite", id="scan-nan"),
     pytest.param(["solve-partition", "--three-interval", "1,100000,1,1"], 0, "",
                  id="three-interval-large-n"),
+    # evolve and billiard share one --checkpoints rule; '' is no list, not the default
+    pytest.param(["evolve", "--map", "linear", "lambda=3", "--checkpoints", ""],
+                 2, "--checkpoints '' is not a list of positive step counts",
+                 id="evolve-checkpoints-empty"),
+    pytest.param(["billiard", "--lambda", "3", "--checkpoints", ""],
+                 2, "--checkpoints '' is not a list of positive step counts",
+                 id="billiard-checkpoints-empty"),
+    pytest.param(["evolve", "--map", "linear", "lambda=3", "--checkpoints", "10,0"],
+                 2, "--checkpoints '10,0' is not a list of positive step counts",
+                 id="evolve-checkpoints-zero"),
+    pytest.param(["billiard", "--lambda", "3", "--checkpoints", "0"],
+                 2, "--checkpoints '0' is not a list of positive step counts",
+                 id="billiard-checkpoints-zero"),
     # no cell maps into cell 0, so the stationary density vanishes there
     pytest.param(["diffusion", "--map", _TRANSIENT_MAP, "--method", "spectral"],
                  3, "cell 0 cannot be reached from cell 1; the transfer matrix is reducible",
@@ -745,6 +777,15 @@ def test_cli_front_end_does_not_load_numpy(fresh_python):
         "    print(code, 'numpy' in sys.modules)\n",
         json.dumps(_PARSE_ONLY))
     assert out.splitlines() == ["False"] + ["0 False"] * 7 + ["2 False"] * 2
+
+
+def test_checkpoints_are_checked_before_any_numeric_import(fresh_python):
+    out = fresh_python(
+        "import sys; from detdiff.cli import main\n"
+        "assert main(['evolve', '--map', 'linear', 'lambda=3', '--checkpoints', '0']) == 2\n"
+        "assert main(['billiard', '--lambda', '3', '--checkpoints', '']) == 2\n"
+        "print('numpy' in sys.modules)\n")
+    assert out.split() == ["False"]
 
 
 @pytest.mark.parametrize("seed,valid", [

@@ -8,10 +8,12 @@ import pytest
 from detdiff import (
     CASES,
     HalfIntegerValueError,
+    LatticeDensity,
     MarkovPartition,
     PiecewiseLinearLiftMap,
     build_transition_matrices,
     closed_form_d,
+    closed_form_drift,
     diffusion_spectral,
     evolve,
     gaussian_profile,
@@ -71,6 +73,24 @@ def test_evolve_mass_conserved_1000_steps():
     tset = build_transition_matrices(case.lift_map(), case.partition())
     dens = evolve(tset, unit_pulse(tset.breakpoints), 1000)
     assert abs(dens.mass - 1.0) <= 1e-10
+
+
+_UNIT = (-0.5, 0.5)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: LatticeDensity(0, np.ones((1, 2)), _UNIT),
+     "values width must match the number of cells"),
+    (lambda: LatticeDensity(0, [[-1.0]], _UNIT), "densities must be nonnegative"),
+    (lambda: evolve(build_transition_matrices(linear_map(3.0), MarkovPartition.unit()),
+                    unit_pulse(_UNIT), -1), "step count must be nonnegative"),
+    (lambda: gaussian_profile(0.0, 0.0, [1.0], _UNIT, 10),
+     "diffusion coefficient must be positive"),
+    (lambda: gaussian_profile(1 / 3, 0.0, [1.0], _UNIT, 0), "step count must be >= 1"),
+], ids=["width", "negative", "evolve-backwards", "profile-zero-d", "profile-zero-n"])
+def test_density_arguments_at_fault_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_evolve_partition_mismatch():
@@ -244,10 +264,26 @@ def test_closed_form_zigzag():
 
 
 def test_closed_form_rejects_non_half_integer():
-    with pytest.raises(HalfIntegerValueError):
-        closed_form_d(linear_map(3.7))
-    with pytest.raises(HalfIntegerValueError):
-        closed_form_d(linear_map(4.0))
+    for closed_form in (closed_form_d, closed_form_drift):
+        with pytest.raises(HalfIntegerValueError):
+            closed_form(linear_map(3.7))
+        with pytest.raises(HalfIntegerValueError):
+            closed_form(linear_map(4.0))
+
+
+@pytest.mark.parametrize("breakpoints,values,drift", [
+    ([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)], 0.25),
+    ([-0.5, 0.3, 0.5], [(-0.5, 1.5), (-0.5, 0.5)], 0.4),
+    ([-0.5, 0.25, 0.5], [(-1.5, 0.5), (0.5, -0.5)], -0.375),
+    ([-0.5, 0.5], [(-1.5, 1.5)], 0.0),
+])
+def test_closed_form_drift_matches_the_spectral_drift(breakpoints, values, drift):
+    # half-integer ends keep the invariant density uniform: drift = integral of f
+    lift = PiecewiseLinearLiftMap(breakpoints, values)
+    rep = diffusion_spectral(build_transition_matrices(lift, MarkovPartition(lift.breakpoints)))
+    assert closed_form_drift(lift) == drift
+    assert rep.drift == pytest.approx(drift, abs=1e-14)
+    assert rep.d == pytest.approx(closed_form_d(lift), abs=1e-14)
 
 
 def test_closed_form_against_quadratic_oracle():

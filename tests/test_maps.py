@@ -146,6 +146,13 @@ def test_map_validation_errors():
         PiecewiseLinearLiftMap([-0.5, 0.3, 0.2, 0.5], [(-1, 0), (0, 1), (1, 2)])
     with pytest.raises(MapDefinitionError):
         PiecewiseLinearLiftMap([-0.5, 0.5], [(-1.0, float("inf"))])
+    with pytest.raises(MapDefinitionError, match="^a map needs at least two breakpoints$"):
+        PiecewiseLinearLiftMap([0.5], [])
+    with pytest.raises(MapDefinitionError, match="^2 pieces require 2 value pairs, got 1$"):
+        PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-1.5, 1.5)])
+    for xi in (0.0, 0.5):
+        with pytest.raises(MapDefinitionError, match="^zigzag map needs 0 < xi < 1/2$"):
+            zigzag_map(1, xi)
 
 
 @pytest.mark.parametrize("breakpoints,values", [
@@ -174,6 +181,8 @@ def test_route_input_validation():
         compute_route(linear_map(3.0), 0.1, 0)
     with pytest.raises(ValueError):
         compute_route(linear_map(3.0), float("nan"), 3)
+    with pytest.raises(ValueError, match="^route must be nonempty$"):
+        reconstruct_initial(linear_map(3.0), [])
 
 
 def test_route_index_overflow():
@@ -260,7 +269,7 @@ def test_zigzag_p_must_be_an_integer():
     for p in (2, 2.0, "2"):
         assert zigzag_map(p, 0.25)(0.25) == 2.5
     for p, message in ((2.7, "an integer p, got 2.7"), (float("inf"), "a finite p, got inf"),
-                       (float("nan"), "a finite p, got nan")):
+                       (float("nan"), "a finite p, got nan"), (0, "p >= 1")):
         with pytest.raises(MapDefinitionError, match=message):
             zigzag_map(p, 0.25)
 

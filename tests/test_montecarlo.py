@@ -328,9 +328,26 @@ def test_ensemble_step_loop_allocates_nothing_per_step(ensemble_constants):
 
 @pytest.mark.parametrize("n_samples", [0, -5])
 def test_lifting_estimators_reject_empty_ensembles(n_samples):
-    for estimator in (simulate_ensemble, estimate_d_increment):
+    # the channel too, with its kick in place of the map
+    for estimator, system in ((simulate_ensemble, linear_map(3.0)),
+                              (estimate_d_increment, linear_map(3.0)),
+                              (simulate_channel, sawtooth_kick(3.0))):
         with pytest.raises(ValueError, match="n_samples and n_steps must be >= 1"):
-            estimator(linear_map(3.0), n_samples, 4, seed=1)
+            estimator(system, n_samples, 4, seed=1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ks_normal(np.array([]), 0.0, 1.0), "need at least one sample"),
+    (lambda: estimate_d_increment(linear_map(3.0), 100, 1, seed=1),
+     "need n_steps >= 2 for a variance increment"),
+    # 50 batches of 3 samples hold one sample each
+    (lambda: estimate_d_increment(linear_map(3.0), 3, 4, seed=1),
+     "not enough batches of two samples for a stderr estimate"),
+    (lambda: uniform_stream(11, -1, 5), "start and count must be nonnegative"),
+], ids=["ks-no-samples", "increment-one-step", "increment-one-batch", "stream-negative-start"])
+def test_estimator_arguments_at_fault_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_estimate_stats_validation():

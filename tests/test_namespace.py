@@ -7,9 +7,9 @@ PUBLIC = {
                  "position_from_kicks", "sawtooth_kick", "simulate_channel",
                  "tangent_kick", "theoretical_variance"],
     "catalog": ["CASES", "GOLDEN_NAMES", "SolvableCase"],
-    "density": ["LatticeDensity", "closed_form_d", "evolve", "gaussian_profile",
-                "heuristic_d", "kolmogorov_distance", "omega_approx_d", "omega_factor",
-                "second_moment", "unit_pulse"],
+    "density": ["LatticeDensity", "closed_form_d", "closed_form_drift", "evolve",
+                "gaussian_profile", "heuristic_d", "kolmogorov_distance", "omega_approx_d",
+                "omega_factor", "second_moment", "unit_pulse"],
     "errors": ["ConsistencyError", "DetdiffError", "EigenConvergenceError",
                "GrazingReflectionError", "HalfIntegerValueError", "IrreducibilityError",
                "MapDefinitionError", "PartitionError", "RootSolveError",
@@ -44,6 +44,9 @@ facts["montecarlo"] = detdiff.montecarlo is sys.modules.get("detdiff.montecarlo"
 facts["same_object"] = [n for m, names in public.items() for n in names
                         if getattr(detdiff, n) is getattr(sys.modules["detdiff." + m], n)]
 facts["submodules"] = [m for m in public if getattr(detdiff, m) is sys.modules["detdiff." + m]]
+# a submodule's own `__all__`, where it has one, is its public names
+facts["submodule_all"] = {m: sorted(sys.modules["detdiff." + m].__all__) for m in public
+                          if hasattr(sys.modules["detdiff." + m], "__all__")}
 facts["all"] = detdiff.__all__
 facts["dir"] = dir(detdiff)
 star = {}
@@ -60,11 +63,12 @@ print(json.dumps(facts))
 def test_lazy_namespace_contract(fresh_python):
     facts = json.loads(fresh_python(_CHECK, json.dumps(PUBLIC)))
     names = sorted([*PUBLIC, *(n for names in PUBLIC.values() for n in names)])
-    assert len(names) == 79
+    assert len(names) == 80
     assert facts["loaded"] == []
     assert facts["montecarlo"]
     assert facts["submodules"] == list(PUBLIC)
     assert facts["same_object"] == [n for names in PUBLIC.values() for n in names]
+    assert facts["submodule_all"] == {m: names for m, names in PUBLIC.items() if m != "errors"}
     assert sorted(facts["all"]) == names
     assert sorted(facts["dir"]) == names
     assert facts["star"] == names

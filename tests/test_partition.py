@@ -258,6 +258,7 @@ def _times(coeffs, q, p):
     ((-18, 21, -8, 1), 3.0),                                        # (x - 3)^2 (x - 2)
     # the root is above 2 + float(-c0) / 5 in doubles: the bound must be exact
     ((-4395320446360605889, 5), float(Fraction(4395320446360605889, 5))),
+    ((9, -6, 1, 0, 0), 3.0),                                        # trailing zeros dropped
 ])
 def test_largest_real_root_close_and_repeated_roots(coeffs, expected):
     assert largest_real_root(coeffs) == expected
@@ -430,6 +431,14 @@ def test_system_structure_validation():
         Equation("xi", Fraction(1), 2, "xi")
     with pytest.raises(SystemStructureError):
         Equation("xi", Fraction(1), 0.5, "xi")
+    with pytest.raises(SystemStructureError, match="^ref must be given exactly when coef"):
+        Equation("xi", Fraction(1), 0, "xi")
+    half = Equation("half", Fraction(2))
+    for unknowns, eq, message in ((("xi", "xi"), Equation("xi", Fraction(1)), "duplicate"),
+                                  (("xi",), Equation("eta", Fraction(1)), "lhs 'eta'"),
+                                  (("xi",), Equation("xi", Fraction(1), 1, "eta"), "ref 'eta'")):
+        with pytest.raises(SystemStructureError, match=message):
+            PartitionEquationSystem(unknowns, (eq, half))
     with pytest.raises(SystemStructureError):
         solve_partition_system(PartitionEquationSystem(
             ("xi",), (Equation("half", Fraction(2)),)))  # equation count
@@ -453,13 +462,13 @@ def test_system_breakpoint_interiority():
 
 
 def test_system_breakpoint_ordering():
-    # forces xi1 = 3/(2 lam) > xi2 = 1/(2 lam): order violation
+    # lam = 4 forces xi1 = 1/lam > xi2 = 1/(2 lam), both inside (0, 1/2)
     system = PartitionEquationSystem(
         ("xi1", "xi2"),
-        (Equation("xi1", Fraction(3, 2)),
+        (Equation("xi1", Fraction(1)),
          Equation("xi2", Fraction(1, 2)),
-         Equation("half", Fraction(2), -1, "xi1")))
-    with pytest.raises(PartitionError):
+         Equation("half", Fraction(2))))
+    with pytest.raises(PartitionError, match=r"not strictly ordered: \[0\.25, 0\.125\]"):
         solve_partition_system(system)
 
 

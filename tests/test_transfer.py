@@ -42,6 +42,7 @@ def test_matrices_even_lambda_4():
         2: quarter * np.array([[0.0, 0.0], [1.0, 0.0]]),
         -1: quarter * np.array([[0.0, 1.0], [0.0, 1.0]]),
         -2: quarter * np.array([[0.0, 1.0], [0.0, 0.0]]),
+        3: np.zeros((2, 2)),        # no jump of 3: the absent shift's matrix is zero
     }
     for shift, ref in expected_plus_first.items():
         np.testing.assert_allclose(_swap(tset.matrix(shift)), ref, atol=1e-15)
