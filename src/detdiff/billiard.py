@@ -26,6 +26,7 @@ from . import _EXPORTS
 from .errors import GrazingReflectionError
 from .maps import fractional_part
 from .montecarlo import _iterate_chunk, _run_chunks
+from .reports import check_count
 from .rng import uniform_stream
 
 __all__ = _EXPORTS["billiard"]
@@ -132,11 +133,9 @@ def theoretical_variance(n: int, lam: float) -> float:
 
     sigma^2 = n^2/12 + (lam^2/12) * n(n+1)(2n+1)/6: the quadratic term
     comes from the spread of the initial slope, the cubic one from the
-    linearly growing weights of the kicks.
+    linearly growing weights of the kicks.  `n` must be an integer >= 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    n = float(n)
+    n = float(check_count(n, 0, "n"))
     return n**2 / 12.0 + lam**2 / 12.0 * n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
 
 
@@ -181,20 +180,16 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     (defaults: n/8, n/4, n/2, n).  The growth exponent is the
     least-squares slope of log variance against log step count.  Every
     sample is finite: a kick that returns a non-finite value raises
-    ValueError, and any overflow raises OverflowError.
+    ValueError, any overflow OverflowError.  Integers n_samples >= 2, n_steps >= 1.
     """
-    if n_samples < 1 or n_steps < 1:
-        raise ValueError("n_samples and n_steps must be >= 1")
+    n_samples = check_count(n_samples, 2, "n_samples")
+    n_steps = check_count(n_steps, 1, "n_steps")
     if checkpoints is None:
         checkpoints = [max(1, n_steps // 8), max(1, n_steps // 4),
                        max(1, n_steps // 2), n_steps]
-    if len(checkpoints) == 0 or not all(isinstance(c, (int, np.integer)) for c in checkpoints):
-        raise ValueError("checkpoints must be a nonempty list of integer step counts")
-    cps = sorted({int(c) for c in checkpoints})
-    if cps[0] < 1 or cps[-1] > n_steps:
-        raise ValueError("checkpoints must lie in [1, n_steps]")
-    if n_samples < 2:
-        raise ValueError("variance undefined: need at least two finite samples")
+    cps = sorted({check_count(c, 1, f"checkpoints[{i}]") for i, c in enumerate(checkpoints)})
+    if not cps or cps[-1] > n_steps:
+        raise ValueError(f"checkpoints must be nonempty and lie in [1, n_steps = {n_steps}]")
 
     lam = getattr(kick, "lam", None)
     # The sawtooth of a fraction u is lam * {u) = lam * (u - [u)).  The

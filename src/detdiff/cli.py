@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 # only what every subcommand needs loads with the module: each command
 # imports the rest itself, so a cold start compiles no unused subsystem
 from .errors import ConsistencyError, MapDefinitionError, PartitionError, exit_code, failure_record
-from .reports import (DEFAULT_SEED, VERSION, canonical_json, check_seed, provenance_line,
-                      render_csv, spec_hash, write_text)
+from .reports import (DEFAULT_SEED, VERSION, canonical_json, check_count, check_seed,
+                      provenance_line, render_csv, spec_hash, write_text)
 
 if TYPE_CHECKING:
     from .maps import PiecewiseLinearLiftMap
@@ -66,18 +66,6 @@ def _json_int(text: str) -> int:
     if not math.isfinite(float(text)):
         raise ValueError(f"integer of {len(text)} characters is too large for a double")
     return int(text)
-
-
-def _seed(text: str) -> int:
-    """--seed: an integer in the seed range, checked before any numeric import."""
-    try:
-        seed = int(text)
-    except ValueError:      # the wording argparse gives for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    try:
-        return check_seed(seed)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_json_arg(value: str):
@@ -161,12 +149,10 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
 def _checkpoints(text: str) -> list:
     """--checkpoints: sorted, unique, positive step counts, or MapDefinitionError."""
     try:
-        counts = sorted({int(c) for c in text.split(",")})
+        return sorted({check_count(int(c), 1, "--checkpoints") for c in text.split(",")})
     except ValueError:
-        counts = []
-    if not counts or counts[0] < 1:
-        raise MapDefinitionError(f"--checkpoints {text!r} is not a list of positive step counts")
-    return counts
+        raise MapDefinitionError(
+            f"--checkpoints {text!r} is not a list of positive step counts") from None
 
 
 def _one_partition_source(args):
@@ -425,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_run(p, default_n):
         p.add_argument("--N", type=int, default=100_000, help="ensemble size")
         p.add_argument("--n", type=int, default=default_n, help="iteration steps")
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("solve-partition", help="solve a boundary-equation system")
     p.add_argument("--system", help="JSON system (inline or file)")
@@ -494,6 +480,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
+        if hasattr(args, "seed"):   # and so --N and --n: checked before any numeric import
+            check_seed(args.seed)
+            check_count(args.N, 2, "--N")
+            check_count(args.n, 1, "--n")
         return args.func(args)
     except Exception as exc:
         code = exit_code(exc)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import HalfIntegerValueError
+from .reports import check_count
 
 if TYPE_CHECKING:   # annotations only: `scan` needs neither module
     from .maps import PiecewiseLinearLiftMap
@@ -122,10 +123,9 @@ def evolve(tset: TransitionMatrixSet, initial: LatticeDensity, n: int) -> Lattic
     Each step grows the array by smax = max|shift| rows on each side, the
     support the convolution can reach, so the result spans
     k_min - smax*n .. k_max + smax*n; mass is conserved to rounding
-    accuracy.
+    accuracy.  `n` must be an integer >= 0.
     """
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
+    n = check_count(n, 0, "n")
     _require_same_partition(initial.breakpoints, tset.breakpoints)
     if n == 0:
         return initial
@@ -149,12 +149,11 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
 
     P[k, j] = alpha_j / (2 sqrt(pi D n)) * exp(-(k - drift*n)^2 / (4 D n)),
     evaluated at integer k, truncated below 1e-16 and renormalised to unit
-    mass.
+    mass.  `d` must be positive and finite, `n` an integer >= 1.
     """
-    if d <= 0:
-        raise ValueError("diffusion coefficient must be positive")
-    if n < 1:
-        raise ValueError("step count must be >= 1")
+    if not 0 < d < math.inf:
+        raise ValueError(f"diffusion coefficient must be positive and finite, not {d!r}")
+    n = check_count(n, 1, "n")
     alpha = np.asarray(alpha, dtype=float)
     center = drift * n
     spread = math.sqrt(4.0 * d * n)

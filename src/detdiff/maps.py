@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import MapDefinitionError
+from .reports import check_count
 
 __all__ = _EXPORTS["maps"]
 
@@ -321,9 +322,8 @@ def validate_stretching(lift_map: PiecewiseLinearLiftMap) -> float:
 
 
 def compute_route(lift_map: PiecewiseLinearLiftMap, x0: float, n: int) -> tuple:
-    """Integer labels of the cells visited by x0, f(x0), ..., f^(n-1)(x0)."""
-    if n < 1:
-        raise ValueError("route length n must be >= 1")
+    """Integer labels of the cells visited by x0, ..., f^(n-1)(x0); n an integer >= 1."""
+    n = check_count(n, 1, "n")
     x = float(x0)
     if not math.isfinite(x):
         raise ValueError("route computation requires a finite start point")

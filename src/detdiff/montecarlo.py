@@ -63,7 +63,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import failure_record
 from .maps import PiecewiseLinearLiftMap, linear_map
-from .reports import check_seed
+from .reports import check_count, check_seed
 from .rng import _lanes, resolve_threads, uniform_stream
 
 __all__ = _EXPORTS["montecarlo"]
@@ -167,12 +167,12 @@ def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
     through its piece and, at the steps t = 0 mod P of a dithered map, adds
     the dither made from lane w = (t // P) n_samples + i of `rng._lanes`
     of its key for sample i, so results do not depend on the chunking:
-    d = (w + 1/2 - 2^31) 2^-53, exact.
+    d = (w + 1/2 - 2^31) 2^-53, exact.  The callers check the horizons.
     """
-    if n_samples < 1 or horizons[0] < 1:
-        raise ValueError("n_samples and n_steps must be >= 1")
+    n_samples = check_count(n_samples, 1, "n_samples")
+    seed = check_seed(seed)
     period = _dither_period(lift_map)
-    dither_key = int(seed) ^ _DITHER_KEY_SALT
+    dither_key = seed ^ _DITHER_KEY_SALT
     outs = [np.empty(n_samples) for _ in horizons]
 
     def run(start, stop):
@@ -206,8 +206,9 @@ def simulate_ensemble(lift_map: PiecewiseLinearLiftMap,
     whose slopes are all integers, one of them even, get the dither of
     32-bit lanes every P = max(1, floor(28/k)) steps, 2^k the largest
     power of two dividing a slope.  A position that
-    overflows raises OverflowError, so every position is finite.
+    overflows raises OverflowError, so every position is finite.  Integer counts >= 1.
     """
+    n_steps = check_count(n_steps, 1, "n_steps")
     out, = _lift_ensemble(lift_map, n_samples, [n_steps], seed, threads)
     return out
 
@@ -314,8 +315,11 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     at most `_KS_SLICE` = 8192 samples.  So the sorted copy is the one
     N-sized temporary: the other temporaries hold a slice or N/128 block
     ends.  The result is == to evaluating F at every sample.  A zero `std`
-    leaves the law undefined: the statistic is then NaN, with no warning.
+    leaves the law undefined: the statistic is then NaN, with no warning,
+    and a negative or NaN one raises ValueError.
     """
+    if not std >= 0:
+        raise ValueError(f"std must be >= 0, not {std!r}")
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
     if n == 0:
@@ -338,8 +342,6 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     bound = np.maximum((ends[first.size:] + 1) / n - f[:first.size],
                        f[first.size:] - first / n)
     skip = bound + _KS_MARGIN <= found[0]
-    if not std > 0:         # then F falls with s, and no bound holds
-        skip[:] = False
     # never empty: the block of the best end gap is always a candidate
     todo = np.flatnonzero(~skip)
     # a run of candidates also spans gaps of up to _KS_JOIN skipped
@@ -361,8 +363,9 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     variance/(2n), its standard error that of a normal sample variance;
     the KS statistic is against a normal law of the estimated moments.
     A zero variance leaves that law undefined: the KS statistic is then
-    NaN, and no warning is issued.
+    NaN, and no warning is issued.  `n_steps` must be an integer >= 1.
     """
+    n_steps = check_count(n_steps, 1, "n_steps")
     samples = np.asarray(samples, dtype=float)
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
@@ -398,14 +401,14 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
     ensemble mean, so this estimates the centred D = d - drift^2/2, where
     d and drift are those of `diffusion_spectral`.  The standard error is
     taken across the 50 contiguous batches (`_BATCHES`) of two or more
-    samples.  An overflowing position or moment raises OverflowError.
+    samples.  Integer counts n_samples >= 1 and n_steps >= 2; an
+    overflowing position or moment raises OverflowError.
 
     Returns
     -------
     (d, stderr)
     """
-    if n_steps < 2:
-        raise ValueError("need n_steps >= 2 for a variance increment")
+    n_steps = check_count(n_steps, 2, "n_steps")
     half = n_steps // 2
     out_half, out_full = _lift_ensemble(lift_map, n_samples, [half, n_steps], seed, threads)
 
@@ -430,12 +433,14 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
     d_heuristic, d_omega, ks.  The same seed (hence the same initial
     ensemble) is reused across grid points.  A failed point is a NaN row
     with the `error` and `exit_code` of its `errors.failure_record`; an
-    unclassified error ends the scan, as do a seed outside [0, 2^128) and a
-    bad `DETDIFF_THREADS`, both checked first.
+    unclassified error ends the scan, as do a bad seed or thread count and
+    counts other than integers n_samples >= 2 and n_steps >= 1, all checked first.
     """
     # imported here: the other simulators never need the density module
     from .density import heuristic_d, omega_approx_d
 
+    check_count(n_samples, 2, "n_samples")
+    check_count(n_steps, 1, "n_steps")
     check_seed(seed)
     threads = resolve_threads(threads)
     rows = []

@@ -1,8 +1,8 @@
 """Deterministic report writers: canonical JSON, CSV with provenance.
 
-Also the home of the seed that provenance records: `DEFAULT_SEED` and
-`check_seed`, the rule of the seed range, live here and not in `rng`, so
-the CLI reads and checks a seed without loading numpy; `rng` re-exports
+Also the home of the integer rule of every seed, count and index:
+`check_count`, `check_seed` and `DEFAULT_SEED` live here, not in `rng`,
+so the CLI checks them without loading numpy; `rng` re-exports
 `DEFAULT_SEED` and applies `check_seed` to every stream key.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 
 __all__ = ["canonical_json", "spec_hash", "provenance_line", "render_csv", "write_text"]
 
@@ -20,9 +21,24 @@ VERSION = "1.0.0"
 DEFAULT_SEED = 20140502
 
 
-def check_seed(seed: int) -> int:
-    """`seed` if it keys a Philox stream, 0 <= seed < 2^128; else ValueError."""
-    if not 0 <= seed < 1 << 128:
+def check_count(value, least: int, what: str) -> int:
+    """`value` as an int if it is an integer >= `least`; else ValueError naming `what`.
+
+    Python and numpy integers pass, by `operator.index`; bools, floats and
+    anything else are rejected, never truncated.
+    """
+    try:
+        if not isinstance(value, bool) and operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be an integer >= {least}, not {value!r}")
+
+
+def check_seed(seed) -> int:
+    """`seed` as an int if it keys a Philox stream, an integer in [0, 2^128); else ValueError."""
+    seed = check_count(seed, 0, "seed")
+    if seed >= 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), not {seed}")
     return seed
 

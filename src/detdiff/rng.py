@@ -8,9 +8,9 @@ schedule reproduces the single-threaded sample set bit for bit.  Sample
 i draws its uniform from word i of the stream of the user seed.  The
 dither of the ensemble simulators reads `_lanes`, the 32-bit lanes of a
 stream of its own key, lane 2k + j being bits 32j to 32j + 31 of word k.
-A key outside the Philox range [0, 2^128) raises by `reports.check_seed`.
-`DEFAULT_SEED` and that rule live in the numpy-free `reports`, and this
-module re-exports `DEFAULT_SEED`.
+A key outside [0, 2^128) raises by `reports.check_seed`, and a bad start,
+count or worker count by `reports.check_count`: these rules live in the
+numpy-free `reports`, with `DEFAULT_SEED`, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import numpy as np
 
 from . import _EXPORTS
-from .reports import DEFAULT_SEED, check_seed
+from .reports import DEFAULT_SEED, check_count, check_seed
 
 __all__ = _EXPORTS["rng"]
 
@@ -31,11 +31,10 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     Independent of how the index range is chunked: the stream is keyed
     by `seed` and read from word `start`.  The array is freshly drawn and
     shifted in place, so the caller owns it and may overwrite it.  A seed
-    outside [0, 2^128) raises ValueError.
+    outside [0, 2^128), or a start or count not an integer >= 0, raises.
     """
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be nonnegative")
-    u = _words(seed, start, count, doubles=True)
+    u = _words(seed, check_count(start, 0, "start"), check_count(count, 0, "count"),
+               doubles=True)
     u -= 0.5
     return u
 
@@ -49,9 +48,9 @@ def _words(key: int, start: int, count: int, doubles: bool = False) -> np.ndarra
     doubles `Generator.random` makes of them, (word >> 11) 2^-53 on [0, 1).
     A key outside [0, 2^128), the Philox key range, raises ValueError.
     """
-    block, lead = divmod(int(start), 4)
-    bitgen = np.random.Philox(key=check_seed(int(key)), counter=block)
-    n = lead + int(count)
+    block, lead = divmod(start, 4)
+    bitgen = np.random.Philox(key=check_seed(key), counter=block)
+    n = lead + count
     return (np.random.Generator(bitgen).random(n) if doubles else bitgen.random_raw(n))[lead:]
 
 
@@ -68,14 +67,9 @@ def _lanes(key: int, start: int, count: int) -> np.ndarray:
 def resolve_threads(threads=None) -> int:
     """Worker count: explicit argument, else DETDIFF_THREADS, else 1.
 
-    A DETDIFF_THREADS that is not an integer raises ValueError naming it.
+    Either must be an integer >= 1, or ValueError names it.
     """
     if threads is not None:
-        n = int(threads)
-    else:
-        env = os.environ.get("DETDIFF_THREADS", "")
-        try:
-            n = int(env) if env.strip() else 1
-        except ValueError:
-            raise ValueError(f"DETDIFF_THREADS must be an integer, not {env!r}") from None
-    return max(1, n)
+        return check_count(threads, 1, "threads")
+    env = os.environ.get("DETDIFF_THREADS", "").strip() or "1"
+    return check_count(int(env) if env.isdecimal() else env, 1, "DETDIFF_THREADS")

@@ -129,7 +129,7 @@ def test_theoretical_variance_values():
     n = 400
     ratio = theoretical_variance(2 * n, 2.0) / theoretical_variance(n, 2.0)
     assert ratio == pytest.approx(8.0, rel=2e-2)
-    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, not -1$"):
         theoretical_variance(-1, 3.0)
 
 
@@ -204,11 +204,15 @@ def test_sawtooth_step_keeps_the_kick_beyond_2_to_52():
 
 
 def test_simulate_channel_checkpoint_validation():
-    with pytest.raises(ValueError, match="lie in"):
-        simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=[0, 10])
-    # none, a fraction and a float are not a list of integer step counts
-    for bad in ([], [3.7, 10], [10.0]):
-        with pytest.raises(ValueError, match="nonempty list of integer step counts"):
+    # a zero, a fraction and a float are no step counts; an empty list and
+    # one past n_steps hold none, or not only, of the steps taken
+    for bad, message in (([0, 10], r"checkpoints\[0\] must be an integer >= 1, not 0"),
+                         ([3.7, 10], r"checkpoints\[0\] must be an integer >= 1, not 3.7"),
+                         ([10.0], r"checkpoints\[0\] must be an integer >= 1, not 10.0"),
+                         ([], r"checkpoints must be nonempty and lie in \[1, n_steps = 50\]"),
+                         ([10, 51], r"checkpoints must be nonempty and lie in \[1, "
+                          r"n_steps = 50\]")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=bad)
     rep = simulate_channel(sawtooth_kick(1.0), 100, 50, seed=0, checkpoints=np.array([20, 10]))
     assert rep.checkpoints == (10, 20) and all(type(c) is int for c in rep.checkpoints)
@@ -234,7 +238,7 @@ def test_simulate_channel_raises_on_a_non_finite_kick(threads):
 
 
 def test_simulate_channel_needs_two_finite_samples():
-    with pytest.raises(ValueError, match="need at least two finite samples"):
+    with pytest.raises(ValueError, match="^n_samples must be an integer >= 2, not 1$"):
         simulate_channel(sawtooth_kick(3.0), 1, 10, seed=0)
     # an inf kick makes every sample NaN
     with pytest.raises(ValueError, match="the kick returned a non-finite value"):

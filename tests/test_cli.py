@@ -512,6 +512,22 @@ _CONTRACT = [
     pytest.param(["billiard", "--lambda", "3", "--checkpoints", "0"],
                  2, "--checkpoints '0' is not a list of positive step counts",
                  id="billiard-checkpoints-zero"),
+    # seeds and counts obey one integer rule, checked before the command runs
+    pytest.param(["simulate", "--map", "linear", "lambda=3", "--N", "1"],
+                 2, "--N must be an integer >= 2, not 1", id="simulate-one-sample"),
+    pytest.param(["simulate", "--map", "linear", "lambda=3", "--n", "0"],
+                 2, "--n must be an integer >= 1, not 0", id="simulate-no-step"),
+    pytest.param(["billiard", "--lambda", "3", "--checkpoints", "0,5"],
+                 2, "--checkpoints '0,5' is not a list of positive step counts",
+                 id="billiard-checkpoint-zero-of-two"),
+    # a scan of one sample no longer writes a NaN row
+    pytest.param(["scan", "--from", "3", "--to", "3", "--N", "1", "--n", "5"],
+                 2, "--N must be an integer >= 2, not 1", id="scan-one-sample"),
+    # nor does --method all report the Monte Carlo failure of one sample
+    pytest.param(["diffusion", "--map", "linear", "lambda=3", "--method", "all", "--N", "1"],
+                 2, "--N must be an integer >= 2, not 1", id="diffusion-one-sample"),
+    pytest.param(["billiard", "--lambda", "3", "--seed", "-1"],
+                 2, "seed must be an integer >= 0, not -1", id="negative-seed"),
     # no cell maps into cell 0, so the stationary density vanishes there
     pytest.param(["diffusion", "--map", _TRANSIENT_MAP, "--method", "spectral"],
                  3, "cell 0 cannot be reached from cell 1; the transfer matrix is reducible",
@@ -644,13 +660,14 @@ def test_scan_reports_an_overflowing_point_as_nan(capsys):
 
 
 def test_scan_rejects_a_bad_thread_count(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DETDIFF_THREADS", "abc")
     out = tmp_path / "scan.csv"
-    code, _, err = run(capsys, "scan", "--from", "3", "--to", "3.5", "--N", "1000",
-                       "--n", "5", "--out", str(out))
-    assert code == 2
-    assert err == "error[validation]: DETDIFF_THREADS must be an integer, not 'abc'\n"
-    assert not out.exists()
+    for env, shown in (("abc", "'abc'"), ("0", "0")):
+        monkeypatch.setenv("DETDIFF_THREADS", env)
+        code, _, err = run(capsys, "scan", "--from", "3", "--to", "3.5", "--N", "1000",
+                           "--n", "5", "--out", str(out))
+        assert code == 2
+        assert err == f"error[validation]: DETDIFF_THREADS must be an integer >= 1, not {shown}\n"
+        assert not out.exists()
 
 
 def test_simulate_csv(capsys):
@@ -751,13 +768,18 @@ def test_cli_import_does_not_load_scipy(fresh_python, tmp_path):
         "--out", str(tmp_path / "out")).strip() == "False"
 
 
-# argument lists that end main() in argparse, before any command runs
+# argument lists that end main() before any numeric import: in argparse, or
+# at the integer rule of seeds, counts and checkpoints
 _PARSE_ONLY = [
     ["--help"],
     *([command, "--help"] for command in
       ("solve-partition", "diffusion", "scan", "evolve", "simulate", "billiard")),
     ["scan", "--N", "abc"],
     ["billiard", "--lambda", "3", "--seed", "-1"],
+    ["simulate", "--map", "linear", "lambda=3", "--N", "1"],
+    ["simulate", "--map", "linear", "lambda=3", "--n", "0"],
+    ["billiard", "--lambda", "3", "--checkpoints", "0,5"],
+    ["scan", "--from", "3", "--to", "3", "--N", "1", "--n", "5"],
 ]
 
 
@@ -776,7 +798,7 @@ def test_cli_front_end_does_not_load_numpy(fresh_python):
         "            code = exc.code\n"
         "    print(code, 'numpy' in sys.modules)\n",
         json.dumps(_PARSE_ONLY))
-    assert out.splitlines() == ["False"] + ["0 False"] * 7 + ["2 False"] * 2
+    assert out.splitlines() == ["False"] + ["0 False"] * 7 + ["2 False"] * 6
 
 
 def test_checkpoints_are_checked_before_any_numeric_import(fresh_python):
@@ -795,16 +817,15 @@ def test_seed_range_is_checked_at_parse_time(capsys, seed, valid):
     # lambda = 4 is dithered: its dither key seed ^ _DITHER_KEY_SALT must fit too
     argv = ["simulate", "--map", "linear", "lambda=4", "--N", "50", "--n", "30",
             "--seed", str(seed)]
+    code, out, err = run(capsys, *argv)
     if valid:
-        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.startswith("# detdiff=1.0.0 map=") and f" seed={seed}\n" in out
     else:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"argument --seed: seed must be in [0, 2**128), not {seed}\n" \
-            in capsys.readouterr().err
+        # checked with the counts, before the command runs, in the contract's one line
+        assert (code, out) == (2, "")
+        assert err == ("error[validation]: seed must be an integer >= 0, not -1\n" if seed < 0
+                       else f"error[validation]: seed must be in [0, 2**128), not {seed}\n")
 
 
 # the eight README commands at small N

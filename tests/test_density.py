@@ -83,11 +83,16 @@ _UNIT = (-0.5, 0.5)
      "values width must match the number of cells"),
     (lambda: LatticeDensity(0, [[-1.0]], _UNIT), "densities must be nonnegative"),
     (lambda: evolve(build_transition_matrices(linear_map(3.0), MarkovPartition.unit()),
-                    unit_pulse(_UNIT), -1), "step count must be nonnegative"),
+                    unit_pulse(_UNIT), -1), "n must be an integer >= 0, not -1"),
     (lambda: gaussian_profile(0.0, 0.0, [1.0], _UNIT, 10),
-     "diffusion coefficient must be positive"),
-    (lambda: gaussian_profile(1 / 3, 0.0, [1.0], _UNIT, 0), "step count must be >= 1"),
-], ids=["width", "negative", "evolve-backwards", "profile-zero-d", "profile-zero-n"])
+     "diffusion coefficient must be positive and finite, not 0.0"),
+    (lambda: gaussian_profile(math.inf, 0.0, [1.0], _UNIT, 10),
+     "diffusion coefficient must be positive and finite, not inf"),
+    (lambda: gaussian_profile(math.nan, 0.0, [1.0], _UNIT, 10),
+     "diffusion coefficient must be positive and finite, not nan"),
+    (lambda: gaussian_profile(1 / 3, 0.0, [1.0], _UNIT, 0), "n must be an integer >= 1, not 0"),
+], ids=["width", "negative", "evolve-backwards", "profile-zero-d", "profile-inf-d",
+        "profile-nan-d", "profile-zero-n"])
 def test_density_arguments_at_fault_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -79,7 +79,9 @@ def test_seed_must_be_a_philox_key(seed, valid):
         if valid:
             call()
         else:
-            with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*128\), not "):
+            message = ("seed must be an integer >= 0, not -1" if seed < 0
+                       else r"seed must be in \[0, 2\*\*128\), not ")
+            with pytest.raises(ValueError, match=f"^{message}"):
                 call()
 
 
@@ -328,23 +330,27 @@ def test_ensemble_step_loop_allocates_nothing_per_step(ensemble_constants):
 
 @pytest.mark.parametrize("n_samples", [0, -5])
 def test_lifting_estimators_reject_empty_ensembles(n_samples):
-    # the channel too, with its kick in place of the map
-    for estimator, system in ((simulate_ensemble, linear_map(3.0)),
-                              (estimate_d_increment, linear_map(3.0)),
-                              (simulate_channel, sawtooth_kick(3.0))):
-        with pytest.raises(ValueError, match="n_samples and n_steps must be >= 1"):
+    # the channel too, with its kick in place of the map, and its variance needs two
+    for estimator, system, least in ((simulate_ensemble, linear_map(3.0), 1),
+                                     (estimate_d_increment, linear_map(3.0), 1),
+                                     (simulate_channel, sawtooth_kick(3.0), 2)):
+        with pytest.raises(ValueError,
+                           match=f"^n_samples must be an integer >= {least}, not {n_samples}$"):
             estimator(system, n_samples, 4, seed=1)
 
 
 @pytest.mark.parametrize("call,message", [
     (lambda: ks_normal(np.array([]), 0.0, 1.0), "need at least one sample"),
+    (lambda: ks_normal(np.array([0.0, 1.0]), 0.0, -1.0), "std must be >= 0, not -1.0"),
+    (lambda: ks_normal(np.array([0.0, 1.0]), 0.0, math.nan), "std must be >= 0, not nan"),
     (lambda: estimate_d_increment(linear_map(3.0), 100, 1, seed=1),
-     "need n_steps >= 2 for a variance increment"),
+     "n_steps must be an integer >= 2, not 1"),
     # 50 batches of 3 samples hold one sample each
     (lambda: estimate_d_increment(linear_map(3.0), 3, 4, seed=1),
      "not enough batches of two samples for a stderr estimate"),
-    (lambda: uniform_stream(11, -1, 5), "start and count must be nonnegative"),
-], ids=["ks-no-samples", "increment-one-step", "increment-one-batch", "stream-negative-start"])
+    (lambda: uniform_stream(11, -1, 5), "start must be an integer >= 0, not -1"),
+], ids=["ks-no-samples", "ks-negative-std", "ks-nan-std", "increment-one-step",
+        "increment-one-batch", "stream-negative-start"])
 def test_estimator_arguments_at_fault_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -390,9 +396,10 @@ def test_ks_normal_of_a_zero_std_is_nan_without_a_warning():
     for samples in ([0.0, 0.0, 0.0], [-1.0, 0.0, 2.0]):
         for std in (0.0, -0.0):
             assert math.isnan(ks_normal(np.array(samples), 0.0, std))
-    # a negative or NaN std is unchanged: the CDF falls with s, or is NaN
-    assert ks_normal(np.array([-1.0, 0.0, 2.0]), 0.0, -1.0) > 0.9
-    assert math.isnan(ks_normal(np.array([-1.0, 0.0, 2.0]), 0.0, math.nan))
+    # a negative or NaN std is no normal law: it raises
+    for std in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^std must be >= 0, not "):
+            ks_normal(np.array([-1.0, 0.0, 2.0]), 0.0, std)
 
 
 def test_far_shift_map_keeps_its_fraction():
@@ -482,7 +489,7 @@ def test_bad_thread_env_is_reported(monkeypatch):
     from detdiff.rng import resolve_threads
 
     monkeypatch.setenv("DETDIFF_THREADS", "abc")
-    with pytest.raises(ValueError, match="^DETDIFF_THREADS must be an integer, not 'abc'$"):
+    with pytest.raises(ValueError, match="^DETDIFF_THREADS must be an integer >= 1, not 'abc'$"):
         resolve_threads()
     assert resolve_threads(2) == 2
     # resolved before the first point: the scan fails, it leaves no NaN rows
@@ -668,7 +675,5 @@ def test_pruned_ks_normal_equals_full_evaluation(n, monkeypatch):
 def test_pruned_ks_normal_edge_inputs():
     rng = np.random.default_rng(3)
     s = rng.normal(size=3000)
-    # a negative std makes the CDF fall with s; no block is skipped
-    assert ks_normal(s, 0.1, -1.0) == _ks_full(s, 0.1, -1.0)
     s[17] = np.nan
     assert np.isnan(ks_normal(s, 0.0, 1.0))
