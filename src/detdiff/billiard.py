@@ -24,9 +24,9 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import GrazingReflectionError
-from .maps import fractional_part
+from .maps import _finite, fractional_part
 from .montecarlo import _iterate_chunk, _run_chunks
-from .reports import check_count
+from .reports import check_count, check_finite
 from .rng import uniform_stream
 
 __all__ = _EXPORTS["billiard"]
@@ -44,6 +44,7 @@ class BilliardState:
 
     `normal_angle` is the 1-periodic tilt alpha(x) of the wall normal in
     radians; |2 alpha| must stay below pi/2 for the tangent to exist.
+    The half-width `h`, positive and finite (`reports.check_finite`), is kept as a float.
     """
 
     x_prev: float
@@ -52,7 +53,8 @@ class BilliardState:
     normal_angle: Callable = field(default=_zero_angle)
 
     def __post_init__(self):
-        if not self.h > 0:
+        object.__setattr__(self, "h", check_finite(self.h, "h"))    # frozen: set once
+        if self.h <= 0:
             raise ValueError("channel half-width h must be positive")
 
     @property
@@ -91,7 +93,9 @@ def approximate_step(state: BilliardState, kick: Callable) -> BilliardState:
 
 
 def tangent_kick(h: float, normal_angle: Callable) -> Callable:
-    """Kick induced by the wall tilt: f(x) = h * tan(2 alpha(x))."""
+    """Kick induced by the wall tilt: f(x) = h * tan(2 alpha(x)), h finite (`check_finite`)."""
+    h = check_finite(h, "h")
+
     def kick(x):
         return h * np.tan(2.0 * np.asarray(normal_angle(x), dtype=float))
     return kick
@@ -100,12 +104,10 @@ def tangent_kick(h: float, normal_angle: Callable) -> Callable:
 def sawtooth_kick(lam: float) -> Callable:
     """Piecewise-linear kick f(x) = lam * {x) with {x) the signed fractional part.
 
-    ValueError for a NaN or infinite lam, and from the kick for a NaN or
-    infinite x, scalar or array.
+    ValueError unless lam is a finite number (`reports.check_finite`), and
+    from the kick for a NaN or infinite x, scalar or array.
     """
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"sawtooth kick needs a finite slope, got lam = {lam!r}")
+    lam = check_finite(lam, "lam")
 
     def kick(x):
         return lam * fractional_part(x)
@@ -121,11 +123,11 @@ def position_from_kicks(x1: float, kicks: Sequence[float]) -> float:
 
         x_{n+1} = (n + 1) x_1 + sum_{k=1..n} (n + 1 - k) f(x_k),
 
-    which reproduces the iteration exactly.
+    which reproduces the iteration exactly, for a finite x1 (`reports.check_finite`) and kicks.
     """
-    n = len(kicks)
+    n, x1 = len(kicks), check_finite(x1, "x1")
     weights = np.arange(n, 0, -1, dtype=float)
-    return float((n + 1) * x1 + weights @ np.asarray(kicks, dtype=float))
+    return float((n + 1) * x1 + weights @ _finite(kicks, "position_from_kicks"))
 
 
 def theoretical_variance(n: int, lam: float) -> float:
@@ -133,9 +135,9 @@ def theoretical_variance(n: int, lam: float) -> float:
 
     sigma^2 = n^2/12 + (lam^2/12) * n(n+1)(2n+1)/6: the quadratic term
     comes from the spread of the initial slope, the cubic one from the
-    linearly growing weights of the kicks.  `n` must be an integer >= 0.
+    linearly growing weights of the kicks.  Integer n >= 0, finite lam (`reports.check_finite`).
     """
-    n = float(check_count(n, 0, "n"))
+    n, lam = float(check_count(n, 0, "n")), check_finite(lam, "lam")
     return n**2 / 12.0 + lam**2 / 12.0 * n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
 
 

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 # only what every subcommand needs loads with the module: each command
 # imports the rest itself, so a cold start compiles no unused subsystem
 from .errors import ConsistencyError, MapDefinitionError, PartitionError, exit_code, failure_record
-from .reports import (DEFAULT_SEED, VERSION, canonical_json, check_count, check_seed,
-                      provenance_line, render_csv, spec_hash, write_text)
+from .reports import (DEFAULT_SEED, VERSION, canonical_json, check_count, check_finite,
+                      check_seed, provenance_line, render_csv, spec_hash, write_text)
 
 if TYPE_CHECKING:
     from .maps import PiecewiseLinearLiftMap
@@ -280,8 +280,6 @@ def cmd_diffusion(args):
 
 
 def cmd_scan(args):
-    from .montecarlo import scan_lambda
-
     if args.lambda_grid:
         lams = [parse_algebraic(v) for v in args.lambda_grid.split(",") if v.strip()]
         if not lams:
@@ -291,8 +289,7 @@ def cmd_scan(args):
         if lo is None or args.to is None:
             raise MapDefinitionError("pass --lambda-grid or both --from and --to")
         for name, bound in (("--from", lo), ("--to", args.to), ("--step", args.step)):
-            if not math.isfinite(bound):
-                raise MapDefinitionError(f"{name} {bound} is not finite")
+            check_finite(bound, name)       # before numpy loads, like the counts
         if args.step <= 0:
             raise MapDefinitionError("--step must be positive")
         if args.to < lo:
@@ -304,6 +301,8 @@ def cmd_scan(args):
             raise MapDefinitionError(
                 f"scan grid of {count:.3g} points exceeds {_SCAN_POINTS_MAX}")
         lams = [lo + i * args.step for i in range(count)]
+    from .montecarlo import scan_lambda
+
     rows = scan_lambda(lams, args.N, args.n, args.seed)
     text = render_csv(
         ["lambda", "d_mc", "stderr", "d_heuristic", "d_omega", "ks"],
@@ -373,9 +372,9 @@ def cmd_simulate(args):
 
 def cmd_billiard(args):
     checkpoints = None if args.checkpoints is None else _checkpoints(args.checkpoints)
+    lam = check_finite(parse_algebraic(getattr(args, "lambda")), "--lambda")
     from .billiard import sawtooth_kick, simulate_channel
 
-    lam = parse_algebraic(getattr(args, "lambda"))
     kick = sawtooth_kick(lam)
     report = simulate_channel(kick, args.N, args.n, args.seed, checkpoints=checkpoints)
     text = render_csv(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import HalfIntegerValueError
-from .reports import check_count
+from .reports import check_count, check_finite
 
 if TYPE_CHECKING:   # annotations only: `scan` needs neither module
     from .maps import PiecewiseLinearLiftMap
@@ -149,10 +149,11 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
 
     P[k, j] = alpha_j / (2 sqrt(pi D n)) * exp(-(k - drift*n)^2 / (4 D n)),
     evaluated at integer k, truncated below 1e-16 and renormalised to unit
-    mass.  `d` must be positive and finite, `n` an integer >= 1.
+    mass.  Finite d > 0 and drift (`reports.check_finite`), n an integer >= 1.
     """
-    if not 0 < d < math.inf:
-        raise ValueError(f"diffusion coefficient must be positive and finite, not {d!r}")
+    d, drift = check_finite(d, "d"), check_finite(drift, "drift")
+    if d <= 0:
+        raise ValueError(f"d must be > 0, not {d!r}")
     n = check_count(n, 1, "n")
     alpha = np.asarray(alpha, dtype=float)
     center = drift * n
@@ -269,12 +270,10 @@ def _finite_estimate(name: str, d: float) -> float:
 def heuristic_d(lam: float) -> float:
     """Independent-fractional-parts estimate D = (lam - 1)^2 / 24 (approximate).
 
-    ValueError for a NaN or infinite lam, OverflowError when D is not a
-    finite double.
+    ValueError unless lam is a finite number (`reports.check_finite`)
+    above 2, OverflowError when D is not a finite double.
     """
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"the heuristic needs a finite slope, got lam = {lam!r}")
+    lam = check_finite(lam, "lam")
     if lam <= 2.0:
         raise ValueError("the heuristic needs a stretching slope lam > 2")
     try:
@@ -285,10 +284,8 @@ def heuristic_d(lam: float) -> float:
 
 
 def omega_factor(lam: float) -> float:
-    """2-periodic correction factor: 2 - 3|lam - 4| on [3, 5], repeated."""
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError(f"omega correction needs a finite slope, got lam = {lam!r}")
+    """Correction factor 2 - 3|lam - 4| on [3, 5], period 2; finite lam >= 3 (`check_finite`)."""
+    lam = check_finite(lam, "lam")
     if lam < 3.0:
         raise ValueError("omega correction is defined for lam >= 3")
     folded = 3.0 + math.fmod(lam - 3.0, 2.0)
@@ -298,8 +295,8 @@ def omega_factor(lam: float) -> float:
 def omega_approx_d(lam: float) -> float:
     """First-approximation D(lam) = (lam - 1)(lam - omega(lam)) / 24.
 
-    ValueError for a NaN or infinite lam, OverflowError when D is not a
-    finite double.
+    ValueError unless lam is a finite number (`reports.check_finite`)
+    >= 3, OverflowError when D is not a finite double.
     """
-    lam = float(lam)
+    lam = check_finite(lam, "lam")
     return _finite_estimate("omega", (lam - 1.0) * (lam - omega_factor(lam)) / 24.0)

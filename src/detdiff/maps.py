@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import MapDefinitionError
-from .reports import check_count
+from .reports import check_count, check_finite
 
 __all__ = _EXPORTS["maps"]
 
@@ -34,9 +34,9 @@ def _label(x):
     return np.floor(np.add(x, _HALF))
 
 
-def _finite(x, what: str):
-    """x as a float array; ValueError "<what> requires finite input" unless all finite."""
-    arr = np.asarray(x, dtype=float)
+def _finite(x, what: str, dtype=float):
+    """x as an array of `dtype`; ValueError "<what> requires finite input" unless all finite."""
+    arr = np.asarray(x, dtype=dtype)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} requires finite input")
     return arr
@@ -322,11 +322,8 @@ def validate_stretching(lift_map: PiecewiseLinearLiftMap) -> float:
 
 
 def compute_route(lift_map: PiecewiseLinearLiftMap, x0: float, n: int) -> tuple:
-    """Integer labels of the cells visited by x0, ..., f^(n-1)(x0); n an integer >= 1."""
-    n = check_count(n, 1, "n")
-    x = float(x0)
-    if not math.isfinite(x):
-        raise ValueError("route computation requires a finite start point")
+    """Labels [x) of x0, ..., f^(n-1)(x0); finite x0 (`check_finite`), integer n >= 1."""
+    n, x = check_count(n, 1, "n"), check_finite(x0, "x0")
     route = []
     for _ in range(n):
         if abs(x) >= _MAX_INDEX:

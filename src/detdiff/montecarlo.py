@@ -63,7 +63,7 @@ import numpy as np
 from . import _EXPORTS
 from .errors import failure_record
 from .maps import PiecewiseLinearLiftMap, linear_map
-from .reports import check_count, check_seed
+from .reports import check_count, check_finite, check_seed
 from .rng import _lanes, resolve_threads, uniform_stream
 
 __all__ = _EXPORTS["montecarlo"]
@@ -315,10 +315,11 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     at most `_KS_SLICE` = 8192 samples.  So the sorted copy is the one
     N-sized temporary: the other temporaries hold a slice or N/128 block
     ends.  The result is == to evaluating F at every sample.  A zero `std`
-    leaves the law undefined: the statistic is then NaN, with no warning,
-    and a negative or NaN one raises ValueError.
+    leaves the law undefined: the statistic is then NaN, with no warning;
+    a negative one, or a non-finite mean or std (`reports.check_finite`), raises ValueError.
     """
-    if not std >= 0:
+    mean, std = check_finite(mean, "mean"), check_finite(std, "std")
+    if std < 0:
         raise ValueError(f"std must be >= 0, not {std!r}")
     s = np.sort(np.asarray(samples, dtype=float))
     n = s.size
@@ -459,7 +460,7 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
             row.update(error=error, exit_code=code)
         for column, estimate in (("d_heuristic", heuristic_d), ("d_omega", omega_approx_d)):
             try:
-                row[column] = estimate(lam)
+                row[column] = estimate(row["lambda"])
             except (ValueError, OverflowError):
                 pass
         rows.append(row)

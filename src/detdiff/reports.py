@@ -1,8 +1,8 @@
 """Deterministic report writers: canonical JSON, CSV with provenance.
 
-Also the home of the integer rule of every seed, count and index:
-`check_count`, `check_seed` and `DEFAULT_SEED` live here, not in `rng`,
-so the CLI checks them without loading numpy; `rng` re-exports
+Also the home of the integer and finite-number rules of every parameter:
+`check_count`, `check_seed`, `check_finite` and `DEFAULT_SEED` live here,
+not in `rng`, so the CLI checks them without loading numpy; `rng` re-exports
 `DEFAULT_SEED` and applies `check_seed` to every stream key.
 """
 
@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 import operator
 
 __all__ = ["canonical_json", "spec_hash", "provenance_line", "render_csv", "write_text"]
@@ -33,6 +35,16 @@ def check_count(value, least: int, what: str) -> int:
     except TypeError:
         pass
     raise ValueError(f"{what} must be an integer >= {least}, not {value!r}")
+
+
+def check_finite(value, what: str) -> float:
+    """`value` as a float if a finite real, not a bool or text; else ValueError naming `what`."""
+    try:
+        if isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value):
+            return float(value)
+    except OverflowError:       # an int or Fraction beyond the double range
+        pass
+    raise ValueError(f"{what} must be a finite number, not {value!r}")
 
 
 def check_seed(seed) -> int:

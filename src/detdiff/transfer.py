@@ -26,8 +26,9 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError
-from .maps import PiecewiseLinearLiftMap
+from .maps import PiecewiseLinearLiftMap, _finite
 from .partition import MarkovPartition, TransitionMatrixSet, _markov_verdict
+from .reports import check_finite
 
 __all__ = _EXPORTS["transfer"]
 
@@ -58,8 +59,8 @@ def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
 
 
 def characteristic_matrix(tset: TransitionMatrixSet, t: float) -> np.ndarray:
-    """P(t) = sum_j p_j e^(i j t); equals E at t = 0."""
-    phases = np.exp(1j * t * np.asarray(tset.shifts, dtype=float))
+    """P(t) = sum_j p_j e^(i j t); equals E at t = 0.  t finite by `reports.check_finite`."""
+    phases = np.exp(1j * check_finite(t, "t") * np.asarray(tset.shifts, dtype=float))
     return np.tensordot(phases, tset.matrices, axes=(0, 0))
 
 
@@ -67,9 +68,9 @@ def leading_eigenpair(matrix: np.ndarray,
                       warm_start: Optional[np.ndarray] = None):
     """Dominant eigenpair from the dense spectrum.
 
-    Without a warm start the eigenvalue of largest modulus is returned.
-    With one, the eigenvector that overlaps the warm vector most selects
-    the branch, which keeps z(t) continuous along a sweep in t.
+    Without a warm start the eigenvalue of largest modulus is returned; with
+    one, the eigenvector that overlaps it most selects the branch, keeping
+    z(t) continuous along a sweep in t.  A non-finite entry raises ValueError.
 
     Returns
     -------
@@ -77,7 +78,7 @@ def leading_eigenpair(matrix: np.ndarray,
         convention (largest component real positive).
     """
     try:
-        vals, vecs = np.linalg.eig(np.asarray(matrix, dtype=complex))
+        vals, vecs = np.linalg.eig(_finite(matrix, "eigensolver", complex))
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"dense eigensolver failed: {exc}") from exc
     if warm_start is None:

@@ -86,7 +86,7 @@ def test_sawtooth_kick_non_finite_input():
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
 def test_sawtooth_kick_rejects_a_non_finite_slope(lam):
-    with pytest.raises(ValueError, match=f"^sawtooth kick needs a finite slope, got lam = {lam!r}$"):
+    with pytest.raises(ValueError, match=f"^lam must be a finite number, not {lam!r}$"):
         sawtooth_kick(lam)
 
 

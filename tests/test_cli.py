@@ -233,7 +233,7 @@ def test_an_overflowing_analytic_estimate_is_a_numerical_error(capsys):
 def test_billiard_rejects_an_infinite_slope(capsys):
     code, out, err = run(capsys, "billiard", "--lambda", "inf", "--N", "2000", "--n", "50")
     assert (code, out) == (2, "")
-    assert err == "error[validation]: sawtooth kick needs a finite slope, got lam = inf\n"
+    assert err == "error[validation]: --lambda must be a finite number, not inf\n"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -496,7 +496,12 @@ _CONTRACT = [
                  2, "closed form requires half-integer values at all piece endpoints",
                  id="off-grid"),
     pytest.param(["scan", "--from", "nan", "--to", "5", "--N", "10", "--n", "2"],
-                 2, "--from nan is not finite", id="scan-nan"),
+                 2, "--from must be a finite number, not nan", id="scan-nan"),
+    # the finite-number rule of real options runs before numpy loads, like the counts'
+    pytest.param(["scan", "--from", "inf", "--to", "5"],
+                 2, "--from must be a finite number, not inf", id="scan-inf"),
+    pytest.param(["billiard", "--lambda", "nan"],
+                 2, "--lambda must be a finite number, not nan", id="billiard-nan-lambda"),
     pytest.param(["solve-partition", "--three-interval", "1,100000,1,1"], 0, "",
                  id="three-interval-large-n"),
     # evolve and billiard share one --checkpoints rule; '' is no list, not the default
@@ -603,19 +608,19 @@ def test_scan_rejects_a_grid_past_the_point_limit(capsys, monkeypatch, to, step,
     assert err == f"error[validation]: scan grid of {count} points exceeds 10000\n"
 
 
-@pytest.mark.parametrize("bounds,name", [
-    (["--from", "nan", "--to", "5"], "--from nan"),
-    (["--from=-inf", "--to", "5"], "--from -inf"),
-    (["--from", "3", "--to", "nan"], "--to nan"),
-    (["--from", "3", "--to", "inf"], "--to inf"),
-    (["--from", "3", "--to", "5", "--step", "nan"], "--step nan"),
-    (["--from", "3", "--to", "5", "--step", "inf"], "--step inf"),
+@pytest.mark.parametrize("bounds,message", [
+    (["--from", "nan", "--to", "5"], "--from must be a finite number, not nan"),
+    (["--from=-inf", "--to", "5"], "--from must be a finite number, not -inf"),
+    (["--from", "3", "--to", "nan"], "--to must be a finite number, not nan"),
+    (["--from", "3", "--to", "inf"], "--to must be a finite number, not inf"),
+    (["--from", "3", "--to", "5", "--step", "nan"], "--step must be a finite number, not nan"),
+    (["--from", "3", "--to", "5", "--step", "inf"], "--step must be a finite number, not inf"),
 ], ids=["from-nan", "from-minus-inf", "to-nan", "to-inf", "step-nan", "step-inf"])
-def test_scan_rejects_a_non_finite_bound(capsys, bounds, name):
+def test_scan_rejects_a_non_finite_bound(capsys, bounds, message):
     # NaN passed every range check, and a step of inf made a NaN lambda
     code, out, err = run(capsys, "scan", *bounds, "--N", "10", "--n", "2")
     assert (code, out) == (2, "")
-    assert err == f"error[validation]: {name} is not finite\n"
+    assert err == f"error[validation]: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -630,7 +635,8 @@ def test_a_negative_option_value_reads_as_with_equals(capsys, argv):
     joined = [*argv[:1], f"{argv[1]}={argv[2]}", *argv[3:]]
     spaced = run(capsys, *argv)
     assert spaced == run(capsys, *joined)
-    assert spaced[0] == 0 or spaced == (2, "", "error[validation]: --from -inf is not finite\n")
+    assert spaced[0] == 0 or spaced == (
+        2, "", "error[validation]: --from must be a finite number, not -inf\n")
 
 
 @pytest.mark.parametrize("grid", [",", " , ,"])
@@ -780,6 +786,8 @@ _PARSE_ONLY = [
     ["simulate", "--map", "linear", "lambda=3", "--n", "0"],
     ["billiard", "--lambda", "3", "--checkpoints", "0,5"],
     ["scan", "--from", "3", "--to", "3", "--N", "1", "--n", "5"],
+    ["scan", "--from", "inf", "--to", "5"],
+    ["billiard", "--lambda", "nan"],
 ]
 
 
@@ -798,7 +806,7 @@ def test_cli_front_end_does_not_load_numpy(fresh_python):
         "            code = exc.code\n"
         "    print(code, 'numpy' in sys.modules)\n",
         json.dumps(_PARSE_ONLY))
-    assert out.splitlines() == ["False"] + ["0 False"] * 7 + ["2 False"] * 6
+    assert out.splitlines() == ["False"] + ["0 False"] * 7 + ["2 False"] * 8
 
 
 def test_checkpoints_are_checked_before_any_numeric_import(fresh_python):

@@ -342,7 +342,8 @@ def test_lifting_estimators_reject_empty_ensembles(n_samples):
 @pytest.mark.parametrize("call,message", [
     (lambda: ks_normal(np.array([]), 0.0, 1.0), "need at least one sample"),
     (lambda: ks_normal(np.array([0.0, 1.0]), 0.0, -1.0), "std must be >= 0, not -1.0"),
-    (lambda: ks_normal(np.array([0.0, 1.0]), 0.0, math.nan), "std must be >= 0, not nan"),
+    (lambda: ks_normal(np.array([0.0, 1.0]), 0.0, math.nan),
+     "std must be a finite number, not nan"),
     (lambda: estimate_d_increment(linear_map(3.0), 100, 1, seed=1),
      "n_steps must be an integer >= 2, not 1"),
     # 50 batches of 3 samples hold one sample each
@@ -397,8 +398,9 @@ def test_ks_normal_of_a_zero_std_is_nan_without_a_warning():
         for std in (0.0, -0.0):
             assert math.isnan(ks_normal(np.array(samples), 0.0, std))
     # a negative or NaN std is no normal law: it raises
-    for std in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="^std must be >= 0, not "):
+    for std, message in ((-1.0, "^std must be >= 0, not -1.0$"),
+                         (math.nan, "^std must be a finite number, not nan$")):
+        with pytest.raises(ValueError, match=message):
             ks_normal(np.array([-1.0, 0.0, 2.0]), 0.0, std)
 
 

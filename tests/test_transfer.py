@@ -215,9 +215,24 @@ def test_eigenvalue_polynomial_residual_three_plus_sqrt6():
     assert checked == 20
 
 
-def test_leading_eigenpair_solver_failure_is_eigen_convergence_error():
-    with pytest.raises(EigenConvergenceError):
-        leading_eigenpair(np.full((2, 2), np.nan))
+def test_leading_eigenpair_solver_failure_is_eigen_convergence_error(monkeypatch):
+    # a solver that fails on finite input is a numerical failure (exit 3)
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(EigenConvergenceError, match="dense eigensolver failed"):
+        leading_eigenpair(np.eye(2))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_leading_eigenpair_rejects_a_non_finite_matrix(entry):
+    # the input is at fault, not the solver: ValueError (exit 2), for both entry points
+    matrix = np.eye(2, dtype=complex)
+    matrix[0, 1] = entry
+    for solve in (leading_eigenpair, leading_eigenvalue):
+        with pytest.raises(ValueError, match="^eigensolver requires finite input$"):
+            solve(matrix)
 
 
 def test_symmetry_conjugate_eigenvalue(golden_tsets):
