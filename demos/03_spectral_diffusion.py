@@ -3,7 +3,8 @@
 
 Over a consistent partition the transfer operator reduces to finitely
 many matrices p_j; the leading eigenvalue z(t) of P(t) = sum p_j e^(ijt)
-carries the transport coefficients: D = -Re z''(0)/2, drift = Im z'(0),
+carries the transport coefficients: drift = Im z'(0) and
+D = -Re (ln z)''(0)/2 = lim Var(x_n)/(2n), the spread about the mean,
 and the t = 0 eigenvector is the stationary cell density.
 """
 

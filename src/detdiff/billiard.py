@@ -44,7 +44,8 @@ class BilliardState:
 
     `normal_angle` is the 1-periodic tilt alpha(x) of the wall normal in
     radians; |2 alpha| must stay below pi/2 for the tangent to exist.
-    The half-width `h`, positive and finite (`reports.check_finite`), is kept as a float.
+    `x_prev`, `x_curr` and the half-width `h` > 0 are finite
+    (`reports.check_finite`) and kept as floats.
     """
 
     x_prev: float
@@ -53,7 +54,8 @@ class BilliardState:
     normal_angle: Callable = field(default=_zero_angle)
 
     def __post_init__(self):
-        object.__setattr__(self, "h", check_finite(self.h, "h"))    # frozen: set once
+        for name in ("x_prev", "x_curr", "h"):      # frozen: each set once
+            object.__setattr__(self, name, check_finite(getattr(self, name), name))
         if self.h <= 0:
             raise ValueError("channel half-width h must be positive")
 
@@ -86,9 +88,11 @@ def exact_step(state: BilliardState) -> BilliardState:
 
 
 def approximate_step(state: BilliardState, kick: Callable) -> BilliardState:
-    """Wide-channel step x_next = 2 x_curr - x_prev + kick(x_curr)."""
-    x_next = 2.0 * state.x_curr - state.x_prev + float(kick(state.x_curr))
-    return BilliardState(x_prev=state.x_curr, x_curr=x_next,
+    """Wide-channel step x_next = 2 x_curr - x_prev + f(x_curr); ValueError if f is not finite."""
+    kicked = float(kick(state.x_curr))
+    if not math.isfinite(kicked):
+        raise ValueError("the kick returned a non-finite value")
+    return BilliardState(x_prev=state.x_curr, x_curr=2.0 * state.x_curr - state.x_prev + kicked,
                          h=state.h, normal_angle=state.normal_angle)
 
 

@@ -264,12 +264,8 @@ def cmd_diffusion(args):
         if not good:
             return _error(max(codes), "every method failed: " + "; ".join(
                 f"{name}: {rep['error']}" for name, rep in methods.items()))
-        # every d but Monte Carlo's is raw, -Re z''(0)/2; Monte Carlo's
-        # Var/(2n) is about the ensemble mean: compare centred values
-        centred = {k: v["d"] if k == "mc" else v["d"] - v["drift"] ** 2 / 2
-                   for k, v in good.items()}
-        deltas = {f"{a}|{b}": abs(centred[a] - centred[b])
-                  for a, b in itertools.combinations(sorted(centred), 2)}
+        deltas = {f"{a}|{b}": abs(good[a]["d"] - good[b]["d"])
+                  for a, b in itertools.combinations(sorted(good), 2)}
         payload = {"map": spec, "methods": methods, "deltas": deltas}
     else:
         payload = {"map": spec,
@@ -326,6 +322,8 @@ def cmd_evolve(args):
     lift_map = _resolve_map(spec)
     tset = _partition_for(args, lift_map)
     rep = diffusion_spectral(tset)
+    if rep.d <= 0:
+        raise MapDefinitionError(f"the map's spectral D is {rep.d!r}: evolve needs D > 0")
 
     dens = unit_pulse(tset.breakpoints)
     done = 0

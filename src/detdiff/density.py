@@ -191,47 +191,48 @@ def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _half_integer_pieces(lift_map: PiecewiseLinearLiftMap):
-    """(a, b, width) per piece: its end values are a - 1/2 <= b - 1/2, width exact.
+def _half_integer_integrals(lift_map: PiecewiseLinearLiftMap):
+    """Exact integrals of f and f^2 over one period, in one pass over the pieces.
 
     HalfIntegerValueError unless every piece end value is exactly some
-    k + 1/2, the condition of both closed forms.
+    k + 1/2, the condition of both closed forms.  A piece of width w whose
+    values sweep the integers c = a .. b - 1 splits at the preimages of
+    half-integers into b - a subsegments of length L = w/(b - a), each
+    adding c * L and (c^2 + 1/12) * L, with the sums over c in closed
+    form, so the cost does not grow with the slopes.
     """
     if not lift_map.has_half_integer_values():
         raise HalfIntegerValueError(
             "closed form requires half-integer values at all piece endpoints")
-    bp = lift_map.breakpoints
+
+    def squares_below(n):       # sum of c^2 over the integers 0 <= c < n
+        return (n - 1) * n * (2 * n - 1) // 6
+
+    bp, first, second = lift_map.breakpoints, Fraction(0), Fraction(0)
     for j in range(lift_map.n_pieces):
         # the integers just above the two end values
         a, b = sorted(int(float(v) + 0.5)
                       for v in (lift_map.left_values[j], lift_map.right_values[j]))
-        yield a, b, Fraction(float(bp[j + 1])) - Fraction(float(bp[j]))
+        width = Fraction(float(bp[j + 1])) - Fraction(float(bp[j]))
+        first += width * (a + b - 1) / 2
+        second += (squares_below(b) - squares_below(a) + Fraction(b - a, 12)) * width / (b - a)
+    return first, second
 
 
 def closed_form_d(lift_map: PiecewiseLinearLiftMap) -> float:
     """Exact diffusion coefficient for half-integer-valued piecewise maps.
 
     Requires every piece end value to be exactly some k + 1/2;
-    HalfIntegerValueError is raised otherwise.  Each piece is split at
-    the preimages of half-integers; a subsegment of length L whose values
-    sweep [c - 1/2, c + 1/2] contributes (c^2 + 1/12) * L to the integral
-    of |f|^2, and
+    HalfIntegerValueError is raised otherwise.  Then
 
-        D = (1/2) * integral_{-1/2}^{1/2} |f(x)|^2 dx - 1/24.
+        D = (1/2) * integral_{-1/2}^{1/2} |f(x)|^2 dx - 1/24 - drift^2/2,
 
-    A piece whose values sweep the integers c = a .. b - 1 adds
-    (sum c^2 + (b - a)/12) * width / (b - a), with the sum of squares in
-    closed form, so the cost does not grow with the slopes.  D is summed
-    exactly over the breakpoints as given and rounded once.  It is the
-    raw coefficient, -Re z''(0)/2 of the spectral method: for a drifting
-    map it exceeds the centred one, Var/(2n), by drift^2/2.
+    the spread lim Var(x_n)/(2n) about the mean that every method
+    reports, with the drift of `closed_form_drift`.  D is summed exactly
+    over the breakpoints as given and rounded once.
     """
-    def squares_below(n):       # sum of c^2 over the integers 0 <= c < n
-        return (n - 1) * n * (2 * n - 1) // 6
-
-    total = sum((squares_below(b) - squares_below(a) + Fraction(b - a, 12)) * width / (b - a)
-                for a, b, width in _half_integer_pieces(lift_map))
-    return float(total / 2 - Fraction(1, 24))
+    drift, square = _half_integer_integrals(lift_map)
+    return float(square / 2 - Fraction(1, 24) - drift * drift / 2)
 
 
 def closed_form_drift(lift_map: PiecewiseLinearLiftMap) -> float:
@@ -239,12 +240,11 @@ def closed_form_drift(lift_map: PiecewiseLinearLiftMap) -> float:
 
     Under the condition of `closed_form_d`, each piece covers whole unit
     cells modulo 1, so the invariant density is uniform on [-1/2, 1/2)
-    and the drift is the mean jump, integral_{-1/2}^{1/2} f(x) dx.  A
-    piece with end values a - 1/2 and b - 1/2 adds width * (a + b - 1)/2.
-    The sum is exact over the breakpoints as given and rounded once;
+    and the drift is the mean jump, integral_{-1/2}^{1/2} f(x) dx, summed
+    exactly over the breakpoints as given and rounded once;
     HalfIntegerValueError is raised when an end value is off the grid.
     """
-    return float(sum(width * (a + b - 1) / 2 for a, b, width in _half_integer_pieces(lift_map)))
+    return float(_half_integer_integrals(lift_map)[0])
 
 
 def second_moment(tset: TransitionMatrixSet):

@@ -316,7 +316,8 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     N-sized temporary: the other temporaries hold a slice or N/128 block
     ends.  The result is == to evaluating F at every sample.  A zero `std`
     leaves the law undefined: the statistic is then NaN, with no warning;
-    a negative one, or a non-finite mean or std (`reports.check_finite`), raises ValueError.
+    a negative one, a non-finite mean or std (`reports.check_finite`) or a
+    non-finite sample raises ValueError.
     """
     mean, std = check_finite(mean, "mean"), check_finite(std, "std")
     if std < 0:
@@ -325,6 +326,8 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     n = s.size
     if n == 0:
         raise ValueError("need at least one sample")
+    if not (math.isfinite(s[0]) and math.isfinite(s[-1])):     # NaN sorts last
+        raise ValueError("samples must be finite")
     if std == 0:
         return float("nan")
 
@@ -399,8 +402,8 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
 
     D = (Var(x_n) - Var(x_{n/2})) / (2 (n - n/2)) cancels the O(1)
     constant in Var(x_n) = 2 D n + c.  The variance is taken about the
-    ensemble mean, so this estimates the centred D = d - drift^2/2, where
-    d and drift are those of `diffusion_spectral`.  The standard error is
+    ensemble mean, so this estimates the D of `diffusion_spectral` and
+    `closed_form_d`, the same on drifting maps.  The standard error is
     taken across the 50 contiguous batches (`_BATCHES`) of two or more
     samples.  Integer counts n_samples >= 1 and n_steps >= 2; an
     overflowing position or moment raises OverflowError.

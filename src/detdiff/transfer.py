@@ -9,7 +9,8 @@ unit density on cell l of the fundamental interval.
 
 The characteristic matrix P(t) = sum_j p_j e^(i j t) governs the lattice
 dynamics; its leading eigenvalue z(t) carries the transport
-coefficients via D = -Re z''(0) / 2 and drift = Im z'(0).  The z(t)
+coefficients: drift = Im z'(0) and D = -Re (ln z)''(0) / 2 = lim
+Var(x_n) / (2n), the one D every method reports.  The z(t)
 curve comes from the dense spectrum of P(t); D, the drift and the
 stationary density come from one bordered linear system at t = 0
 (second-order eigenvalue perturbation), with no step size, no
@@ -98,7 +99,7 @@ def leading_eigenvalue(matrix: np.ndarray,
 
 
 def _spectral_core(tset: TransitionMatrixSet):
-    """Stationary density, drift and raw D from one bordered matrix.
+    """Stationary density, drift and D from one bordered matrix.
 
     With cell lengths l (the left eigenvector of E = sum_j p_j), P1 =
     sum_j j p_j and P2 = sum_j j^2 p_j, the bordered matrix
@@ -107,9 +108,9 @@ def _spectral_core(tset: TransitionMatrixSet):
     alpha; 0] gives y (the group inverse of I - E applied to the
     centred current).  The border multiplier vanishes in both because
     l^T (I - E) = 0.  Then drift = l P1 alpha = Im z'(0) and
-    D = l P2 alpha / 2 + l P1 y = -Re z''(0) / 2: second-order
-    perturbation of the unit eigenvalue, the matrix form of the
-    Taylor-Green-Kubo formula.
+    D = l P2 alpha / 2 + l P1 y - drift^2 / 2 = -Re (ln z)''(0) / 2, the
+    second cumulant rate: second-order perturbation of the unit
+    eigenvalue, the matrix form of the Taylor-Green-Kubo formula.
 
     Both solves need E irreducible, so that eigenvalue 1 is simple with
     a positive eigenvector (Perron-Frobenius).  For a nonnegative matrix
@@ -149,7 +150,7 @@ def _spectral_core(tset: TransitionMatrixSet):
 
     rhs_y = np.append(P1 @ alpha - drift * alpha, 0.0)
     sol_y = np.linalg.solve(K, rhs_y)
-    d = float(0.5 * lengths @ P2 @ alpha + lengths @ P1 @ sol_y[:m])
+    d = float(0.5 * lengths @ P2 @ alpha + lengths @ P1 @ sol_y[:m] - 0.5 * drift * drift)
 
     residual = max(float(np.max(np.abs(K @ sol - rhs)))
                    for sol, rhs in ((sol_alpha, rhs_alpha), (sol_y, rhs_y)))
@@ -194,11 +195,11 @@ class DiffusionReport:
 def diffusion_spectral(tset: TransitionMatrixSet) -> DiffusionReport:
     """Diffusion coefficient and drift from the leading eigenvalue z(t) of P(t).
 
-    D = -Re z''(0) / 2 (raw, not centred by the drift) and drift =
-    Im z'(0), exact up to rounding: second-order perturbation of the
-    unit eigenvalue of E by two solves with one bordered matrix, not
-    differences of z(t).  The `solve_residual` diagnostic is the max-abs
-    residual of those two solves.
+    D = -Re (ln z)''(0) / 2 = lim Var(x_n) / (2n), the spread about the
+    mean, and drift = Im z'(0), exact up to rounding: second-order
+    perturbation of the unit eigenvalue of E by two solves with one
+    bordered matrix, not differences of z(t).  The `solve_residual`
+    diagnostic is the max-abs residual of those two solves.
     """
     alpha, drift, d, residual = _spectral_core(tset)
     return DiffusionReport(

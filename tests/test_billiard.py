@@ -25,8 +25,11 @@ def test_state_validation():
     with pytest.raises(ValueError):
         BilliardState(0.0, 1.0, h=0.0)
     for x_curr in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="^incoming slope must be finite$"):
-            exact_step(BilliardState(0.0, x_curr))
+        with pytest.raises(ValueError, match=f"^x_curr must be a finite number, not {x_curr}$"):
+            BilliardState(0.0, x_curr)
+    # finite ends whose difference overflows
+    with pytest.raises(ValueError, match="^incoming slope must be finite$"):
+        exact_step(BilliardState(-1.5e308, 1.5e308))
 
 
 def test_exact_step_flat_wall_conserves_slope():

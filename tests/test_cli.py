@@ -118,7 +118,8 @@ def test_diffusion_all_methods(capsys):
     assert methods["mc"]["method"] == "monte-carlo"
 
 
-# slopes 4 and 2: drift 1/4, raw D 1/8 and centred D 1/8 - (1/4)^2/2 = 3/32
+# slopes 4 and 2: drift 1/4 and D = lim Var(x_n)/(2n) = 3/32, where the raw
+# second moment rate -Re z''(0)/2 is 1/8 = 3/32 + drift^2/2
 _DRIFT_MAP = ('{"type":"pieces","breakpoints":[-0.5,0,0.5],'
               '"values":[[-0.5,1.5],[-0.5,0.5]]}')
 
@@ -129,12 +130,22 @@ def test_diffusion_all_compares_centred_d_on_a_drifting_map(capsys):
     assert code == 0
     report = json.loads(out)
     closed, spectral, mc = (report["methods"][k] for k in ("closed-form", "spectral", "mc"))
-    assert (closed["d"], closed["drift"]) == (0.125, 0.25)
-    assert (spectral["d"], spectral["drift"]) == pytest.approx((0.125, 0.25), abs=1e-14)
-    # Monte Carlo's d is centred as it stands; the raw ones lose drift^2/2
-    assert report["deltas"]["closed-form|mc"] == abs(3 / 32 - mc["d"]) < 0.01
-    assert report["deltas"]["mc|spectral"] == pytest.approx(abs(3 / 32 - mc["d"]), abs=1e-14)
-    assert report["deltas"]["closed-form|spectral"] < 1e-14
+    # every method reports the same D, so the deltas compare the d fields as given
+    assert (closed["d"], closed["drift"]) == (3 / 32, 0.25)
+    assert (spectral["d"], spectral["drift"]) == pytest.approx((3 / 32, 0.25), abs=1e-14)
+    assert report["deltas"]["closed-form|mc"] == abs(closed["d"] - mc["d"]) < 0.01
+    assert report["deltas"]["mc|spectral"] == abs(mc["d"] - spectral["d"])
+    assert report["deltas"]["closed-form|spectral"] == 0.0
+
+
+def test_evolve_profile_of_a_drifting_map_converges(capsys):
+    # the Gaussian's width is the spread about the mean, so the distance decays
+    code, out, _ = run(capsys, "evolve", "--map", _DRIFT_MAP, "--checkpoints", "500,2000")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].endswith(" d_spectral=0.09375")
+    dist = dict(map(float, line.split(",")) for line in lines[2:])
+    assert dist[2000] < 0.0025 and dist[2000] <= 0.6 * dist[500], dist
 
 
 # the first piece's ends, -0.5 and -0.4999999999, are not both on the
@@ -502,6 +513,9 @@ _CONTRACT = [
                  2, "--from must be a finite number, not inf", id="scan-inf"),
     pytest.param(["billiard", "--lambda", "nan"],
                  2, "--lambda must be a finite number, not nan", id="billiard-nan-lambda"),
+    # f(x) = x does not diffuse: the Gaussian profile has no width
+    pytest.param(["evolve", "--map", "linear", "lambda=1", "--checkpoints", "10"],
+                 2, "the map's spectral D is 0.0: evolve needs D > 0", id="evolve-no-diffusion"),
     pytest.param(["solve-partition", "--three-interval", "1,100000,1,1"], 0, "",
                  id="three-interval-large-n"),
     # evolve and billiard share one --checkpoints rule; '' is no list, not the default

@@ -39,6 +39,13 @@ def _quadratic_integral(lift_map):
     return total
 
 
+def _linear_integral(lift_map):
+    """Integral of f over one period, the drift when the invariant density is uniform."""
+    bp, left, right = lift_map.breakpoints, lift_map.left_values, lift_map.right_values
+    return sum((bp[j + 1] - bp[j]) * (left[j] + right[j]) / 2.0
+               for j in range(lift_map.n_pieces))
+
+
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -205,6 +212,32 @@ def test_kolmogorov_decreases_with_time(unit_tset_lam3):
     assert dists[1] < dists[0]
 
 
+@pytest.fixture(scope="module")
+def drifting_lattice():
+    """Slopes 4 and 2 on the unit partition (drift 1/4), evolved to n = 500 and 2000."""
+    lift = PiecewiseLinearLiftMap([-0.5, 0.0, 0.5], [(-0.5, 1.5), (-0.5, 0.5)])
+    tset = build_transition_matrices(lift, MarkovPartition.unit())
+    at_500 = evolve(tset, unit_pulse(tset.breakpoints), 500)
+    return tset, diffusion_spectral(tset), {500: at_500, 2000: evolve(tset, at_500, 1500)}
+
+
+def test_spectral_d_is_the_variance_rate_of_a_drifting_map(drifting_lattice):
+    # Var(x_n) = 2 D n + c: the increment cancels c, and the spread is about
+    # the mean, so the drift adds nothing to it
+    _, rep, dens = drifting_lattice
+    var = {n: d.continuous_moments()[1] for n, d in dens.items()}
+    assert (var[2000] - var[500]) / 3000 == pytest.approx(rep.d, abs=1e-9)
+
+
+def test_gaussian_profile_of_a_drifting_map_converges(drifting_lattice):
+    # the profile's width is the spread about the mean, so the distance decays
+    tset, rep, dens = drifting_lattice
+    dist = {n: kolmogorov_distance(d, gaussian_profile(rep.d, rep.drift, rep.alpha,
+                                                       tset.breakpoints, n))
+            for n, d in dens.items()}
+    assert dist[2000] < 0.0025 and dist[2000] <= 0.6 * dist[500], dist
+
+
 def test_fourier_coefficient_identity(unit_tset_lam3):
     # evolved masses equal the quadrature coefficients of [P(t)]^n
     n = 8
@@ -305,8 +338,10 @@ def test_closed_form_against_quadratic_oracle():
                 b = a + 1.0
             values.append((float(a), float(b)))
         lift = PiecewiseLinearLiftMap(bps, values)
-        direct = 0.5 * _quadratic_integral(lift) - 1.0 / 24.0
+        drift = _linear_integral(lift)
+        direct = 0.5 * _quadratic_integral(lift) - 1.0 / 24.0 - 0.5 * drift * drift
         assert closed_form_d(lift) == pytest.approx(direct, abs=1e-12)
+        assert closed_form_drift(lift) == pytest.approx(drift, abs=1e-12)
 
 
 def test_second_moment_lambda3(unit_tset_lam3):

@@ -18,6 +18,7 @@ import pytest
 from detdiff import (
     BilliardState,
     MarkovPartition,
+    approximate_step,
     build_transition_matrices,
     characteristic_matrix,
     compute_route,
@@ -59,6 +60,10 @@ _ENTRIES = {
     "ks_normal-mean": ("mean", 0.5, lambda v: ks_normal(_SAMPLES, v, 1.0)),
     "ks_normal-std": ("std", 1.5, lambda v: ks_normal(_SAMPLES, 0.0, v)),
     "BilliardState-h": ("h", 1.5, lambda v: exact_step(BilliardState(0.0, 0.1, v, _tilt))),
+    "BilliardState-x_prev": ("x_prev", 0.5,
+                             lambda v: exact_step(BilliardState(v, 0.1, 1.0, _tilt))),
+    "BilliardState-x_curr": ("x_curr", 0.5,
+                             lambda v: exact_step(BilliardState(0.0, v, 1.0, _tilt))),
     "tangent_kick-h": ("h", 1.5, lambda v: tangent_kick(v, _tilt)(_X)),
     "position_from_kicks-x1": ("x1", 0.5,
                                lambda v: position_from_kicks(v, [0.25, -0.5, 0.125])),
@@ -81,6 +86,14 @@ def test_each_entry_point_rejects_what_is_no_finite_number(entry):
         message = f"^{re.escape(name)} must be a finite number, not {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             call(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(np.nan)],
+                         ids=["nan", "inf", "-inf", "numpy-nan"])
+def test_approximate_step_rejects_a_non_finite_kick(value):
+    # the wording of `simulate_channel`, whose kicks obey the same rule
+    with pytest.raises(ValueError, match="^the kick returned a non-finite value$"):
+        approximate_step(BilliardState(0.0, 0.1), lambda x: value)
 
 
 @pytest.mark.parametrize("convert", [np.float32, np.int64, Fraction])

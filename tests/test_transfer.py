@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import math
 
@@ -307,8 +308,9 @@ def _drift_map_tset():
 def test_spectral_diffusion_with_drift():
     rep = diffusion_spectral(_drift_map_tset())
     assert rep.drift == pytest.approx(0.25, abs=1e-14)
-    # raw-moment convention: D = sigma2 / 2 for the unit partition
-    assert rep.d == pytest.approx(0.125, abs=1e-14)
+    # D is the second cumulant rate: (sigma2 - sigma1^2) / 2 for the unit
+    # partition, 1/8 - 1/32, not the raw sigma2 / 2 = 1/8
+    assert rep.d == pytest.approx(3 / 32, abs=1e-14)
 
 
 def test_scalar_degeneration_matches_moments(unit_tset_lam3):
@@ -334,12 +336,14 @@ def test_spectral_zigzag_matches_closed_form():
 
 @pytest.mark.parametrize("name", list(CASES) + ["drift"])
 def test_spectral_matches_z_curve_differences(name, golden_tsets):
-    # D and drift are defined by the leading eigenvalue z(t) of P(t);
-    # central differences of the public z(t) path must reproduce them
+    # D = -Re (ln z)''(0) / 2 and drift = Im z'(0) are defined by the leading
+    # eigenvalue z(t) of P(t); central differences of the public z(t) path
+    # must reproduce them
     tset = _drift_map_tset() if name == "drift" else golden_tsets[name]
     h = 1e-3
     z = {t: leading_eigenvalue(characteristic_matrix(tset, t)) for t in (-h, 0.0, h)}
-    d_fd = -0.5 * ((z[h] - 2.0 * z[0.0] + z[-h]) / h**2).real
+    log_z = {t: cmath.log(v) for t, v in z.items()}
+    d_fd = -0.5 * ((log_z[h] - 2.0 * log_z[0.0] + log_z[-h]) / h**2).real
     drift_fd = ((z[h] - z[-h]) / (2.0 * h)).imag
     rep = diffusion_spectral(tset)
     assert rep.d == pytest.approx(d_fd, abs=1e-6)
