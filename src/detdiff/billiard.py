@@ -10,21 +10,21 @@ difference equation driven by a 1-periodic kick,
 whose variance grows cubically when the kicks decorrelate.  The ensemble
 simulator keeps each position as an integer cell plus a fraction in
 [-1/2, 1/2), like the lifting-map ensembles, and calls the kick with
-the fraction only; a position that overflows raises OverflowError, and a
-kick that returns a non-finite value raises ValueError.
+the fraction only.  Every function fails alike: a non-finite kick or
+normal angle raises ValueError, an overflow of finite input OverflowError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _EXPORTS
 from .errors import GrazingReflectionError
-from .maps import _finite, fractional_part
+from .maps import _finite, _finite_result, fractional_part
 from .montecarlo import _iterate_chunk, _run_chunks
 from .reports import check_count, check_finite
 from .rng import uniform_stream
@@ -65,43 +65,49 @@ class BilliardState:
         return (self.x_curr - self.x_prev) / self.h
 
 
+def _advance(state: BilliardState, x_next: float) -> BilliardState:
+    """The state one reflection on, at x_next; OverflowError unless x_next is finite."""
+    return replace(state, x_prev=state.x_curr, x_curr=_finite_result(x_next, "billiard position"))
+
+
 def exact_step(state: BilliardState) -> BilliardState:
     """Ideal reflection at x_curr: rotate the chord slope by 2 alpha.
 
-    With u the incoming slope and t = tan(2 alpha(x_curr)), the outgoing
-    slope is (u + t) / (1 - t u); the next abscissa follows as
-    x_curr + h * u'.  A denominator within 1e-12 of zero means the
-    outgoing ray grazes the wall and raises GrazingReflectionError.
+    With u the incoming slope and t = tan(2 alpha(x_curr)), the outgoing slope is
+    (u + t) / (1 - t u); the next abscissa follows as x_curr + h * u'.  A denominator
+    within 1e-12 of zero means the outgoing ray grazes the wall and raises
+    GrazingReflectionError; every other failure follows the module's rule.
     """
     u = state.slope
-    if not math.isfinite(u):
-        raise ValueError("incoming slope must be finite")
-    t = math.tan(2.0 * float(state.normal_angle(state.x_curr)))
+    alpha = float(state.normal_angle(state.x_curr))
+    if not math.isfinite(alpha):
+        raise ValueError("the normal angle returned a non-finite value")
+    t = math.tan(_finite_result(2.0 * alpha, "doubled normal angle"))
     denom = 1.0 - t * u
     if abs(denom) < _GRAZE_TOL:
         raise GrazingReflectionError(
             f"grazing reflection at x = {state.x_curr!r} (1 - t*u = {denom:.3g})")
-    u_out = (u + t) / denom
-    return BilliardState(x_prev=state.x_curr,
-                         x_curr=state.x_curr + state.h * u_out,
-                         h=state.h, normal_angle=state.normal_angle)
+    return _advance(state, state.x_curr + state.h * ((u + t) / denom))
 
 
 def approximate_step(state: BilliardState, kick: Callable) -> BilliardState:
-    """Wide-channel step x_next = 2 x_curr - x_prev + f(x_curr); ValueError if f is not finite."""
+    """Wide-channel step x_next = 2 x_curr - x_prev + f(x_curr); fails by the module's rule."""
     kicked = float(kick(state.x_curr))
     if not math.isfinite(kicked):
         raise ValueError("the kick returned a non-finite value")
-    return BilliardState(x_prev=state.x_curr, x_curr=2.0 * state.x_curr - state.x_prev + kicked,
-                         h=state.h, normal_angle=state.normal_angle)
+    return _advance(state, 2.0 * state.x_curr - state.x_prev + kicked)
 
 
 def tangent_kick(h: float, normal_angle: Callable) -> Callable:
-    """Kick induced by the wall tilt: f(x) = h * tan(2 alpha(x)), h finite (`check_finite`)."""
+    """Tilt kick f(x) = h tan(2 alpha(x)), finite h (`check_finite`); fails by the module's rule."""
     h = check_finite(h, "h")
 
     def kick(x):
-        return h * np.tan(2.0 * np.asarray(normal_angle(x), dtype=float))
+        alpha = np.asarray(normal_angle(x), dtype=float)
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("the normal angle returned a non-finite value")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite_result(h * np.tan(2.0 * alpha), "tangent kick")
     return kick
 
 
@@ -127,11 +133,13 @@ def position_from_kicks(x1: float, kicks: Sequence[float]) -> float:
 
         x_{n+1} = (n + 1) x_1 + sum_{k=1..n} (n + 1 - k) f(x_k),
 
-    which reproduces the iteration exactly, for a finite x1 (`reports.check_finite`) and kicks.
+    the iteration exactly, for a finite x1 (`reports.check_finite`) and kicks, or OverflowError.
     """
     n, x1 = len(kicks), check_finite(x1, "x1")
     weights = np.arange(n, 0, -1, dtype=float)
-    return float((n + 1) * x1 + weights @ _finite(kicks, "position_from_kicks"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (n + 1) * x1 + weights @ _finite(kicks, "position_from_kicks")
+    return float(_finite_result(x, "billiard position"))
 
 
 def theoretical_variance(n: int, lam: float) -> float:
@@ -139,10 +147,15 @@ def theoretical_variance(n: int, lam: float) -> float:
 
     sigma^2 = n^2/12 + (lam^2/12) * n(n+1)(2n+1)/6: the quadratic term
     comes from the spread of the initial slope, the cubic one from the
-    linearly growing weights of the kicks.  Integer n >= 0, finite lam (`reports.check_finite`).
+    linearly growing weights of the kicks.  Integer n >= 0, finite lam (`check_finite`);
+    OverflowError when sigma^2 is not a finite double.
     """
-    n, lam = float(check_count(n, 0, "n")), check_finite(lam, "lam")
-    return n**2 / 12.0 + lam**2 / 12.0 * n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
+    n, lam = check_count(n, 0, "n"), check_finite(lam, "lam")
+    try:
+        var = float(n)**2 / 12.0 + lam**2 / 12.0 * n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
+    except OverflowError:     # a float power, or an int n past the doubles, raises, not inf
+        var = math.inf
+    return _finite_result(var, "theoretical variance")
 
 
 def _loglog_slope(steps, variances) -> float:
@@ -232,10 +245,8 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     # Chan et al.: pool the per-chunk counts, means and centred sums of squares
     with np.errstate(over="ignore", invalid="ignore"):
         mean = (counts * means).sum(axis=1) / n_samples
-        variances = ((m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1)
-                     / (n_samples - 1)).tolist()
-    if not np.isfinite(variances).all():
-        raise OverflowError("channel variance overflows double precision")
+        variances = _finite_result(((m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1)
+                                    / (n_samples - 1)).tolist(), "channel variance")
 
     theo = tuple(theoretical_variance(c, lam) for c in cps) if lam is not None else None
     return ChannelReport(

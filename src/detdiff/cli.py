@@ -182,8 +182,6 @@ def _json_report(payload: dict, provenance: dict) -> str:
 
 
 def cmd_solve_partition(args):
-    from .partition import PartitionEquationSystem, solve_partition_system, solve_three_interval
-
     if bool(args.system) == bool(args.three_interval):
         raise MapDefinitionError("pass exactly one of --system or --three-interval")
     if args.three_interval:
@@ -192,13 +190,18 @@ def cmd_solve_partition(args):
         except ValueError as exc:
             raise MapDefinitionError(
                 "--three-interval expects 'm,n,eps1,eps2'") from exc
+        from .partition import solve_three_interval
+
         lam, xi = solve_three_interval(m, n, e1, e2)
         payload = {"lambda": lam, "xi": xi,
                    "equations": {"lam*xi - m - eps2*xi": lam * xi - m - e2 * xi,
                                  "lam/2 - n - eps1*xi": lam / 2 - n - e1 * xi}}
         prov = {"version": VERSION, "input": f"three-interval:{m},{n},{e1},{e2}"}
     else:
-        system = PartitionEquationSystem.from_dict(_load_json_arg(args.system))
+        raw = _load_json_arg(args.system)
+        from .partition import PartitionEquationSystem, solve_partition_system
+
+        system = PartitionEquationSystem.from_dict(raw)
         solved = solve_partition_system(system)
         payload = {"lambda": solved.lam,
                    "breakpoints": list(solved.breakpoints),
@@ -232,17 +235,15 @@ def _method_report(name, args, spec, lift_map):
         lam = parse_algebraic(spec["lambda"])
         d = heuristic_d(lam) if name == "heuristic" else omega_approx_d(lam)
         return {"d": d, "drift": 0.0, "method": name, "diagnostics": {}}
-    if name == "mc":
-        from .montecarlo import estimate_stats, simulate_ensemble
+    from .montecarlo import estimate_stats, simulate_ensemble     # name == "mc"
 
-        samples = simulate_ensemble(lift_map, args.N, args.n, args.seed)
-        stats = estimate_stats(samples, args.n)
-        return {"d": stats.d_estimate, "drift": stats.drift_estimate,
-                "method": "monte-carlo",
-                "diagnostics": {"stderr": stats.d_stderr, "ks": stats.ks_statistic,
-                                "n_samples": stats.sample_count,
-                                "n_steps": stats.step_count}}
-    raise MapDefinitionError(f"unknown method {name!r}")
+    samples = simulate_ensemble(lift_map, args.N, args.n, args.seed)
+    stats = estimate_stats(samples, args.n)
+    return {"d": stats.d_estimate, "drift": stats.drift_estimate,
+            "method": "monte-carlo",
+            "diagnostics": {"stderr": stats.d_stderr, "ks": stats.ks_statistic,
+                            "n_samples": stats.sample_count,
+                            "n_steps": stats.step_count}}
 
 
 def cmd_diffusion(args):

@@ -18,10 +18,10 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import HalfIntegerValueError
+from .maps import PiecewiseLinearLiftMap, _finite_result
 from .reports import check_count, check_finite
 
-if TYPE_CHECKING:   # annotations only: `scan` needs neither module
-    from .maps import PiecewiseLinearLiftMap
+if TYPE_CHECKING:   # annotations only: `scan` does not need `transfer`
     from .transfer import TransitionMatrixSet
 
 __all__ = _EXPORTS["density"]
@@ -260,13 +260,6 @@ def second_moment(tset: TransitionMatrixSet):
     return float(ks @ ps), float((ks**2) @ ps)
 
 
-def _finite_estimate(name: str, d: float) -> float:
-    """d itself; OverflowError when the estimate is not a finite double."""
-    if not math.isfinite(d):
-        raise OverflowError(f"{name} estimate of D overflows double precision")
-    return d
-
-
 def heuristic_d(lam: float) -> float:
     """Independent-fractional-parts estimate D = (lam - 1)^2 / 24 (approximate).
 
@@ -280,7 +273,7 @@ def heuristic_d(lam: float) -> float:
         d = (lam - 1.0) ** 2 / 24.0
     except OverflowError:     # a float power raises where a product gives inf
         d = math.inf
-    return _finite_estimate("heuristic", d)
+    return _finite_result(d, "heuristic estimate of D")
 
 
 def omega_factor(lam: float) -> float:
@@ -299,4 +292,4 @@ def omega_approx_d(lam: float) -> float:
     >= 3, OverflowError when D is not a finite double.
     """
     lam = check_finite(lam, "lam")
-    return _finite_estimate("omega", (lam - 1.0) * (lam - omega_factor(lam)) / 24.0)
+    return _finite_result((lam - 1.0) * (lam - omega_factor(lam)) / 24.0, "omega estimate of D")

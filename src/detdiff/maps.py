@@ -42,6 +42,13 @@ def _finite(x, what: str, dtype=float):
     return arr
 
 
+def _finite_result(value, what: str):
+    """value itself if all finite; else OverflowError "<what> overflows double precision"."""
+    if not np.all(np.isfinite(value)):
+        raise OverflowError(f"{what} overflows double precision")
+    return value
+
+
 def nearest_integer(x):
     """Nearest-integer label [x): the k with x in [k - 1/2, k + 1/2).
 

@@ -27,8 +27,8 @@ def test_state_validation():
     for x_curr in (math.inf, math.nan):
         with pytest.raises(ValueError, match=f"^x_curr must be a finite number, not {x_curr}$"):
             BilliardState(0.0, x_curr)
-    # finite ends whose difference overflows
-    with pytest.raises(ValueError, match="^incoming slope must be finite$"):
+    # finite ends whose difference overflows: an overflow, as in `simulate_channel`
+    with pytest.raises(OverflowError, match="^billiard position overflows double precision$"):
         exact_step(BilliardState(-1.5e308, 1.5e308))
 
 

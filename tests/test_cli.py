@@ -551,6 +551,17 @@ _CONTRACT = [
     pytest.param(["diffusion", "--map", _TRANSIENT_MAP, "--method", "spectral"],
                  3, "cell 0 cannot be reached from cell 1; the transfer matrix is reducible",
                  id="transient-cell"),
+    # the usage errors of --map, --three-interval and the scan grid
+    pytest.param(["diffusion", "--map", '{"type":"linear","lambda":3}', "extra"],
+                 2, "unexpected extra tokens after JSON map spec", id="map-extra-token"),
+    pytest.param(["diffusion", "--map", "linear", "lambda3"],
+                 2, "map argument 'lambda3' is not key=value", id="map-not-key-value"),
+    pytest.param(["solve-partition", "--three-interval", "1,2,x"],
+                 2, "--three-interval expects 'm,n,eps1,eps2'", id="three-interval-not-integer"),
+    pytest.param(["scan", "--from", "3", "--to", "5", "--step", "0"],
+                 2, "--step must be positive", id="scan-zero-step"),
+    pytest.param(["scan", "--to", "5"],
+                 2, "pass --lambda-grid or both --from and --to", id="scan-no-from"),
 ]
 
 
@@ -788,8 +799,9 @@ def test_cli_import_does_not_load_scipy(fresh_python, tmp_path):
         "--out", str(tmp_path / "out")).strip() == "False"
 
 
-# argument lists that end main() before any numeric import: in argparse, or
-# at the integer rule of seeds, counts and checkpoints
+# argument lists that end main() before any numeric import: in argparse, at
+# the integer rule of seeds, counts and checkpoints, or at a usage error; each
+# exits 0 if it asks for --help, else 2
 _PARSE_ONLY = [
     ["--help"],
     *([command, "--help"] for command in
@@ -802,6 +814,10 @@ _PARSE_ONLY = [
     ["scan", "--from", "3", "--to", "3", "--N", "1", "--n", "5"],
     ["scan", "--from", "inf", "--to", "5"],
     ["billiard", "--lambda", "nan"],
+    ["solve-partition"],
+    ["solve-partition", "--three-interval", "1,2,1,-1", "--system", "{}"],
+    ["solve-partition", "--three-interval", "1,2"],
+    ["solve-partition", "--system", "{"],
 ]
 
 
@@ -820,7 +836,8 @@ def test_cli_front_end_does_not_load_numpy(fresh_python):
         "            code = exc.code\n"
         "    print(code, 'numpy' in sys.modules)\n",
         json.dumps(_PARSE_ONLY))
-    assert out.splitlines() == ["False"] + ["0 False"] * 7 + ["2 False"] * 8
+    assert out.splitlines() == ["False"] + [f"{0 if '--help' in argv else 2} False"
+                                            for argv in _PARSE_ONLY]
 
 
 def test_checkpoints_are_checked_before_any_numeric_import(fresh_python):
