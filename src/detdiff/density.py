@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _EXPORTS
-from .errors import HalfIntegerValueError
-from .maps import PiecewiseLinearLiftMap, _finite_result
+from .errors import HalfIntegerValueError, PartitionError
+from .maps import PiecewiseLinearLiftMap, _finite_result, _unit_breakpoints
 from .reports import check_count, check_finite
 
 if TYPE_CHECKING:   # annotations only: `scan` does not need `transfer`
@@ -31,7 +31,7 @@ _PROFILE_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class LatticeDensity:
-    """Piecewise-constant density over cells I_{k,j}, k integer, j = 1..m."""
+    """Piecewise-constant density >= 0 on cells I_{k,j}, by the breakpoint rule of partitions."""
 
     k_min: int
     values: np.ndarray            # (n_units, m) nonnegative densities
@@ -39,11 +39,13 @@ class LatticeDensity:
     step_count: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "breakpoints", _unit_breakpoints(
+            self.breakpoints, "lattice density", PartitionError))
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", vals)
         if vals.shape[1] != len(self.breakpoints) - 1:
             raise ValueError("values width must match the number of cells")
-        if np.any(vals < -1e-15):
+        if np.any(vals < 0):
             raise ValueError("densities must be nonnegative")
 
     @property
@@ -105,16 +107,14 @@ class LatticeDensity:
 
 def unit_pulse(breakpoints) -> LatticeDensity:
     """Unit density on the fundamental interval, zero elsewhere."""
-    m = len(breakpoints) - 1
-    return LatticeDensity(k_min=0, values=np.ones((1, m)),
-                          breakpoints=tuple(float(b) for b in breakpoints))
+    return LatticeDensity(k_min=0, values=np.ones((1, len(breakpoints) - 1)),
+                          breakpoints=breakpoints)
 
 
 def _require_same_partition(a, b):
-    """Raise ValueError unless breakpoint tuples a and b give the same cells."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or np.max(np.abs(a - b)) > 1e-12:
-        raise ValueError(f"different partitions: {a.tolist()} and {b.tolist()}")
+    """Raise ValueError unless breakpoints a and b are equal, so the cells are the same."""
+    if tuple(a) != tuple(b):
+        raise ValueError(f"different partitions: {list(a)} and {list(b)}")
 
 
 def evolve(tset: TransitionMatrixSet, initial: LatticeDensity, n: int) -> LatticeDensity:
@@ -166,10 +166,9 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
     profile = peak * np.exp(-((ks - center) ** 2) / (4.0 * d * n))
     vals = alpha[None, :] * profile[:, None]
     vals[vals < _PROFILE_FLOOR] = 0.0
-    breakpoints = tuple(float(b) for b in breakpoints)
-    mass = float((vals * np.diff(breakpoints)).sum())
-    return LatticeDensity(k_min=k_lo, values=vals / mass,
-                          breakpoints=breakpoints, step_count=n)
+    dens = LatticeDensity(k_min=k_lo, values=vals, breakpoints=breakpoints, step_count=n)
+    np.divide(dens.values, dens.mass, out=dens.values)
+    return dens
 
 
 def kolmogorov_distance(a: LatticeDensity, b: LatticeDensity) -> float:

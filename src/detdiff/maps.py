@@ -101,7 +101,7 @@ EMPTY_INTERVAL = Interval(math.inf, -math.inf)
 
 
 def _unit_breakpoints(raw, what: str, error: type) -> tuple:
-    """The breakpoint rule of maps and partitions: floats -1/2 = x_0 < ... < x_m = 1/2.
+    """Floats -1/2 = x_0 < ... < x_m = 1/2: the breakpoint rule of maps, partitions and densities.
 
     Ends within 1e-12 of -1/2 and 1/2 are snapped to them; a breach
     raises `error` with a message about the breakpoints of a `what`."""

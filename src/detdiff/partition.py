@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import PartitionError, RootSolveError, SystemStructureError
-from .maps import _BREAKPOINT_TOL, PiecewiseLinearLiftMap, _label, _unit_breakpoints
+from .maps import PiecewiseLinearLiftMap, _label, _unit_breakpoints
 
 __all__ = _EXPORTS["partition"]
 
@@ -78,8 +78,7 @@ class MarkovPartition:
         return np.diff(np.asarray(self.breakpoints))
 
     def is_symmetric(self) -> bool:
-        bp = np.asarray(self.breakpoints)
-        return bool(np.all(np.abs(bp + bp[::-1]) <= _BREAKPOINT_TOL))
+        return self.breakpoints == tuple(-b for b in reversed(self.breakpoints))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from detdiff import (
     HalfIntegerValueError,
     LatticeDensity,
     MarkovPartition,
+    PartitionError,
     PiecewiseLinearLiftMap,
     build_transition_matrices,
     closed_form_d,
@@ -89,6 +91,7 @@ _UNIT = (-0.5, 0.5)
     (lambda: LatticeDensity(0, np.ones((1, 2)), _UNIT),
      "values width must match the number of cells"),
     (lambda: LatticeDensity(0, [[-1.0]], _UNIT), "densities must be nonnegative"),
+    (lambda: LatticeDensity(0, [[-1e-16]], _UNIT), "densities must be nonnegative"),
     (lambda: evolve(build_transition_matrices(linear_map(3.0), MarkovPartition.unit()),
                     unit_pulse(_UNIT), -1), "n must be an integer >= 0, not -1"),
     (lambda: gaussian_profile(0.0, 0.0, [1.0], _UNIT, 10),
@@ -98,11 +101,62 @@ _UNIT = (-0.5, 0.5)
     (lambda: gaussian_profile(math.nan, 0.0, [1.0], _UNIT, 10),
      "d must be a finite number, not nan"),
     (lambda: gaussian_profile(1 / 3, 0.0, [1.0], _UNIT, 0), "n must be an integer >= 1, not 0"),
-], ids=["width", "negative", "evolve-backwards", "profile-zero-d", "profile-inf-d",
-        "profile-nan-d", "profile-zero-n"])
+], ids=["width", "negative", "negative-1e-16", "evolve-backwards", "profile-zero-d",
+        "profile-inf-d", "profile-nan-d", "profile-zero-n"])
 def test_density_arguments_at_fault_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+# every lattice density takes its cells by the breakpoint rule of maps and
+# partitions, so cells compare exactly; breakpoints at fault -> the rule's
+# message after "lattice density breakpoints"
+_CELLS_AT_FAULT = {
+    "reversed": ((0.5, -0.5), "must span [-1/2, 1/2], got [0.5, -0.5]"),
+    "not-increasing": ((-0.5, 0.7, 0.5), "must be strictly increasing"),
+    "repeated": ((-0.5, 0.0, 0.0, 0.5), "must be strictly increasing"),
+    "nan": ((math.nan, 0.5), "(nan, 0.5) are not all finite"),
+    "inf": ((-0.5, math.inf, 0.5), "(-0.5, inf, 0.5) are not all finite"),
+    "-inf": ((-math.inf, 0.5), "(-inf, 0.5) are not all finite"),
+    "not-spanning": ((0.0, 2.0), "must span [-1/2, 1/2], got [0.0, 2.0]"),
+}
+_CELL_ENTRIES = {
+    "LatticeDensity": lambda bp: LatticeDensity(0, np.ones((1, len(bp) - 1)), bp),
+    "unit_pulse": unit_pulse,
+    "gaussian_profile": lambda bp: gaussian_profile(1 / 3, 0.0, np.ones(len(bp) - 1), bp, 10),
+}
+# an interior breakpoint 5e-13 off the half split
+_HALF, _OFF_HALF = (-0.5, 0.0, 0.5), (-0.5, 5e-13, 0.5)
+_OFF_MESSAGE = "different partitions: [-0.5, 5e-13, 0.5] and [-0.5, 0.0, 0.5]"
+
+
+def _evolve_on_the_half_split(start):
+    tset = build_transition_matrices(linear_map(3.0), MarkovPartition(_HALF))
+    return evolve(tset, start, 1)
+
+
+@pytest.mark.parametrize("call,breakpoints,error,message", [
+    *(pytest.param(entry, bp, PartitionError, f"lattice density breakpoints {message}",
+                   id=f"{name}-{case}")
+      for name, entry in _CELL_ENTRIES.items()
+      for case, (bp, message) in _CELLS_AT_FAULT.items()),
+    pytest.param(lambda bp: _evolve_on_the_half_split(unit_pulse(bp)),
+                 _OFF_HALF, ValueError, _OFF_MESSAGE, id="evolve-interior-5e-13-off"),
+    pytest.param(lambda bp: kolmogorov_distance(unit_pulse(bp), unit_pulse(_HALF)),
+                 _OFF_HALF, ValueError, _OFF_MESSAGE, id="kolmogorov-interior-5e-13-off"),
+])
+def test_lattice_inputs_at_fault_raise(call, breakpoints, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(breakpoints)
+
+
+@pytest.mark.parametrize("start", [-0.5 - 1e-13, -0.5 + 5e-13])
+def test_ends_within_the_rule_snap_to_the_unit_cells(unit_tset_lam3, start):
+    pulse = unit_pulse([start, 0.5])
+    assert pulse.breakpoints == (-0.5, 0.5)
+    got, want = (evolve(unit_tset_lam3, p, 3) for p in (pulse, unit_pulse(_UNIT)))
+    assert got.breakpoints == (-0.5, 0.5)
+    np.testing.assert_array_equal(got.values, want.values)
 
 
 def test_evolve_partition_mismatch():

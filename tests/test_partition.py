@@ -49,6 +49,12 @@ def test_partition_basics():
     assert MarkovPartition.half_integer().m == 2
 
 
+def test_partition_symmetry_is_exact_negation():
+    assert MarkovPartition.symmetric([0.1, 0.3], include_zero=True).is_symmetric()
+    assert not MarkovPartition((-0.5, -0.2, 0.2 + 1e-13, 0.5)).is_symmetric()
+    assert MarkovPartition.half_integer().is_symmetric()
+
+
 def test_partition_validation():
     with pytest.raises(PartitionError):
         MarkovPartition((-0.4, 0.5))
