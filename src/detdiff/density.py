@@ -31,7 +31,7 @@ _PROFILE_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class LatticeDensity:
-    """Piecewise-constant density >= 0 on cells I_{k,j}, by the breakpoint rule of partitions."""
+    """Piecewise-constant finite density >= 0 on cells I_{k,j}, by the breakpoint rule."""
 
     k_min: int
     values: np.ndarray            # (n_units, m) nonnegative densities
@@ -45,8 +45,8 @@ class LatticeDensity:
         object.__setattr__(self, "values", vals)
         if vals.shape[1] != len(self.breakpoints) - 1:
             raise ValueError("values width must match the number of cells")
-        if np.any(vals < 0):
-            raise ValueError("densities must be nonnegative")
+        if not np.all(np.isfinite(vals) & (vals >= 0)):
+            raise ValueError("densities must be finite and nonnegative")
 
     @property
     def m(self) -> int:
@@ -149,13 +149,16 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
 
     P[k, j] = alpha_j / (2 sqrt(pi D n)) * exp(-(k - drift*n)^2 / (4 D n)),
     evaluated at integer k, truncated below 1e-16 and renormalised to unit
-    mass.  Finite d > 0 and drift (`reports.check_finite`), n an integer >= 1.
+    mass.  Finite d > 0 and drift (`reports.check_finite`), n an integer >= 1,
+    and every alpha_j finite and > 0.
     """
     d, drift = check_finite(d, "d"), check_finite(drift, "drift")
     if d <= 0:
         raise ValueError(f"d must be > 0, not {d!r}")
     n = check_count(n, 1, "n")
     alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha) & (alpha > 0)):
+        raise ValueError(f"alpha must be finite and > 0, not {alpha.tolist()}")
     center = drift * n
     spread = math.sqrt(4.0 * d * n)
     # e^-40 ~ 4e-18 is safely below the floor we renormalise away

@@ -39,8 +39,8 @@ its cell after a step function: the lifting map (plus dither) or the
 channel's kick and velocity.  A chunk is small enough for its fractions,
 cells and scratch to stay in cache across steps.  The normal CDF behind
 `ks_normal` is a numpy port of the Cephes rational approximations, so
-the package needs only numpy; `ks_normal` evaluates it only on the
-blocks of 64 sorted samples where the maximum gap can be.
+the package needs only numpy; `ks_normal` evaluates it on ascending
+input, only on the blocks of 64 sorted samples where the gap can peak.
 
 Memory is bounded by the outputs, plus one N-sized temporary, plus
 per-chunk scratch.  A chunk allocates its fractions and cells, and its
@@ -50,7 +50,7 @@ chunk's fractions, and the last positions overwrite the cells.
 `estimate_stats` rejects non-finite samples instead of copying the rest: the
 centred copy inside the variance and then the sorted copy of
 `ks_normal` are the N-sized temporaries, never alive together, and the
-CDF sees N/32 block ends, then slices of at most 8192 samples.
+CDF sees N/32 block ends, then gathered groups of at most 8192 samples.
 """
 
 from __future__ import annotations
@@ -73,13 +73,12 @@ __all__ = _EXPORTS["montecarlo"]
 _CHUNK = 1 << 15
 #: contiguous sample batches behind the standard error of `estimate_d_increment`
 _BATCHES = 50
-#: sorted samples per block of the pruned KS statistic, the margin a
-#: block's bound must clear before it is skipped, and the longest gap of
-#: skipped blocks inside one evaluated run (1024 samples)
+#: sorted samples per block of the pruned KS statistic, and the margin a
+#: block's bound must clear before it is skipped
 _KS_BLOCK = 64
 _KS_MARGIN = 1e-12
-_KS_JOIN = 16
-#: longest slice of sorted samples that the normal CDF sees at once
+#: most sorted samples the normal CDF sees at once after the block ends:
+#: one group of _KS_SLICE // _KS_BLOCK = 128 candidate blocks
 _KS_SLICE = 1 << 13
 
 #: bits of a dither lane of `rng._lanes`
@@ -251,57 +250,40 @@ def _ratio(scale, x, num, den):
     return p
 
 
-def _branch(out, mask, f, *args):
-    """out[mask] = f(*(a[mask] for a in args)).
-
-    An empty mask skips f, and a full one gathers and scatters nothing.
-    """
-    if mask.all():
-        out[...] = f(*args)
-    elif mask.any():
-        out[mask] = f(*(a[mask] for a in args))
-
-
-def _erf(x):
-    """erf(x) for |x| <= 1."""
-    return _ratio(x, x * x, _ERF_T, _ERF_U)
-
-
-def _erfc(x):
-    """erfc(x) for x >= 1 (NaN stays NaN)."""
-    x = np.minimum(x, _ERFC_ZERO)
-    out = np.exp(-x * x)
-    near = x < 8.0
-    _branch(out, near, lambda e, v: _ratio(e, v, _ERFC_P, _ERFC_Q), out, x)
-    _branch(out, ~near, lambda e, v: _ratio(e, v, _ERFC_R, _ERFC_S), out, x)
-    return out
-
-
-def _tail(x):
-    """The CDF for |x| >= 1/sqrt(2): 0.5 erfc(|x|), reflected for x > 0."""
-    z = np.abs(x)
-    tail = np.empty_like(z)
-    small = z < 1.0
-    _branch(tail, small, lambda v: 1.0 - _erf(v), z)
-    _branch(tail, ~small, _erfc, z)
-    tail *= 0.5
-    return np.where(x > 0, 1.0 - tail, tail)
-
-
 def _ndtr(a):
-    """Standard normal CDF of an array, branch for branch as Cephes `ndtr`.
+    """Standard normal CDF of an ascending array (NaN last), branch for branch as Cephes `ndtr`.
 
     With x = a/sqrt(2): 0.5 + 0.5 erf(x) for |x| < 1/sqrt(2), otherwise
     0.5 erfc(|x|), reflected for x > 0; erfc is 1 - erf below |x| = 1 and
     one of two rational approximations times exp(-x^2) below and above 8.
-    A branch that no sample takes costs nothing, so a slice of sorted
-    samples, which takes one or two, pays for those only.
+    On ascending input these seven cases are index ranges, found by two
+    searches and evaluated on slices, so a range no sample takes costs nothing.
     """
     x = a * _SQRTH
     y = np.empty_like(x)
-    inner = np.abs(x) < _SQRTH
-    _branch(y, inner, lambda v: 0.5 + 0.5 * _erf(v), x)
-    _branch(y, ~inner, _tail, x)
+
+    def erf(v):                 # |v| <= 1
+        return _ratio(v, v * v, _ERF_T, _ERF_U)
+
+    def erfc(num, den):         # erfc(z) for z >= 1: exp(-z^2) times a ratio
+        return lambda z: _ratio(np.exp(-z * z), z, num, den)
+
+    # Cephes' cases, one per range of x: the branch of erfc(|x|) and
+    # whether 0.5 erfc(|x|) is reflected; None is 0.5 + 0.5 erf(x)
+    far, near, mid = erfc(_ERFC_R, _ERFC_S), erfc(_ERFC_P, _ERFC_Q), lambda z: 1.0 - erf(z)
+    cases = ((far, False), (near, False), (mid, False), (None, False),
+             (mid, True), (near, True), (far, True))
+    edges = (0, *np.searchsorted(x, (-8.0, -1.0, -_SQRTH), "right"),
+             *np.searchsorted(x, (_SQRTH, 1.0, 8.0)), x.size)
+    for (branch, reflect), lo, hi in zip(cases, edges, edges[1:]):
+        if lo == hi:
+            continue
+        if branch is None:
+            y[lo:hi] = 0.5 + 0.5 * erf(x[lo:hi])
+        else:
+            tail = branch(np.minimum(np.abs(x[lo:hi]), _ERFC_ZERO))
+            tail *= 0.5
+            y[lo:hi] = 1.0 - tail if reflect else tail
     return y
 
 
@@ -309,16 +291,16 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     """Kolmogorov statistic of the empirical CDF against Normal(mean, std^2).
 
     The largest of (i + 1)/n - F(s_i) and F(s_i) - i/n over the sorted
-    samples s_i.  F is evaluated only where the maximum can be: first at
-    both ends of each block of 64 sorted samples, then over the runs of
-    blocks whose bound could beat the best gap found there (on normal-like
-    samples, blocks drop out from about 2e4 samples on), in slices of at
-    most 8192 samples.  The sorted copy is the one N-sized temporary, the
-    others hold a slice or N/32 block ends, and the result is == to
-    evaluating F at every sample.  A zero `std` leaves the law undefined:
-    the statistic is then NaN, with no warning; a negative one, a
-    non-finite mean or std (`reports.check_finite`) or a non-finite sample
-    raises ValueError.
+    samples s_i.  F is evaluated only where the maximum can be, and always
+    on ascending input: first at both ends of each block of 64 sorted
+    samples, then on the blocks whose bound could beat the best gap found
+    there (on normal-like samples, blocks drop out from about 2e4 samples
+    on), gathered in groups of 128 blocks.  The sorted copy is the one
+    N-sized temporary, the others hold a group or N/32 block ends, and the
+    result is == to evaluating F at every sample.  A zero `std` leaves the
+    law undefined: the statistic is then NaN, with no warning; a negative
+    one, a non-finite mean or std (`reports.check_finite`) or a non-finite
+    sample raises ValueError.
     """
     mean, std = check_finite(mean, "mean"), check_finite(std, "std")
     if std < 0:
@@ -332,31 +314,29 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     if std == 0:
         return float("nan")
 
-    def cdf(x):
-        return _ndtr((x - mean) / std)
+    def cdf(x):                 # x: a gathered copy, standardised in place
+        x -= mean
+        x /= std
+        return _ndtr(x)
 
     def largest_gap(f, i):
         return np.maximum(np.max((i + 1) / n - f), np.max(f - i / n))
 
     first = np.arange(0, n, _KS_BLOCK)
-    ends = np.concatenate([first, np.minimum(first + _KS_BLOCK, n) - 1])
+    # each block's first and last sample, interleaved, so F sees them ascending
+    ends = np.stack([first, np.minimum(first + _KS_BLOCK, n) - 1], axis=1).ravel()
     f = cdf(s[ends])
     found = [largest_gap(f, ends)]
     # F rises with s (its rounding wobbles by 4.4e-16, far inside the
     # margin), so no gap in a block exceeds the block's bound
-    bound = np.maximum((ends[first.size:] + 1) / n - f[:first.size],
-                       f[first.size:] - first / n)
-    skip = bound + _KS_MARGIN <= found[0]
+    bound = np.maximum((ends[1::2] + 1) / n - f[::2], f[1::2] - first / n)
     # never empty: the block of the best end gap is always a candidate
-    todo = np.flatnonzero(~skip)
-    # a run of candidates also spans gaps of up to _KS_JOIN skipped
-    # blocks, which cost less to evaluate than one more call
-    cut = np.flatnonzero(np.diff(todo) > _KS_JOIN + 1)
-    for a, b in zip(todo[np.r_[0, cut + 1]], todo[np.r_[cut, -1]] + 1):
-        start, stop = a * _KS_BLOCK, min(b * _KS_BLOCK, n)
-        for lo in range(start, stop, _KS_SLICE):
-            hi = min(lo + _KS_SLICE, stop)
-            found.append(largest_gap(cdf(s[lo:hi]), np.arange(lo, hi)))
+    todo = np.flatnonzero(bound + _KS_MARGIN > found[0])
+    group = _KS_SLICE // _KS_BLOCK
+    for lo in range(0, todo.size, group):
+        i = (todo[lo:lo + group, None] * _KS_BLOCK + np.arange(_KS_BLOCK)).ravel()
+        np.minimum(i, n - 1, out=i)     # a short last block repeats its last sample
+        found.append(largest_gap(cdf(s[i]), i))
     return float(np.max(found))
 
 

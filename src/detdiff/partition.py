@@ -405,11 +405,19 @@ def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
 
 @dataclass(frozen=True)
 class TransitionMatrixSet:
-    """Shift-indexed transfer matrices plus the cell geometry they act on."""
+    """Shift-indexed transfer matrices plus the cells they act on, by the breakpoint rule."""
 
     shifts: tuple                 # sorted integers
     matrices: np.ndarray          # (n_shifts, m, m), nonnegative
     breakpoints: tuple            # partition breakpoints inside I0
+
+    def __post_init__(self):
+        bp = _unit_breakpoints(self.breakpoints, "transition matrix set", PartitionError)
+        object.__setattr__(self, "breakpoints", bp)
+        want = (len(self.shifts), len(bp) - 1, len(bp) - 1)
+        if np.shape(self.matrices) != want:
+            raise ValueError(f"matrices must have the shape (shifts, cells, cells) = {want}, "
+                             f"not {np.shape(self.matrices)}")
 
     @property
     def m(self) -> int:

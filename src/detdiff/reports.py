@@ -15,9 +15,9 @@ import math
 import numbers
 import operator
 
-__all__ = ["canonical_json", "spec_hash", "provenance_line", "render_csv", "write_text"]
+from . import __version__ as VERSION
 
-VERSION = "1.0.0"
+__all__ = ["canonical_json", "spec_hash", "provenance_line", "render_csv", "write_text"]
 
 #: documented default seed used by the CLI when none is given
 DEFAULT_SEED = 20140502

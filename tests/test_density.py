@@ -13,6 +13,7 @@ from detdiff import (
     MarkovPartition,
     PartitionError,
     PiecewiseLinearLiftMap,
+    TransitionMatrixSet,
     build_transition_matrices,
     closed_form_d,
     closed_form_drift,
@@ -90,8 +91,10 @@ _UNIT = (-0.5, 0.5)
 @pytest.mark.parametrize("call,message", [
     (lambda: LatticeDensity(0, np.ones((1, 2)), _UNIT),
      "values width must match the number of cells"),
-    (lambda: LatticeDensity(0, [[-1.0]], _UNIT), "densities must be nonnegative"),
-    (lambda: LatticeDensity(0, [[-1e-16]], _UNIT), "densities must be nonnegative"),
+    (lambda: LatticeDensity(0, [[-1.0]], _UNIT), "densities must be finite and nonnegative"),
+    (lambda: LatticeDensity(0, [[-1e-16]], _UNIT), "densities must be finite and nonnegative"),
+    (lambda: LatticeDensity(0, [[math.nan]], _UNIT), "densities must be finite and nonnegative"),
+    (lambda: LatticeDensity(0, [[math.inf]], _UNIT), "densities must be finite and nonnegative"),
     (lambda: evolve(build_transition_matrices(linear_map(3.0), MarkovPartition.unit()),
                     unit_pulse(_UNIT), -1), "n must be an integer >= 0, not -1"),
     (lambda: gaussian_profile(0.0, 0.0, [1.0], _UNIT, 10),
@@ -101,16 +104,20 @@ _UNIT = (-0.5, 0.5)
     (lambda: gaussian_profile(math.nan, 0.0, [1.0], _UNIT, 10),
      "d must be a finite number, not nan"),
     (lambda: gaussian_profile(1 / 3, 0.0, [1.0], _UNIT, 0), "n must be an integer >= 1, not 0"),
-], ids=["width", "negative", "negative-1e-16", "evolve-backwards", "profile-zero-d",
-        "profile-inf-d", "profile-nan-d", "profile-zero-n"])
+    *((lambda a=a: gaussian_profile(1 / 3, 0.0, [a], _UNIT, 10),
+       f"alpha must be finite and > 0, not [{a}]") for a in (-1.0, 0.0, math.nan, math.inf)),
+], ids=["width", "negative", "negative-1e-16", "nan-value", "inf-value", "evolve-backwards",
+        "profile-zero-d", "profile-inf-d", "profile-nan-d", "profile-zero-n",
+        "profile-negative-alpha", "profile-zero-alpha", "profile-nan-alpha",
+        "profile-inf-alpha"])
 def test_density_arguments_at_fault_raise(call, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
-# every lattice density takes its cells by the breakpoint rule of maps and
-# partitions, so cells compare exactly; breakpoints at fault -> the rule's
-# message after "lattice density breakpoints"
+# every lattice density and transition matrix set takes its cells by the
+# breakpoint rule of maps and partitions, so cells compare exactly;
+# breakpoints at fault -> the rule's message after "<what> breakpoints"
 _CELLS_AT_FAULT = {
     "reversed": ((0.5, -0.5), "must span [-1/2, 1/2], got [0.5, -0.5]"),
     "not-increasing": ((-0.5, 0.7, 0.5), "must be strictly increasing"),
@@ -121,9 +128,13 @@ _CELLS_AT_FAULT = {
     "not-spanning": ((0.0, 2.0), "must span [-1/2, 1/2], got [0.0, 2.0]"),
 }
 _CELL_ENTRIES = {
-    "LatticeDensity": lambda bp: LatticeDensity(0, np.ones((1, len(bp) - 1)), bp),
-    "unit_pulse": unit_pulse,
-    "gaussian_profile": lambda bp: gaussian_profile(1 / 3, 0.0, np.ones(len(bp) - 1), bp, 10),
+    "LatticeDensity": ("lattice density",
+                       lambda bp: LatticeDensity(0, np.ones((1, len(bp) - 1)), bp)),
+    "unit_pulse": ("lattice density", unit_pulse),
+    "gaussian_profile": ("lattice density",
+                         lambda bp: gaussian_profile(1 / 3, 0.0, np.ones(len(bp) - 1), bp, 10)),
+    "TransitionMatrixSet": ("transition matrix set", lambda bp: TransitionMatrixSet(
+        (0,), np.array([np.eye(len(bp) - 1)]), bp)),
 }
 # an interior breakpoint 5e-13 off the half split
 _HALF, _OFF_HALF = (-0.5, 0.0, 0.5), (-0.5, 5e-13, 0.5)
@@ -136,10 +147,18 @@ def _evolve_on_the_half_split(start):
 
 
 @pytest.mark.parametrize("call,breakpoints,error,message", [
-    *(pytest.param(entry, bp, PartitionError, f"lattice density breakpoints {message}",
+    *(pytest.param(entry, bp, PartitionError, f"{what} breakpoints {message}",
                    id=f"{name}-{case}")
-      for name, entry in _CELL_ENTRIES.items()
+      for name, (what, entry) in _CELL_ENTRIES.items()
       for case, (bp, message) in _CELLS_AT_FAULT.items()),
+    pytest.param(lambda bp: TransitionMatrixSet((0,), np.array([np.eye(2)]), bp),
+                 (0.5, 0.7, 0.9), PartitionError,
+                 "transition matrix set breakpoints must span [-1/2, 1/2], got [0.5, 0.9]",
+                 id="TransitionMatrixSet-outside-I0"),
+    pytest.param(lambda bp: TransitionMatrixSet((0,), np.array([np.eye(3)]), bp),
+                 _UNIT, ValueError,
+                 "matrices must have the shape (shifts, cells, cells) = (1, 1, 1), not (1, 3, 3)",
+                 id="TransitionMatrixSet-3-by-3-on-1-cell"),
     pytest.param(lambda bp: _evolve_on_the_half_split(unit_pulse(bp)),
                  _OFF_HALF, ValueError, _OFF_MESSAGE, id="evolve-interior-5e-13-off"),
     pytest.param(lambda bp: kolmogorov_distance(unit_pulse(bp), unit_pulse(_HALF)),

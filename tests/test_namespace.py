@@ -1,4 +1,9 @@
 import json
+import re
+from pathlib import Path
+
+import detdiff
+from detdiff.reports import VERSION
 
 # the public names of `detdiff`, by defining submodule: every name is
 # re-exported from the package, and the package lists every submodule
@@ -73,3 +78,11 @@ def test_lazy_namespace_contract(fresh_python):
     assert sorted(facts["dir"]) == names
     assert facts["star"] == names
     assert facts["unknown"] == "module 'detdiff' has no attribute 'no_such_name'"
+
+
+def test_one_version_string():
+    # the project metadata, the package and every report's provenance carry
+    # one version; a regex reads the toml, since Python 3.10 has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == detdiff.__version__
+    assert VERSION is detdiff.__version__
