@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import HalfIntegerValueError, PartitionError
-from .maps import PiecewiseLinearLiftMap, _finite_result, _unit_breakpoints
-from .reports import check_count, check_finite
+from .maps import PiecewiseLinearLiftMap, _finite_result
+from .reports import _unit_breakpoints, check_count, check_finite
 
 if TYPE_CHECKING:   # annotations only: `scan` does not need `transfer`
     from .transfer import TransitionMatrixSet
@@ -150,7 +150,8 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
     P[k, j] = alpha_j / (2 sqrt(pi D n)) * exp(-(k - drift*n)^2 / (4 D n)),
     evaluated at integer k, truncated below 1e-16 and renormalised to unit
     mass.  Finite d > 0 and drift (`reports.check_finite`), n an integer >= 1,
-    and every alpha_j finite and > 0.
+    and every alpha_j finite and > 0, large enough that some value reaches
+    the floor.
     """
     d, drift = check_finite(d, "d"), check_finite(drift, "drift")
     if d <= 0:
@@ -169,6 +170,9 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
     profile = peak * np.exp(-((ks - center) ** 2) / (4.0 * d * n))
     vals = alpha[None, :] * profile[:, None]
     vals[vals < _PROFILE_FLOOR] = 0.0
+    if not vals.any():
+        raise ValueError(f"alpha {alpha.tolist()} puts the whole profile below "
+                         f"the {_PROFILE_FLOOR:g} floor")
     dens = LatticeDensity(k_min=k_lo, values=vals, breakpoints=breakpoints, step_count=n)
     np.divide(dens.values, dens.mass, out=dens.values)
     return dens

@@ -18,12 +18,11 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import MapDefinitionError
-from .reports import check_count, check_finite
+from .reports import _unit_breakpoints, check_count, check_finite
 
 __all__ = _EXPORTS["maps"]
 
 _HALF = 0.5
-_BREAKPOINT_TOL = 1e-12
 
 # Interval indices are exact in doubles only below 2**53.
 _MAX_INDEX = float(2**53)
@@ -98,27 +97,6 @@ class Interval(NamedTuple):
 
 
 EMPTY_INTERVAL = Interval(math.inf, -math.inf)
-
-
-def _unit_breakpoints(raw, what: str, error: type) -> tuple:
-    """Floats -1/2 = x_0 < ... < x_m = 1/2: the breakpoint rule of maps, partitions and densities.
-
-    Ends within 1e-12 of -1/2 and 1/2 are snapped to them; a breach
-    raises `error` with a message about the breakpoints of a `what`."""
-    try:
-        bp = [float(b) for b in raw]
-    except (TypeError, ValueError) as exc:
-        raise error(f"{what} breakpoints must be numbers ({exc})") from None
-    if len(bp) < 2:
-        raise error(f"a {what} needs at least two breakpoints")
-    if not all(map(math.isfinite, bp)):    # NaN would pass every comparison below
-        raise error(f"{what} breakpoints {tuple(bp)} are not all finite")
-    if abs(bp[0] + _HALF) > _BREAKPOINT_TOL or abs(bp[-1] - _HALF) > _BREAKPOINT_TOL:
-        raise error(f"{what} breakpoints must span [-1/2, 1/2], got [{bp[0]}, {bp[-1]}]")
-    bp[0], bp[-1] = -_HALF, _HALF
-    if any(b >= c for b, c in zip(bp, bp[1:])):
-        raise error(f"{what} breakpoints must be strictly increasing")
-    return tuple(bp)
 
 
 class PiecewiseLinearLiftMap:

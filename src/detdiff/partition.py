@@ -9,33 +9,29 @@ The solvability condition R(lam) = det(lam I - B) = 0 is computed
 exactly, as primitive integer coefficients, from the characteristic
 polynomial of C.  The slope is its largest real root, rounded to the
 nearest double with integer Sturm counts at dyadic points, and the
-breakpoints, three-cell family included, solve the square defining rows.
-The Markov rule itself, that a map sends each linear segment of a cell
-onto whole cells, is `_markov_verdict`: it builds the transfer matrices
-as it checks them, for `validate_consistency` and the transfer module.
+breakpoints, three-cell family included, solve the defining rows exactly
+at that double.  This exact layer loads no numpy; the Markov rule that
+`validate_consistency` reports is `transfer._markov_verdict`.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import _EXPORTS
 from .errors import PartitionError, RootSolveError, SystemStructureError
-from .maps import PiecewiseLinearLiftMap, _label, _unit_breakpoints
+from .reports import _unit_breakpoints
+
+if TYPE_CHECKING:
+    from .maps import PiecewiseLinearLiftMap
 
 __all__ = _EXPORTS["partition"]
 
 _RESIDUAL_TOL = 1e-13   # |R(lam)| at the solved slope must be below this
-_GRID_TOL = 1e-9        # Markov rule: how far an image end may miss the cell-boundary grid
-_SPAN_MAX = 100_000     # Markov rule: how many cells one segment's image may cover
-_MASS_TOL = 1e-12       # Markov rule: how far the matrices may change a cell's mass
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +70,8 @@ class MarkovPartition:
         return len(self.breakpoints) - 1
 
     @property
-    def cell_lengths(self) -> np.ndarray:
+    def cell_lengths(self):
+        import numpy as np      # here, not at the top: the exact layer loads no numpy
         return np.diff(np.asarray(self.breakpoints))
 
     def is_symmetric(self) -> bool:
@@ -334,14 +331,21 @@ def _det_polynomial(c):
 
 
 def _solve(system: PartitionEquationSystem):
-    """The root of R, the breakpoints at it and R itself; no residual."""
+    """The root of R, the breakpoints at it, each rounded once, and R itself; no residual."""
     c = _matrix(system)
     poly = _det_polynomial(c)
     lam = largest_real_root(poly)
     k = len(system.unknowns)
-    a = np.array([[(lam if i == j else 0.0) - x / 2 for j, x in enumerate(row[:k])]
-                  for i, row in enumerate(c[:k])]).reshape(k, k)     # (0, 0) for k = 0
-    values = [float(s) for s in np.linalg.solve(a, [row[k] / 2 for row in c[:k]])]
+    n, d = lam.as_integer_ratio()
+    # the defining rows [2d (lam I - C / 2) | d C_k] hold integers: eliminate fraction-free
+    a = [[(2 * n if i == j else 0) - d * x for j, x in enumerate(row[:k])] + [d * row[k]]
+         for i, row in enumerate(c[:k])]
+    steps = [(p, r) for p in range(k) for r in range(p + 1, k)]         # forward elimination
+    steps += [(p, r) for p in reversed(range(k)) for r in range(p)]     # back-substitution
+    for p, r in steps:
+        if f := a[r][p]:
+            a[r] = [a[p][p] * x - f * y for x, y in zip(a[r], a[p])]
+    values = [row[k] / row[i] for i, row in enumerate(a)]       # int / int rounds once
     for name, v in zip(system.unknowns, values):
         if not 0.0 < v < 0.5:
             raise PartitionError(f"solved breakpoint {name} = {v!r} lies outside (0, 1/2)")
@@ -404,52 +408,6 @@ def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
 
 
 @dataclass(frozen=True)
-class TransitionMatrixSet:
-    """Shift-indexed transfer matrices plus the cells they act on, by the breakpoint rule."""
-
-    shifts: tuple                 # sorted integers
-    matrices: np.ndarray          # (n_shifts, m, m), nonnegative
-    breakpoints: tuple            # partition breakpoints inside I0
-
-    def __post_init__(self):
-        bp = _unit_breakpoints(self.breakpoints, "transition matrix set", PartitionError)
-        object.__setattr__(self, "breakpoints", bp)
-        want = (len(self.shifts), len(bp) - 1, len(bp) - 1)
-        if np.shape(self.matrices) != want:
-            raise ValueError(f"matrices must have the shape (shifts, cells, cells) = {want}, "
-                             f"not {np.shape(self.matrices)}")
-
-    @property
-    def m(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def cell_lengths(self) -> np.ndarray:
-        return np.diff(np.asarray(self.breakpoints))
-
-    def matrix(self, shift: int) -> np.ndarray:
-        try:
-            return self.matrices[self.shifts.index(shift)]
-        except ValueError:
-            return np.zeros((self.m, self.m))
-
-    def total(self) -> np.ndarray:
-        """E = sum_j p_j, the transfer matrix of the compactified system."""
-        return self.matrices.sum(axis=0)
-
-    def mass_residual(self) -> float:
-        """Worst violation of per-cell mass conservation."""
-        lengths = self.cell_lengths
-        col_mass = np.einsum("sij,i->j", self.matrices, lengths)
-        return float(np.max(np.abs(col_mass - lengths)))
-
-    def to_json_dict(self) -> dict:
-        """Shift -> row-major entries, for golden tests and reports."""
-        return {str(s): [float(v) for v in mat.ravel()]
-                for s, mat in zip(self.shifts, self.matrices)}
-
-
-@dataclass(frozen=True)
 class ConsistencyReport:
     passed: bool
     worst_violation: float
@@ -459,74 +417,17 @@ class ConsistencyReport:
         return self.passed
 
 
-def _markov_verdict(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
-    """The Markov rule, whole: (transfer matrices or None, ConsistencyReport).
-
-    The segments [lo, hi) are the map pieces refined by the cell
-    boundaries.  Cell i of unit interval k is numbered k * m + i, so grid
-    point g is the boundary k + y_i.  Each end of a segment's image is
-    matched to its nearest grid point, and the image covers cells
-    first .. stop - 1.  Both ends must lie within _GRID_TOL of their grid
-    points (the miss is inf when the image covers no cell) and the image
-    may cover at most _SPAN_MAX cells; each covered cell then gets
-    density 1/|slope| from the segment's cell, in the shift matrix of its
-    unit interval.  When every segment passes, the matrices must also
-    keep each cell's mass to _MASS_TOL.  Each failure is one message; the
-    matrices come back only with a passing report.
-    """
-    bp = partition.breakpoints
-    m = partition.m
-
-    def grid_point(value):
-        k = int(_label(value))
-        off = value - k
-        dist, i = min((abs(b - off), i) for i, b in enumerate(bp))
-        return k * m + i, dist
-
-    pieces = lift_map.breakpoints.tolist()
-    cuts = sorted({*bp, *pieces})   # np.union1d imports numpy.ma
-    matrices: dict[int, np.ndarray] = {}
-    messages, worst = [], 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        src = bisect.bisect_left(bp, mid) - 1
-        piece = bisect.bisect_right(pieces, mid) - 1
-        slope = float(lift_map.slopes[piece])
-        icpt = float(lift_map.intercepts[piece])
-        (first, miss_lo), (stop, miss_hi) = map(
-            grid_point, sorted((slope * lo + icpt, slope * hi + icpt)))
-        miss = max(miss_lo, miss_hi) if stop > first else math.inf
-        segment = f"image of cell segment [{lo!r}, {hi!r})"
-        if miss > _GRID_TOL:
-            worst = max(worst, miss)
-            messages.append(f"{segment} misses the cell-boundary grid by {miss:.3g}")
-        elif stop - first > _SPAN_MAX:
-            messages.append(f"{segment} spans {stop - first} cells, more than {_SPAN_MAX}")
-        else:
-            weight = 1.0 / abs(slope)
-            for g in range(first, stop):
-                k, i = divmod(g, m)
-                matrices.setdefault(k, np.zeros((m, m)))[i, src] += weight
-    tset = None
-    if not messages:
-        shifts = tuple(sorted(matrices))
-        tset = TransitionMatrixSet(shifts, np.stack([matrices[s] for s in shifts]), bp)
-        if (resid := tset.mass_residual()) > _MASS_TOL:
-            messages.append(f"mass conservation violated by {resid:.3g}")
-            tset = None
-    return tset, ConsistencyReport(not messages, worst, tuple(messages))
-
-
 def validate_consistency(lift_map: PiecewiseLinearLiftMap,
                          partition: MarkovPartition) -> ConsistencyReport:
     """Check that the map sends each linear segment of a cell onto whole cells.
 
     The segments are the map pieces refined by the cell boundaries, so a
     cell may hold several whole pieces.  The report is the verdict of the
-    one Markov rule, `_markov_verdict`: it passes exactly when
+    one Markov rule, `transfer._markov_verdict`: it passes exactly when
     `build_transition_matrices` succeeds, which raises its first message.
     `worst_violation` is the largest grid miss that breaks the rule, 0.0
     when there is none and inf when an image is too short to cover a
     single cell.  Nothing is raised here.
     """
+    from .transfer import _markov_verdict     # the numpy layer, loaded only when checked
     return _markov_verdict(lift_map, partition)[1]

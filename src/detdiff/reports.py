@@ -1,9 +1,9 @@
 """Deterministic report writers: canonical JSON, CSV with provenance.
 
-Also the home of the integer and finite-number rules of every parameter:
-`check_count`, `check_seed`, `check_finite` and `DEFAULT_SEED` live here,
-not in `rng`, so the CLI checks them without loading numpy; `rng` re-exports
-`DEFAULT_SEED` and applies `check_seed` to every stream key.
+Also the home of the input rules: `check_count`, `check_seed`, `check_finite`,
+`DEFAULT_SEED` and the breakpoint rule `_unit_breakpoints` live here, so the
+CLI and the exact partition layer check them without loading numpy; `rng`
+re-exports `DEFAULT_SEED` and applies `check_seed` to every stream key.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from . import __version__ as VERSION
 
 __all__ = ["canonical_json", "spec_hash", "provenance_line", "render_csv", "write_text"]
 
+_BREAKPOINT_TOL = 1e-12     # how far the breakpoint rule lets an end miss -1/2 or 1/2
 #: documented default seed used by the CLI when none is given
 DEFAULT_SEED = 20140502
 
@@ -53,6 +54,27 @@ def check_seed(seed) -> int:
     if seed >= 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), not {seed}")
     return seed
+
+
+def _unit_breakpoints(raw, what: str, error: type) -> tuple:
+    """Floats -1/2 = x_0 < ... < x_m = 1/2: the breakpoint rule of maps, partitions and densities.
+
+    Ends within 1e-12 of -1/2 and 1/2 are snapped to them; a breach
+    raises `error` with a message about the breakpoints of a `what`."""
+    try:
+        bp = [float(b) for b in raw]
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} breakpoints must be numbers ({exc})") from None
+    if len(bp) < 2:
+        raise error(f"a {what} needs at least two breakpoints")
+    if not all(map(math.isfinite, bp)):    # NaN would pass every comparison below
+        raise error(f"{what} breakpoints {tuple(bp)} are not all finite")
+    if abs(bp[0] + 0.5) > _BREAKPOINT_TOL or abs(bp[-1] - 0.5) > _BREAKPOINT_TOL:
+        raise error(f"{what} breakpoints must span [-1/2, 1/2], got [{bp[0]}, {bp[-1]}]")
+    bp[0], bp[-1] = -0.5, 0.5
+    if any(b >= c for b, c in zip(bp, bp[1:])):
+        raise error(f"{what} breakpoints must be strictly increasing")
+    return tuple(bp)
 
 
 def canonical_json(obj) -> str:

@@ -20,18 +20,138 @@ graph of E = P(0).
 
 from __future__ import annotations
 
+import bisect
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import _EXPORTS
-from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError
-from .maps import PiecewiseLinearLiftMap, _finite
-from .partition import MarkovPartition, TransitionMatrixSet, _markov_verdict
-from .reports import check_finite
+from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError, PartitionError
+from .maps import PiecewiseLinearLiftMap, _finite, _label
+from .partition import ConsistencyReport, MarkovPartition
+from .reports import _unit_breakpoints, check_finite
 
 __all__ = _EXPORTS["transfer"]
+
+_GRID_TOL = 1e-9        # Markov rule: how far an image end may miss the cell-boundary grid
+_SPAN_MAX = 100_000     # Markov rule: how many cells one segment's image may cover
+_MASS_TOL = 1e-12       # Markov rule: how far the matrices may change a cell's mass
+
+
+@dataclass(frozen=True)
+class TransitionMatrixSet:
+    """Shift-indexed transfer matrices plus the cells they act on, by the breakpoint rule."""
+
+    shifts: tuple                 # distinct integers, ascending
+    matrices: np.ndarray          # (n_shifts, m, m), finite and nonnegative
+    breakpoints: tuple            # partition breakpoints inside I0
+
+    def __post_init__(self):
+        bp = _unit_breakpoints(self.breakpoints, "transition matrix set", PartitionError)
+        shifts = tuple(self.shifts)
+        integral = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in shifts)
+        if not integral or any(a >= b for a, b in zip(shifts, shifts[1:])):
+            raise ValueError(f"shifts must be distinct integers in ascending order, not {shifts}")
+        matrices = np.asarray(self.matrices, dtype=float)
+        want = (len(shifts), len(bp) - 1, len(bp) - 1)
+        if matrices.shape != want:
+            raise ValueError(f"matrices must have the shape (shifts, cells, cells) = {want}, "
+                             f"not {matrices.shape}")
+        if not np.all((matrices >= 0) & (matrices < np.inf)):      # NaN fails both
+            raise ValueError("matrix entries must be finite and nonnegative")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "shifts", tuple(map(int, shifts)))
+        object.__setattr__(self, "matrices", matrices)
+
+    @property
+    def m(self) -> int:
+        return self.matrices.shape[1]
+
+    @property
+    def cell_lengths(self) -> np.ndarray:
+        return np.diff(np.asarray(self.breakpoints))
+
+    def matrix(self, shift: int) -> np.ndarray:
+        try:
+            return self.matrices[self.shifts.index(shift)]
+        except ValueError:
+            return np.zeros((self.m, self.m))
+
+    def total(self) -> np.ndarray:
+        """E = sum_j p_j, the transfer matrix of the compactified system."""
+        return self.matrices.sum(axis=0)
+
+    def mass_residual(self) -> float:
+        """Worst violation of per-cell mass conservation."""
+        lengths = self.cell_lengths
+        col_mass = np.einsum("sij,i->j", self.matrices, lengths)
+        return float(np.max(np.abs(col_mass - lengths)))
+
+    def to_json_dict(self) -> dict:
+        """Shift -> row-major entries, for golden tests and reports."""
+        return {str(s): [float(v) for v in mat.ravel()]
+                for s, mat in zip(self.shifts, self.matrices)}
+
+
+def _markov_verdict(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
+    """The Markov rule, whole: (transfer matrices or None, ConsistencyReport).
+
+    The segments [lo, hi) are the map pieces refined by the cell
+    boundaries.  Cell i of unit interval k is numbered k * m + i, so grid
+    point g is the boundary k + y_i.  Each end of a segment's image is
+    matched to its nearest grid point, and the image covers cells
+    first .. stop - 1.  Both ends must lie within _GRID_TOL of their grid
+    points (the miss is inf when the image covers no cell) and the image
+    may cover at most _SPAN_MAX cells; each covered cell then gets
+    density 1/|slope| from the segment's cell, in the shift matrix of its
+    unit interval.  When every segment passes, the matrices must also
+    keep each cell's mass to _MASS_TOL.  Each failure is one message; the
+    matrices come back only with a passing report.
+    """
+    bp = partition.breakpoints
+    m = partition.m
+
+    def grid_point(value):
+        k = int(_label(value))
+        off = value - k
+        dist, i = min((abs(b - off), i) for i, b in enumerate(bp))
+        return k * m + i, dist
+
+    pieces = lift_map.breakpoints.tolist()
+    cuts = sorted({*bp, *pieces})   # np.union1d imports numpy.ma
+    matrices: dict[int, np.ndarray] = {}
+    messages, worst = [], 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (lo + hi)
+        src = bisect.bisect_left(bp, mid) - 1
+        piece = bisect.bisect_right(pieces, mid) - 1
+        slope = float(lift_map.slopes[piece])
+        icpt = float(lift_map.intercepts[piece])
+        (first, miss_lo), (stop, miss_hi) = map(
+            grid_point, sorted((slope * lo + icpt, slope * hi + icpt)))
+        miss = max(miss_lo, miss_hi) if stop > first else math.inf
+        segment = f"image of cell segment [{lo!r}, {hi!r})"
+        if miss > _GRID_TOL:
+            worst = max(worst, miss)
+            messages.append(f"{segment} misses the cell-boundary grid by {miss:.3g}")
+        elif stop - first > _SPAN_MAX:
+            messages.append(f"{segment} spans {stop - first} cells, more than {_SPAN_MAX}")
+        else:
+            weight = 1.0 / abs(slope)
+            for g in range(first, stop):
+                k, i = divmod(g, m)
+                matrices.setdefault(k, np.zeros((m, m)))[i, src] += weight
+    tset = None
+    if not messages:
+        shifts = tuple(sorted(matrices))
+        tset = TransitionMatrixSet(shifts, np.stack([matrices[s] for s in shifts]), bp)
+        if (resid := tset.mass_residual()) > _MASS_TOL:
+            messages.append(f"mass conservation violated by {resid:.3g}")
+            tset = None
+    return tset, ConsistencyReport(not messages, worst, tuple(messages))
 
 
 def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
@@ -41,7 +161,7 @@ def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,
     Every maximal linear segment of the map inside a cell must map onto
     an exact union of (integer-translated) cells; each covered cell
     receives density 1/|slope|.  The one Markov rule, grid miss, span
-    limit and mass check, is `partition._markov_verdict`, whose report
+    limit and mass check, is `_markov_verdict`, whose report
     `validate_consistency` returns; here its first message is raised as
     ConsistencyError.
 

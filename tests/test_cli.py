@@ -897,7 +897,8 @@ def test_matrices_and_commands_do_not_load_numpy_ma(fresh_python, tmp_path):
 
 
 @pytest.mark.parametrize("argv,modules", [
-    (["solve-partition", "--three-interval", "1,2,1,-1"], {"maps", "partition"}),
+    (["solve-partition", "--three-interval", "1,2,1,-1"], {"partition"}),
+    (["solve-partition", "--system", json.dumps(EXAMPLE_SYSTEM)], {"partition"}),
     (["simulate", "--map", '{"type":"zigzag","p":1,"xi":0.25}', "--N", "1000", "--n", "5"],
      {"maps", "montecarlo", "rng"}),
     (["billiard", "--lambda", "3", "--N", "1000", "--n", "5"],
@@ -908,10 +909,20 @@ def test_matrices_and_commands_do_not_load_numpy_ma(fresh_python, tmp_path):
      {"maps", "partition", "transfer", "density"}),
     (["diffusion", "--map", '{"type":"linear","lambda":3}', "--N", "1000", "--n", "5"],
      {"maps", "partition", "transfer", "density", "montecarlo", "rng"}),
-], ids=["solve-partition", "simulate", "billiard", "scan", "evolve", "diffusion"])
+], ids=["solve-partition", "solve-partition-system", "simulate", "billiard", "scan", "evolve",
+        "diffusion"])
 def test_command_loads_only_its_modules(fresh_python, tmp_path, argv, modules):
     out = fresh_python(
         "import sys; from detdiff.cli import main; "
-        "assert main(sys.argv[1:]) == 0; " + _LIST_MODULES,
+        "assert main(sys.argv[1:]) == 0; " + _LIST_MODULES + "; print('numpy' in sys.modules)",
         *argv, "--out", str(tmp_path / "out"))
-    assert set(out.split()) == _CLI_MODULES | modules
+    listed, numpy_loaded = out.splitlines()
+    assert set(listed.split()) == _CLI_MODULES | modules
+    # the exact partition layer alone runs without numpy
+    assert numpy_loaded == str(modules != {"partition"})
+
+
+def test_exact_layer_loads_no_numpy(fresh_python):
+    out = fresh_python("import sys, detdiff.partition; " + _LIST_MODULES
+                       + "; print('numpy' in sys.modules)")
+    assert out.splitlines() == ["errors partition reports", "False"]

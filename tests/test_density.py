@@ -106,10 +106,12 @@ _UNIT = (-0.5, 0.5)
     (lambda: gaussian_profile(1 / 3, 0.0, [1.0], _UNIT, 0), "n must be an integer >= 1, not 0"),
     *((lambda a=a: gaussian_profile(1 / 3, 0.0, [a], _UNIT, 10),
        f"alpha must be finite and > 0, not [{a}]") for a in (-1.0, 0.0, math.nan, math.inf)),
+    (lambda: gaussian_profile(1 / 3, 0.0, [1e-300], _UNIT, 10),
+     "alpha [1e-300] puts the whole profile below the 1e-16 floor"),
 ], ids=["width", "negative", "negative-1e-16", "nan-value", "inf-value", "evolve-backwards",
         "profile-zero-d", "profile-inf-d", "profile-nan-d", "profile-zero-n",
         "profile-negative-alpha", "profile-zero-alpha", "profile-nan-alpha",
-        "profile-inf-alpha"])
+        "profile-inf-alpha", "profile-below-floor"])
 def test_density_arguments_at_fault_raise(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -159,6 +161,16 @@ def _evolve_on_the_half_split(start):
                  _UNIT, ValueError,
                  "matrices must have the shape (shifts, cells, cells) = (1, 1, 1), not (1, 3, 3)",
                  id="TransitionMatrixSet-3-by-3-on-1-cell"),
+    *(pytest.param(lambda bp, s=shifts: TransitionMatrixSet(s, np.ones((len(s), 1, 1)), bp),
+                   _UNIT, ValueError,
+                   f"shifts must be distinct integers in ascending order, not {shifts}",
+                   id=f"TransitionMatrixSet-shifts-{case}")
+      for case, shifts in {"half": (0.5,), "text": ("a",), "repeated": (1, 1),
+                           "descending": (1, 0), "bool": (True,)}.items()),
+    *(pytest.param(lambda bp, v=v: TransitionMatrixSet((0,), np.full((1, 1, 1), v), bp),
+                   _UNIT, ValueError, "matrix entries must be finite and nonnegative",
+                   id=f"TransitionMatrixSet-entry-{v}")
+      for v in (math.nan, math.inf, -1.0, -1e-300)),
     pytest.param(lambda bp: _evolve_on_the_half_split(unit_pulse(bp)),
                  _OFF_HALF, ValueError, _OFF_MESSAGE, id="evolve-interior-5e-13-off"),
     pytest.param(lambda bp: kolmogorov_distance(unit_pulse(bp), unit_pulse(_HALF)),

@@ -28,7 +28,7 @@ from detdiff import (
     validate_consistency,
     zigzag_map,
 )
-from detdiff.partition import _det_polynomial, _matrix
+from detdiff.partition import _det_polynomial, _matrix, _solve
 
 SQRT3 = math.sqrt(3.0)
 SQRT33 = math.sqrt(33.0)
@@ -395,12 +395,58 @@ def test_det_polynomial_is_exact(system):
     assert len(kappas) == 1 and 0 not in kappas
 
 
+def _cramer_breakpoints(system, lam):
+    """The defining rows at lam, from `_pencil`, solved by Cramer's rule over Fractions."""
+    a0, a1 = _pencil(system)
+    rows = [[x + lam * y for x, y in zip(r0, r1)]
+            for r0, r1, eq in zip(a0, a1, system.equations) if eq.lhs != "half"]
+    a, b = [row[:-1] for row in rows], [-row[-1] for row in rows]
+    det = _elimination_det(a)
+    return [_elimination_det([row[:i] + [bi] + row[i + 1:] for row, bi in zip(a, b)]) / det
+            for i in range(len(a))]
+
+
+def _is_nearest_double(x, exact):
+    """exact lies between the midpoints of x and its two neighbouring doubles."""
+    return (Fraction(math.nextafter(x, -math.inf)) + Fraction(x) <= 2 * exact
+            <= Fraction(math.nextafter(x, math.inf)) + Fraction(x))
+
+
+_FAMILIES = {
+    "catalog": {name: case.system for name, case in CASES.items()},
+    "chains": {k: _chain_system(k) for k in range(1, 13)},
+    "three-interval": {(m, n, e1, e2): _three_interval_system(m, n, e1, e2)
+                       for n in range(2, 14) for m in range(1, min(n, 12))
+                       for e1, e2 in itertools.product((1, -1), repeat=2)},
+}
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_breakpoints_are_correctly_rounded(family):
+    # each breakpoint is the double nearest the exact solution of the
+    # defining rows at the returned double lam
+    raised = []
+    for name, system in _FAMILIES[family].items():
+        try:
+            lam, breakpoints, _ = _solve(system)
+        except PartitionError:
+            raised.append(name)
+            continue
+        exact = _cramer_breakpoints(system, Fraction(lam))
+        assert all(map(_is_nearest_double, breakpoints, exact)), name
+    # lam = 2n - 1 and xi = 1/2 exactly, as in
+    # test_a_boundary_breakpoint_is_rejected_by_both_solvers
+    assert raised == ([(m, m + 1, -1, 1) for m in range(1, 12)] if family == "three-interval"
+                      else [])
+
+
 # sha256 of the repr of (name, lam, breakpoints, polynomial, residual), one
 # line per solved system, in the order of _pinned_systems(), so a changed
 # output bit shows here.  lam, the polynomials and the residuals agree with
 # an independent implementation (cofactor determinant, grid scan and Newton
-# polish); the breakpoints solve the square defining rows at lam.
-_PINNED_SOLUTIONS = "16b210e2a49f9d0c1d52d94699249904f09eae2619a92efc0b30d0a25173fb8c"
+# polish); the breakpoints are the doubles nearest the exact solution of the
+# defining rows at lam (test_breakpoints_are_correctly_rounded).
+_PINNED_SOLUTIONS = "640484125ea489844803977a6f309a3a4f4bf1865a9425aa8d9b5c4bb3b4ac11"
 
 
 def _pinned_systems():

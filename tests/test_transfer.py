@@ -275,6 +275,13 @@ def test_stationary_density_reducible_rejected(make_tset):
         stationary_density(make_tset())
 
 
+def test_transition_matrix_set_keeps_integer_shifts_as_ints():
+    # numpy integers pass the shift rule and are stored as Python ints
+    tset = TransitionMatrixSet(np.array([-1, 2]), np.full((2, 1, 1), 0.5), (-0.5, 0.5))
+    assert tset.shifts == (-1, 2) and {type(s) for s in tset.shifts} == {int}
+    assert characteristic_matrix(tset, 0.0).tolist() == [[1.0]]
+
+
 @pytest.mark.parametrize("delta", [1e-8, 2e-9, 1e-12])
 def test_spectral_solves_a_leaky_map(delta):
     # two half-cells that leak into each other through pieces of width delta:
