@@ -50,15 +50,15 @@ _EXPORTS = {
         "scan_lambda", "simulate_ensemble",
     ),
     "partition": (
-        "ConsistencyReport", "Equation", "MarkovPartition",
-        "PartitionEquationSystem", "SolvedPartition", "largest_real_root",
-        "solve_partition_system", "solve_three_interval", "validate_consistency",
+        "Equation", "MarkovPartition", "PartitionEquationSystem", "SolvedPartition",
+        "largest_real_root", "solve_partition_system", "solve_three_interval",
     ),
     "rng": ("DEFAULT_SEED", "uniform_stream"),
     "transfer": (
-        "DiffusionReport", "TransitionMatrixSet", "build_transition_matrices",
-        "characteristic_matrix", "diffusion_spectral", "leading_eigenpair",
-        "leading_eigenvalue", "stationary_density",
+        "ConsistencyReport", "DiffusionReport", "TransitionMatrixSet",
+        "build_transition_matrices", "characteristic_matrix", "diffusion_spectral",
+        "leading_eigenpair", "leading_eigenvalue", "stationary_density",
+        "validate_consistency",
     ),
 }
 

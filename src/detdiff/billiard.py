@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import GrazingReflectionError
-from .maps import _finite, _finite_result, fractional_part
+from .maps import _finite, _finite_result, _real, fractional_part
 from .montecarlo import _iterate_chunk, _run_chunks
 from .reports import check_count, check_finite
 from .rng import uniform_stream
@@ -103,7 +103,7 @@ def tangent_kick(h: float, normal_angle: Callable) -> Callable:
     h = check_finite(h, "h")
 
     def kick(x):
-        alpha = np.asarray(normal_angle(x), dtype=float)
+        alpha = _real(normal_angle(x), "tangent kick")
         if not np.all(np.isfinite(alpha)):
             raise ValueError("the normal angle returned a non-finite value")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import HalfIntegerValueError, PartitionError
-from .maps import PiecewiseLinearLiftMap, _finite_result
+from .maps import PiecewiseLinearLiftMap, _finite_result, _real
 from .reports import _unit_breakpoints, check_count, check_finite
 
 if TYPE_CHECKING:   # annotations only: `scan` does not need `transfer`
@@ -33,15 +33,17 @@ _PROFILE_FLOOR = 1e-16
 class LatticeDensity:
     """Piecewise-constant finite density >= 0 on cells I_{k,j}, by the breakpoint rule."""
 
-    k_min: int
+    k_min: int                    # any integer, by `reports.check_count`
     values: np.ndarray            # (n_units, m) nonnegative densities
     breakpoints: tuple            # cell boundaries inside one unit interval
-    step_count: int = 0
+    step_count: int = 0           # an integer >= 0
 
     def __post_init__(self):
+        object.__setattr__(self, "k_min", check_count(self.k_min, None, "k_min"))
+        object.__setattr__(self, "step_count", check_count(self.step_count, 0, "step_count"))
         object.__setattr__(self, "breakpoints", _unit_breakpoints(
             self.breakpoints, "lattice density", PartitionError))
-        vals = np.atleast_2d(np.asarray(self.values, dtype=float))
+        vals = np.atleast_2d(_real(self.values, "lattice density"))
         object.__setattr__(self, "values", vals)
         if vals.shape[1] != len(self.breakpoints) - 1:
             raise ValueError("values width must match the number of cells")
@@ -74,15 +76,17 @@ class LatticeDensity:
         return self.masses.sum(axis=1)
 
     def lattice_moments(self):
-        """Mean and variance of the unit-interval label k."""
+        """Mean and variance of the unit-interval label k; ValueError for a zero mass."""
         w = self.unit_masses()
         ks = np.arange(self.k_min, self.k_max + 1, dtype=float)
-        mean = float(ks @ w) / float(w.sum())
-        var = float(((ks - mean) ** 2) @ w) / float(w.sum())
+        if not (total := float(w.sum())):
+            raise ValueError("a density of zero mass has no moments")
+        mean = float(ks @ w) / total
+        var = float(((ks - mean) ** 2) @ w) / total
         return mean, var
 
     def continuous_moments(self):
-        """Mean and variance of the position x itself (exact cell integrals)."""
+        """Mean and variance of the position x (exact cell integrals); ValueError as above."""
         bp = np.asarray(self.breakpoints)
         ks = np.arange(self.k_min, self.k_max + 1, dtype=float)
         lo = ks[:, None] + bp[None, :-1]
@@ -90,7 +94,8 @@ class LatticeDensity:
         m0 = self.masses
         m1 = self.values * (hi**2 - lo**2) / 2.0
         m2 = self.values * (hi**3 - lo**3) / 3.0
-        total = m0.sum()
+        if not (total := m0.sum()):
+            raise ValueError("a density of zero mass has no moments")
         mean = float(m1.sum()) / total
         var = float(m2.sum()) / total - mean**2
         return mean, var
@@ -157,7 +162,7 @@ def gaussian_profile(d: float, drift: float, alpha, breakpoints, n: int) -> Latt
     if d <= 0:
         raise ValueError(f"d must be > 0, not {d!r}")
     n = check_count(n, 1, "n")
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _real(alpha, "alpha")
     if not np.all(np.isfinite(alpha) & (alpha > 0)):
         raise ValueError(f"alpha must be finite and > 0, not {alpha.tolist()}")
     center = drift * n

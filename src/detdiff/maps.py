@@ -33,9 +33,16 @@ def _label(x):
     return np.floor(np.add(x, _HALF))
 
 
+def _real(x, what: str):
+    """x as a float array; ValueError "<what> requires real input, not complex", never a cast."""
+    if (arr := np.asarray(x)).dtype.kind == "c":
+        raise ValueError(f"{what} requires real input, not complex")
+    return arr.astype(float, copy=False)
+
+
 def _finite(x, what: str, dtype=float):
-    """x as an array of `dtype`; ValueError "<what> requires finite input" unless all finite."""
-    arr = np.asarray(x, dtype=dtype)
+    """x as a `dtype` array (by `_real` if float); ValueError "<what> requires finite input"."""
+    arr = _real(x, what) if dtype is float else np.asarray(x, dtype=dtype)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} requires finite input")
     return arr

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import failure_record
-from .maps import PiecewiseLinearLiftMap, linear_map
+from .maps import PiecewiseLinearLiftMap, _real, linear_map
 from .reports import check_count, check_finite, check_seed
 from .rng import _lanes, resolve_threads, uniform_stream
 
@@ -305,7 +305,7 @@ def ks_normal(samples: np.ndarray, mean: float, std: float) -> float:
     mean, std = check_finite(mean, "mean"), check_finite(std, "std")
     if std < 0:
         raise ValueError(f"std must be >= 0, not {std!r}")
-    s = np.sort(np.asarray(samples, dtype=float))
+    s = np.sort(_real(samples, "ks_normal"))
     n = s.size
     if n == 0:
         raise ValueError("need at least one sample")
@@ -351,7 +351,7 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
     NaN, and no warning is issued.  `n_steps` must be an integer >= 1.
     """
     n_steps = check_count(n_steps, 1, "n_steps")
-    samples = np.asarray(samples, dtype=float)
+    samples = _real(samples, "estimate_stats")
     if not np.isfinite(samples).all():
         raise ValueError("samples must be finite")
     n = samples.size

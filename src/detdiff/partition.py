@@ -10,8 +10,9 @@ exactly, as primitive integer coefficients, from the characteristic
 polynomial of C.  The slope is its largest real root, rounded to the
 nearest double with integer Sturm counts at dyadic points, and the
 breakpoints, three-cell family included, solve the defining rows exactly
-at that double.  This exact layer loads no numpy; the Markov rule that
-`validate_consistency` reports is `transfer._markov_verdict`.
+at that double.  This exact layer loads no numpy and, of the package,
+imports only `errors` and `reports`; the Markov rule, its report and
+`validate_consistency` are in `transfer`.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import _EXPORTS
 from .errors import PartitionError, RootSolveError, SystemStructureError
 from .reports import _unit_breakpoints
-
-if TYPE_CHECKING:
-    from .maps import PiecewiseLinearLiftMap
 
 __all__ = _EXPORTS["partition"]
 
@@ -68,11 +66,6 @@ class MarkovPartition:
     @property
     def m(self) -> int:
         return len(self.breakpoints) - 1
-
-    @property
-    def cell_lengths(self):
-        import numpy as np      # here, not at the top: the exact layer loads no numpy
-        return np.diff(np.asarray(self.breakpoints))
 
     def is_symmetric(self) -> bool:
         return self.breakpoints == tuple(-b for b in reversed(self.breakpoints))
@@ -401,33 +394,3 @@ def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
         ("xi",), (Equation("xi", m, eps2, "xi"), Equation("half", n, eps1, "xi"))))
     return lam, xi
 
-
-# ---------------------------------------------------------------------------
-# consistency of a map with a partition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    passed: bool
-    worst_violation: float
-    messages: tuple
-
-    def __bool__(self):
-        return self.passed
-
-
-def validate_consistency(lift_map: PiecewiseLinearLiftMap,
-                         partition: MarkovPartition) -> ConsistencyReport:
-    """Check that the map sends each linear segment of a cell onto whole cells.
-
-    The segments are the map pieces refined by the cell boundaries, so a
-    cell may hold several whole pieces.  The report is the verdict of the
-    one Markov rule, `transfer._markov_verdict`: it passes exactly when
-    `build_transition_matrices` succeeds, which raises its first message.
-    `worst_violation` is the largest grid miss that breaks the rule, 0.0
-    when there is none and inf when an image is too short to cover a
-    single cell.  Nothing is raised here.
-    """
-    from .transfer import _markov_verdict     # the numpy layer, loaded only when checked
-    return _markov_verdict(lift_map, partition)[1]

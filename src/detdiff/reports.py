@@ -24,18 +24,19 @@ _BREAKPOINT_TOL = 1e-12     # how far the breakpoint rule lets an end miss -1/2 
 DEFAULT_SEED = 20140502
 
 
-def check_count(value, least: int, what: str) -> int:
-    """`value` as an int if it is an integer >= `least`; else ValueError naming `what`.
+def check_count(value, least: int | None, what: str) -> int:
+    """`value` as an int if an integer >= `least` (any if None); else ValueError naming `what`.
 
     Python and numpy integers pass, by `operator.index`; bools, floats and
     anything else are rejected, never truncated.
     """
     try:
-        if not isinstance(value, bool) and operator.index(value) >= least:
+        if not isinstance(value, bool) and (least is None or operator.index(value) >= least):
             return operator.index(value)
     except TypeError:
         pass
-    raise ValueError(f"{what} must be an integer >= {least}, not {value!r}")
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
 
 
 def check_finite(value, what: str) -> float:

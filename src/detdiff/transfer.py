@@ -5,7 +5,8 @@ Perron-Frobenius operator sends a density that is constant per cell to
 another such density.  The action is encoded by finitely many m x m
 matrices p_j indexed by the integer shift j: entry (i, l) of p_j is the
 density deposited into cell i of the j-th translated unit interval by a
-unit density on cell l of the fundamental interval.
+unit density on cell l of the fundamental interval.  They exist when the
+partition is Markov for the map, the float rule `validate_consistency` reports.
 
 The characteristic matrix P(t) = sum_j p_j e^(i j t) governs the lattice
 dynamics; its leading eigenvalue z(t) carries the transport
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import ConsistencyError, EigenConvergenceError, IrreducibilityError, PartitionError
-from .maps import PiecewiseLinearLiftMap, _finite, _label
-from .partition import ConsistencyReport, MarkovPartition
+from .maps import PiecewiseLinearLiftMap, _finite, _label, _real
+from .partition import MarkovPartition
 from .reports import _unit_breakpoints, check_finite
 
 __all__ = _EXPORTS["transfer"]
@@ -55,7 +56,7 @@ class TransitionMatrixSet:
         integral = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in shifts)
         if not integral or any(a >= b for a, b in zip(shifts, shifts[1:])):
             raise ValueError(f"shifts must be distinct integers in ascending order, not {shifts}")
-        matrices = np.asarray(self.matrices, dtype=float)
+        matrices = _real(self.matrices, "transition matrix set")
         want = (len(shifts), len(bp) - 1, len(bp) - 1)
         if matrices.shape != want:
             raise ValueError(f"matrices must have the shape (shifts, cells, cells) = {want}, "
@@ -94,6 +95,16 @@ class TransitionMatrixSet:
         """Shift -> row-major entries, for golden tests and reports."""
         return {str(s): [float(v) for v in mat.ravel()]
                 for s, mat in zip(self.shifts, self.matrices)}
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    passed: bool
+    worst_violation: float
+    messages: tuple
+
+    def __bool__(self):
+        return self.passed
 
 
 def _markov_verdict(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition):
@@ -152,6 +163,18 @@ def _markov_verdict(lift_map: PiecewiseLinearLiftMap, partition: MarkovPartition
             messages.append(f"mass conservation violated by {resid:.3g}")
             tset = None
     return tset, ConsistencyReport(not messages, worst, tuple(messages))
+
+
+def validate_consistency(lift_map: PiecewiseLinearLiftMap,
+                         partition: MarkovPartition) -> ConsistencyReport:
+    """The report of the one Markov rule, `_markov_verdict`; nothing is raised here.
+
+    It passes exactly when `build_transition_matrices` succeeds, which
+    raises its first message.  `worst_violation` is the largest grid miss
+    that breaks the rule, 0.0 when there is none and inf when an image is
+    too short to cover a single cell.
+    """
+    return _markov_verdict(lift_map, partition)[1]
 
 
 def build_transition_matrices(lift_map: PiecewiseLinearLiftMap,

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -926,3 +927,16 @@ def test_exact_layer_loads_no_numpy(fresh_python):
     out = fresh_python("import sys, detdiff.partition; " + _LIST_MODULES
                        + "; print('numpy' in sys.modules)")
     assert out.splitlines() == ["errors partition reports", "False"]
+
+
+def test_exact_layer_imports_nothing_above_reports():
+    # every import of the partition module, at module level or inside a function
+    tree = ast.parse(Path(detdiff.partition.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"__future__", "dataclasses", "fractions", "math", "sys", "typing",
+                        ".", ".errors", ".reports"}

@@ -108,13 +108,35 @@ _UNIT = (-0.5, 0.5)
        f"alpha must be finite and > 0, not [{a}]") for a in (-1.0, 0.0, math.nan, math.inf)),
     (lambda: gaussian_profile(1 / 3, 0.0, [1e-300], _UNIT, 10),
      "alpha [1e-300] puts the whole profile below the 1e-16 floor"),
+    # k_min is any integer and step_count an integer >= 0, by `reports.check_count`
+    (lambda: LatticeDensity(0.5, [[1.0]], _UNIT), "k_min must be an integer, not 0.5"),
+    (lambda: LatticeDensity(0.0, [[1.0]], _UNIT), "k_min must be an integer, not 0.0"),
+    (lambda: LatticeDensity(True, [[1.0]], _UNIT), "k_min must be an integer, not True"),
+    (lambda: LatticeDensity(0, [[1.0]], _UNIT, -3), "step_count must be an integer >= 0, not -3"),
+    (lambda: LatticeDensity(0, [[1.0]], _UNIT, 2.5),
+     "step_count must be an integer >= 0, not 2.5"),
+    (lambda: LatticeDensity(0, [[1.0]], _UNIT, False),
+     "step_count must be an integer >= 0, not False"),
+    # a density of zero mass has no mean or variance
+    (lambda: LatticeDensity(0, np.zeros((2, 1)), _UNIT).lattice_moments(),
+     "a density of zero mass has no moments"),
+    (lambda: LatticeDensity(0, np.zeros((2, 1)), _UNIT).continuous_moments(),
+     "a density of zero mass has no moments"),
 ], ids=["width", "negative", "negative-1e-16", "nan-value", "inf-value", "evolve-backwards",
         "profile-zero-d", "profile-inf-d", "profile-nan-d", "profile-zero-n",
         "profile-negative-alpha", "profile-zero-alpha", "profile-nan-alpha",
-        "profile-inf-alpha", "profile-below-floor"])
+        "profile-inf-alpha", "profile-below-floor", "fractional-k_min", "float-k_min",
+        "bool-k_min", "negative-step_count", "fractional-step_count", "bool-step_count",
+        "zero-mass-lattice-moments", "zero-mass-continuous-moments"])
 def test_density_arguments_at_fault_raise(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_density_k_min_is_any_integer_and_stored_as_int():
+    for k_min in (-3, np.int64(-3), 1 << 70):
+        dens = LatticeDensity(k_min, [[1.0]], _UNIT, np.int64(2))
+        assert (type(dens.k_min), dens.k_min, type(dens.step_count)) == (int, k_min, int)
 
 
 # every lattice density and transition matrix set takes its cells by the

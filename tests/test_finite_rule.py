@@ -1,10 +1,12 @@
-"""One finite-number rule for every real parameter.
+"""One finite-number rule for every real parameter, and one real rule for every array.
 
 Each entry point checks its real parameters once, by `reports.check_finite`:
 a finite Python, numpy or `Fraction` real passes as the float of equal
 value, and NaN, an infinity, a bool (numpy's too), text or anything else
 raises one ValueError naming the parameter.  The domain bounds (lam > 2,
-d > 0, h > 0, ...) run after the rule, with their own wordings.
+d > 0, h > 0, ...) run after the rule, with their own wordings.  Each
+real array goes through `maps._real`, which rejects complex input instead
+of dropping its imaginary part.
 """
 
 import dataclasses
@@ -17,26 +19,34 @@ import pytest
 
 from detdiff import (
     BilliardState,
+    LatticeDensity,
     MarkovPartition,
+    TransitionMatrixSet,
     approximate_step,
     build_transition_matrices,
     characteristic_matrix,
     compute_route,
+    estimate_stats,
+    eval_map,
     exact_step,
+    fractional_part,
     gaussian_profile,
     heuristic_d,
     ks_normal,
     linear_map,
+    nearest_integer,
     omega_approx_d,
     omega_factor,
     position_from_kicks,
     sawtooth_kick,
+    shift_function,
     tangent_kick,
     theoretical_variance,
 )
 from detdiff.reports import check_finite
 
 _UNIT = (-0.5, 0.5)
+_HALF = (-0.5, 0.0, 0.5)
 _TSET = build_transition_matrices(linear_map(3.0), MarkovPartition.unit())
 _X = np.linspace(-1.0, 1.0, 11)
 _SAMPLES = np.random.default_rng(5).normal(size=200)
@@ -122,3 +132,31 @@ def test_check_finite_rejects_everything_else(value):
     message = f"^q must be a finite number, not {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         check_finite(value, "q")
+
+
+# entry point taking a real array: (name in the message, call on a 1-d array)
+_ARRAY_ENTRIES = {
+    "fractional_part": ("fractional_part", fractional_part),
+    "nearest_integer": ("nearest_integer", nearest_integer),
+    "eval_map": ("map evaluation", lambda a: eval_map(linear_map(3.0), a)),
+    "shift_function": ("shift evaluation", lambda a: shift_function(linear_map(3.0), a)),
+    "estimate_stats": ("estimate_stats", lambda a: estimate_stats(a, 5)),
+    "ks_normal": ("ks_normal", lambda a: ks_normal(a, 0.0, 1.0)),
+    "position_from_kicks": ("position_from_kicks", lambda a: position_from_kicks(0.5, a)),
+    "tangent_kick": ("tangent kick", lambda a: tangent_kick(1.0, lambda x: a)(_X)),
+    "LatticeDensity": ("lattice density", lambda a: LatticeDensity(0, [a], _HALF)),
+    "gaussian_profile": ("alpha", lambda a: gaussian_profile(1 / 3, 0.0, a, _HALF, 10)),
+    "TransitionMatrixSet": ("transition matrix set",
+                            lambda a: TransitionMatrixSet((0,), [[a, a]], _HALF)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ARRAY_ENTRIES))
+def test_each_array_entry_point_rejects_complex_input(entry):
+    what, call = _ARRAY_ENTRIES[entry]
+    message = f"^{re.escape(what)} requires real input, not complex$"
+    for bad in (np.array([0.25 + 1j, 0.125]), np.array([0.25 + 0j, 0.125]),
+                [0.25 + 1j, 0.125]):
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    call(np.array([0.25, 0.125]))       # the real parts pass

@@ -124,3 +124,17 @@ def test_check_count(value, valid):
         message = f"^k must be an integer >= 3, not {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             check_count(value, 3, "k")
+
+
+@pytest.mark.parametrize("value,valid", [
+    (-3, True), (np.int64(-(1 << 62)), True), (-(1 << 200), True),
+    (-3.0, False), (True, False), ("-3", False), (None, False),
+])
+def test_check_count_with_no_least_takes_any_integer(value, valid):
+    if valid:
+        n = check_count(value, None, "k")
+        assert (type(n), n) == (int, value)
+    else:
+        message = f"^k must be an integer, not {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            check_count(value, None, "k")

@@ -25,14 +25,14 @@ PUBLIC = {
              "validate_stretching", "zigzag_map"],
     "montecarlo": ["EnsembleStats", "estimate_d_increment", "estimate_stats", "ks_normal",
                    "scan_lambda", "simulate_ensemble"],
-    "partition": ["ConsistencyReport", "Equation", "MarkovPartition",
-                  "PartitionEquationSystem", "SolvedPartition", "largest_real_root",
-                  "solve_partition_system", "solve_three_interval",
-                  "validate_consistency"],
+    "partition": ["Equation", "MarkovPartition", "PartitionEquationSystem",
+                  "SolvedPartition", "largest_real_root", "solve_partition_system",
+                  "solve_three_interval"],
     "rng": ["DEFAULT_SEED", "uniform_stream"],
-    "transfer": ["DiffusionReport", "TransitionMatrixSet", "build_transition_matrices",
-                 "characteristic_matrix", "diffusion_spectral", "leading_eigenpair",
-                 "leading_eigenvalue", "stationary_density"],
+    "transfer": ["ConsistencyReport", "DiffusionReport", "TransitionMatrixSet",
+                 "build_transition_matrices", "characteristic_matrix", "diffusion_spectral",
+                 "leading_eigenpair", "leading_eigenvalue", "stationary_density",
+                 "validate_consistency"],
 }
 
 # run in a fresh interpreter, so that each access is the first
