@@ -10,8 +10,9 @@ difference equation driven by a 1-periodic kick,
 whose variance grows cubically when the kicks decorrelate.  The ensemble
 simulator keeps each position as an integer cell plus a fraction in
 [-1/2, 1/2), like the lifting-map ensembles, and calls the kick with
-the fraction only.  Every function fails alike: a non-finite kick or
-normal angle raises ValueError, an overflow of finite input OverflowError.
+the fraction only.  Every function fails alike: a kick or normal angle
+that is no finite number raises ValueError, an overflow of finite input
+OverflowError.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import _EXPORTS
 from .errors import GrazingReflectionError
 from .maps import _finite, _finite_result, _real, fractional_part
 from .montecarlo import _iterate_chunk, _run_chunks
-from .reports import check_count, check_finite
+from .reports import _as_real, check_count, check_finite
 from .rng import uniform_stream
 
 __all__ = _EXPORTS["billiard"]
@@ -36,6 +37,14 @@ _GRAZE_TOL = 1e-12
 
 def _zero_angle(x):
     return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _returned(value, what: str) -> float:
+    """A kick's or normal angle's value by `check_finite`; "<what> returned a non-finite value"."""
+    value = value[()] if isinstance(value, np.ndarray) else value      # 0-d: its scalar
+    if (real := _as_real(value)) is not None and not math.isfinite(real):
+        raise ValueError(f"{what} returned a non-finite value")
+    return check_finite(value, what)
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,8 @@ class BilliardState:
 
 def _advance(state: BilliardState, x_next: float) -> BilliardState:
     """The state one reflection on, at x_next; OverflowError unless x_next is finite."""
-    return replace(state, x_prev=state.x_curr, x_curr=_finite_result(x_next, "billiard position"))
+    x_next = _finite_result(x_next, "billiard position overflows")
+    return replace(state, x_prev=state.x_curr, x_curr=x_next)
 
 
 def exact_step(state: BilliardState) -> BilliardState:
@@ -79,10 +89,8 @@ def exact_step(state: BilliardState) -> BilliardState:
     GrazingReflectionError; every other failure follows the module's rule.
     """
     u = state.slope
-    alpha = float(state.normal_angle(state.x_curr))
-    if not math.isfinite(alpha):
-        raise ValueError("the normal angle returned a non-finite value")
-    t = math.tan(_finite_result(2.0 * alpha, "doubled normal angle"))
+    alpha = _returned(state.normal_angle(state.x_curr), "the normal angle")
+    t = math.tan(_finite_result(2.0 * alpha, "doubled normal angle overflows"))
     denom = 1.0 - t * u
     if abs(denom) < _GRAZE_TOL:
         raise GrazingReflectionError(
@@ -92,9 +100,7 @@ def exact_step(state: BilliardState) -> BilliardState:
 
 def approximate_step(state: BilliardState, kick: Callable) -> BilliardState:
     """Wide-channel step x_next = 2 x_curr - x_prev + f(x_curr); fails by the module's rule."""
-    kicked = float(kick(state.x_curr))
-    if not math.isfinite(kicked):
-        raise ValueError("the kick returned a non-finite value")
+    kicked = _returned(kick(state.x_curr), "the kick")
     return _advance(state, 2.0 * state.x_curr - state.x_prev + kicked)
 
 
@@ -107,7 +113,7 @@ def tangent_kick(h: float, normal_angle: Callable) -> Callable:
         if not np.all(np.isfinite(alpha)):
             raise ValueError("the normal angle returned a non-finite value")
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite_result(h * np.tan(2.0 * alpha), "tangent kick")
+            return _finite_result(h * np.tan(2.0 * alpha), "tangent kick overflows")
     return kick
 
 
@@ -139,7 +145,7 @@ def position_from_kicks(x1: float, kicks: Sequence[float]) -> float:
     weights = np.arange(n, 0, -1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         x = (n + 1) * x1 + weights @ _finite(kicks, "position_from_kicks")
-    return float(_finite_result(x, "billiard position"))
+    return float(_finite_result(x, "billiard position overflows"))
 
 
 def theoretical_variance(n: int, lam: float) -> float:
@@ -155,7 +161,7 @@ def theoretical_variance(n: int, lam: float) -> float:
         var = float(n)**2 / 12.0 + lam**2 / 12.0 * n * (n + 1.0) * (2.0 * n + 1.0) / 6.0
     except OverflowError:     # a float power, or an int n past the doubles, raises, not inf
         var = math.inf
-    return _finite_result(var, "theoretical variance")
+    return _finite_result(var, "theoretical variance overflows")
 
 
 def _loglog_slope(steps, variances) -> float:
@@ -246,7 +252,7 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
     with np.errstate(over="ignore", invalid="ignore"):
         mean = (counts * means).sum(axis=1) / n_samples
         variances = _finite_result(((m2s + counts * (means - mean[:, None]) ** 2).sum(axis=1)
-                                    / (n_samples - 1)).tolist(), "channel variance")
+                                    / (n_samples - 1)).tolist(), "channel variance overflows")
 
     theo = tuple(theoretical_variance(c, lam) for c in cps) if lam is not None else None
     return ChannelReport(

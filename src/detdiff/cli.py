@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     from .transfer import TransitionMatrixSet
 
 _SCAN_POINTS_MAX = 10_000       # points of a --from/--to/--step grid
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")      # text that `_numbers` reads as an int
 _SURD_RE = re.compile(
     r"""^\s*
     (?:(?P<a>[+-]?\d+(?:\.\d+)?)\s*)?              # optional rational part
@@ -39,10 +40,8 @@ _SURD_RE = re.compile(
 )
 
 
-def parse_algebraic(text) -> float:
-    """Parse a number or an 'a +- b*sqrt(c)' literal; reject anything else."""
-    if isinstance(text, (int, float)):
-        return float(text)
+def parse_algebraic(text: str) -> float:
+    """Parse the text of a number or an 'a +- b*sqrt(c)' literal; reject anything else."""
     s = str(text).strip()
     try:
         return float(s)
@@ -52,13 +51,10 @@ def parse_algebraic(text) -> float:
     if not m:
         raise ValueError(f"cannot parse algebraic constant {text!r} "
                          "(use forms like 3, 2.5, sqrt(2) or 2+sqrt(3))")
-    a = float(m.group("a")) if m.group("a") else 0.0
-    if m.group("a") and m.group("sign") is None:
+    a, sign, b, c = m.groups()
+    if a and sign is None:
         raise ValueError(f"missing sign between rational and surd part in {text!r}")
-    sign = -1.0 if m.group("sign") == "-" else 1.0
-    b = float(m.group("b")) if m.group("b") else 1.0
-    c = float(m.group("c"))
-    return a + sign * b * math.sqrt(c)
+    return float(a or 0) + (-1.0 if sign == "-" else 1.0) * float(b or 1) * math.sqrt(float(c))
 
 
 def _json_int(text: str) -> int:
@@ -66,6 +62,16 @@ def _json_int(text: str) -> int:
     if not math.isfinite(float(text)):
         raise ValueError(f"integer of {len(text)} characters is too large for a double")
     return int(text)
+
+
+def _numbers(value):
+    """Each text leaf of `value`, lists walked, as an int by `_json_int` if an integer
+    literal, else by `parse_algebraic`; JSON numbers and bools are left to the rules."""
+    if isinstance(value, list):
+        return [_numbers(v) for v in value]
+    if not isinstance(value, str):
+        return value
+    return _json_int(value) if _INT_RE.fullmatch(value) else parse_algebraic(value)
 
 
 def _load_json_arg(value: str):
@@ -94,22 +100,11 @@ def _map_spec_from_args(tokens) -> dict:
     return spec
 
 
-def _resolve_map(spec: dict) -> PiecewiseLinearLiftMap:
+def _resolve_map(spec) -> PiecewiseLinearLiftMap:
     from .maps import map_from_spec
 
-    def parse(value):
-        """parse_algebraic on every string, nested lists kept; the map checks the shape."""
-        if isinstance(value, list):
-            return [parse(v) for v in value]
-        return parse_algebraic(value) if isinstance(value, str) else value
-
-    spec = dict(spec)
-    for key in ("lambda", "xi"):
-        if key in spec:
-            spec[key] = parse_algebraic(spec[key])
-    for key in ("breakpoints", "values"):
-        if key in spec:
-            spec[key] = parse(spec[key])
+    if isinstance(spec, dict):      # every field but the type is a number; map_from_spec checks
+        spec = {key: v if key == "type" else _numbers(v) for key, v in spec.items()}
     return map_from_spec(spec)
 
 
@@ -125,11 +120,8 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
     from .transfer import build_transition_matrices
 
     if args.partition:
-        bps = _load_json_arg(args.partition)
-        if not isinstance(bps, list):
-            raise PartitionError(f"--partition must be a JSON list of breakpoints, got {bps!r}")
-        bps = [parse_algebraic(v) for v in bps]
-        return build_transition_matrices(lift_map, MarkovPartition(tuple(bps)))
+        bps = _numbers(_load_json_arg(args.partition))
+        return build_transition_matrices(lift_map, MarkovPartition(bps))
     if args.partition_system:
         system = PartitionEquationSystem.from_dict(_load_json_arg(args.partition_system))
         given = MarkovPartition.symmetric(solve_partition_system(system).breakpoints, False)
@@ -232,7 +224,7 @@ def _method_report(name, args, spec, lift_map):
             raise MapDefinitionError(f"{name} estimate applies to linear maps only")
         from .density import heuristic_d, omega_approx_d
 
-        lam = parse_algebraic(spec["lambda"])
+        lam = lift_map.slopes[0]        # lam/2 + lam/2 over a width of 1: lam, if not subnormal
         d = heuristic_d(lam) if name == "heuristic" else omega_approx_d(lam)
         return {"d": d, "drift": 0.0, "method": name, "diagnostics": {}}
     from .montecarlo import estimate_stats, simulate_ensemble     # name == "mc"
@@ -278,7 +270,7 @@ def cmd_diffusion(args):
 
 def cmd_scan(args):
     if args.lambda_grid:
-        lams = [parse_algebraic(v) for v in args.lambda_grid.split(",") if v.strip()]
+        lams = [_numbers(v) for v in args.lambda_grid.split(",") if v.strip()]
         if not lams:
             raise MapDefinitionError(f"--lambda-grid {args.lambda_grid!r} holds no point")
     else:
@@ -371,7 +363,7 @@ def cmd_simulate(args):
 
 def cmd_billiard(args):
     checkpoints = None if args.checkpoints is None else _checkpoints(args.checkpoints)
-    lam = check_finite(parse_algebraic(getattr(args, "lambda")), "--lambda")
+    lam = check_finite(_numbers(getattr(args, "lambda")), "--lambda")
     from .billiard import sawtooth_kick, simulate_channel
 
     kick = sawtooth_kick(lam)

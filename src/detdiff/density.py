@@ -284,7 +284,7 @@ def heuristic_d(lam: float) -> float:
         d = (lam - 1.0) ** 2 / 24.0
     except OverflowError:     # a float power raises where a product gives inf
         d = math.inf
-    return _finite_result(d, "heuristic estimate of D")
+    return _finite_result(d, "heuristic estimate of D overflows")
 
 
 def omega_factor(lam: float) -> float:
@@ -303,4 +303,5 @@ def omega_approx_d(lam: float) -> float:
     >= 3, OverflowError when D is not a finite double.
     """
     lam = check_finite(lam, "lam")
-    return _finite_result((lam - 1.0) * (lam - omega_factor(lam)) / 24.0, "omega estimate of D")
+    return _finite_result((lam - 1.0) * (lam - omega_factor(lam)) / 24.0,
+                          "omega estimate of D overflows")

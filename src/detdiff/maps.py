@@ -28,9 +28,9 @@ _HALF = 0.5
 _MAX_INDEX = float(2**53)
 
 
-def _label(x):
-    """floor(x + 1/2), unchecked: the one rule of [x) and {x), as doubles."""
-    return np.floor(np.add(x, _HALF))
+def _label(x, out=None):
+    """floor(x + 1/2), unchecked, into `out` if given: the one rule of [x) and {x), as doubles."""
+    return np.floor(np.add(x, _HALF, out=out), out=out)
 
 
 def _real(x, what: str):
@@ -49,9 +49,9 @@ def _finite(x, what: str, dtype=float):
 
 
 def _finite_result(value, what: str):
-    """value itself if all finite; else OverflowError "<what> overflows double precision"."""
+    """value itself if all finite; else OverflowError "<what> double precision" ("x overflows")."""
     if not np.all(np.isfinite(value)):
-        raise OverflowError(f"{what} overflows double precision")
+        raise OverflowError(f"{what} double precision")
     return value
 
 
@@ -115,26 +115,24 @@ class PiecewiseLinearLiftMap:
         Finite and strictly increasing, first -1/2 and last +1/2 (ends
         within 1e-12 are snapped): the rule of `MarkovPartition` too.
     values : sequence of (float, float)
-        One pair per piece: the value at the left end and the value
-        approached at the right end of the piece.  Equal endpoint values
-        (zero slope) are rejected.
+        One pair of finite numbers (`check_finite`) per piece: the value at
+        the left end and the value approached at the right end of the piece.
+        Equal endpoint values (zero slope) are rejected.
     """
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[Sequence[float]]):
         bp = np.array(_unit_breakpoints(breakpoints, "map", MapDefinitionError))
         try:
-            vals = [(float(a), float(b)) for a, b in values]
+            vals = [(a, b) for a, b in values]
         except (TypeError, ValueError) as exc:
             raise MapDefinitionError(f"map values must be number pairs ({exc})") from None
         if len(vals) != bp.size - 1:
             raise MapDefinitionError(
                 f"{bp.size - 1} pieces require {bp.size - 1} value pairs, got {len(vals)}")
-        if not all(math.isfinite(a) and math.isfinite(b) for a, b in vals):
-            raise MapDefinitionError("piece values must be finite")
 
         self.breakpoints = bp
-        self.left_values = np.array([a for a, _ in vals])
-        self.right_values = np.array([b for _, b in vals])
+        self.left_values, self.right_values = (
+            np.array([check_finite(v, "map value") for v in side]) for side in zip(*vals))
         with np.errstate(over="ignore", invalid="ignore"):
             self.slopes = (self.right_values - self.left_values) / np.diff(bp)
             self.intercepts = self.left_values - self.slopes * bp[:-1]
@@ -240,10 +238,10 @@ class PiecewiseLinearLiftMap:
 
 
 def linear_map(lam: float) -> PiecewiseLinearLiftMap:
-    """The single-piece map f(x) = lam * x on I0."""
-    lam = float(lam)
-    if lam == 0.0 or not math.isfinite(lam):
-        raise MapDefinitionError("linear map needs a nonzero finite slope")
+    """The single-piece map f(x) = lam * x on I0, for a finite (`check_finite`) lam != 0."""
+    lam = check_finite(lam, "lam")
+    if lam == 0.0:
+        raise MapDefinitionError("linear map needs a nonzero slope")
     return PiecewiseLinearLiftMap([-_HALF, _HALF], [(-lam / 2, lam / 2)])
 
 
@@ -251,15 +249,10 @@ def zigzag_map(p: int, xi: float) -> PiecewiseLinearLiftMap:
     """Odd three-piece map with f(0)=0, f(xi)=p+1/2 and f(1/2)=1/2.
 
     The rising middle piece carries [-xi, xi] to [-(p+1/2), p+1/2]; the
-    outer pieces fall back to +-1/2 at the interval ends.
+    outer pieces fall back to +-1/2 at the interval ends.  p is an integer
+    >= 1 (`check_count`) and xi a finite number (`check_finite`).
     """
-    value = float(p)
-    if not value.is_integer():      # nor is inf or NaN
-        need = "an integer" if math.isfinite(value) else "a finite"
-        raise MapDefinitionError(f"zigzag map needs {need} p, got {p}")
-    p, xi = int(value), float(xi)
-    if p < 1:
-        raise MapDefinitionError("zigzag map needs p >= 1")
+    p, xi = check_count(p, 1, "p"), check_finite(xi, "xi")
     if not 0.0 < xi < _HALF:
         raise MapDefinitionError("zigzag map needs 0 < xi < 1/2")
     peak = p + _HALF

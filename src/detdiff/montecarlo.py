@@ -62,8 +62,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import failure_record
-from .maps import PiecewiseLinearLiftMap, _real, linear_map
-from .reports import check_count, check_finite, check_seed
+from .maps import PiecewiseLinearLiftMap, _finite_result, _label, _real, linear_map
+from .reports import _as_real, check_count, check_finite, check_seed
 from .rng import _lanes, resolve_threads, uniform_stream
 
 __all__ = _EXPORTS["montecarlo"]
@@ -138,7 +138,7 @@ def _iterate_chunk(step, u, cell, horizons):
     """Yield cell + u after each step count in `horizons`; u and cell move in place.
 
     Each step, `step(u, t)` moves the fractions in place, then the whole
-    part floor(u + 1/2) of each goes into its integer-valued cell through
+    part `maps._label(u)` of each goes into its integer-valued cell through
     one reused carry buffer.  The last positions overwrite the cell.  This
     is the overflow rule of every simulator: an overflow raises
     OverflowError, and a non-finite fraction, which only a caller's kick
@@ -150,7 +150,7 @@ def _iterate_chunk(step, u, cell, horizons):
             with np.errstate(over="raise", invalid="ignore"):
                 for t in range(done, horizon):
                     step(u, t)
-                    np.floor(np.add(u, 0.5, out=carry), out=carry)
+                    _label(u, out=carry)
                     u -= carry
                     cell += carry
                 x = np.add(cell, u, out=cell if horizon == horizons[-1] else None)
@@ -362,9 +362,8 @@ def estimate_stats(samples: np.ndarray, n_steps: int) -> EnsembleStats:
         var = float(np.var(samples, ddof=1))
     stderr = var * math.sqrt(2.0 / (n - 1)) / (2.0 * n_steps)
     # the stderr is finite only if the variance is
-    if not (math.isfinite(mean) and math.isfinite(stderr)):
-        raise OverflowError("ensemble moments overflow double precision")
-    ks = ks_normal(samples, mean, np.sqrt(var)) if var > 0.0 else float("nan")
+    _finite_result((mean, stderr), "ensemble moments overflow")
+    ks = ks_normal(samples, mean, np.sqrt(var))
     return EnsembleStats(
         sample_count=n,
         step_count=n_steps,
@@ -405,8 +404,7 @@ def estimate_d_increment(lift_map: PiecewiseLinearLiftMap,
         ds = np.array([(np.var(out_full[lo:hi], ddof=1) - np.var(out_half[lo:hi], ddof=1))
                        / (2.0 * (n_steps - half)) for lo, hi in batches])
         d, stderr = np.mean(ds), np.std(ds, ddof=1) / np.sqrt(ds.size)
-    if not (math.isfinite(d) and math.isfinite(stderr)):
-        raise OverflowError("ensemble moments overflow double precision")
+    _finite_result((d, stderr), "ensemble moments overflow")
     return float(d), float(stderr)
 
 
@@ -430,9 +428,9 @@ def scan_lambda(lams, n_samples: int, n_steps: int, seed: int,
     threads = resolve_threads(threads)
     rows = []
     for lam in lams:
-        row = {"lambda": float(lam), "d_mc": float("nan"), "stderr": float("nan"),
-               "d_heuristic": float("nan"), "d_omega": float("nan"),
-               "ks": float("nan")}
+        real = _as_real(lam)        # a lambda that is no real number fails, shown as given
+        row = {"lambda": lam if real is None else real,
+               **dict.fromkeys(("d_mc", "stderr", "d_heuristic", "d_omega", "ks"), math.nan)}
         try:
             samples = simulate_ensemble(linear_map(lam), n_samples, n_steps,
                                         seed, threads=threads)

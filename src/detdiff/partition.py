@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import _EXPORTS
 from .errors import PartitionError, RootSolveError, SystemStructureError
-from .reports import _unit_breakpoints
+from .reports import _unit_breakpoints, check_finite
 
 __all__ = _EXPORTS["partition"]
 
@@ -49,8 +49,8 @@ class MarkovPartition:
 
     @classmethod
     def symmetric(cls, positive_breakpoints: Sequence[float], include_zero: bool):
-        """Partition symmetric about 0 from its positive interior breakpoints."""
-        pos = sorted(float(p) for p in positive_breakpoints)
+        """Partition symmetric about 0 from its positive interior breakpoints, finite numbers."""
+        pos = sorted(check_finite(p, "positive breakpoint") for p in positive_breakpoints)
         neg = [-p for p in reversed(pos)]
         mid = [0.0] if include_zero else []
         return cls(tuple([-0.5] + neg + mid + pos + [0.5]))

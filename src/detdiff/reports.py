@@ -1,9 +1,10 @@
 """Deterministic report writers: canonical JSON, CSV with provenance.
 
-Also the home of the input rules: `check_count`, `check_seed`, `check_finite`,
-`DEFAULT_SEED` and the breakpoint rule `_unit_breakpoints` live here, so the
-CLI and the exact partition layer check them without loading numpy; `rng`
-re-exports `DEFAULT_SEED` and applies `check_seed` to every stream key.
+Also the home of the input rules: `check_count`, `check_seed`, `check_finite`
+(whose real-number half `_as_real` the breakpoint rule `_unit_breakpoints`
+shares) and `DEFAULT_SEED` live here, so the CLI and the exact partition
+layer check them without loading numpy; `rng` re-exports `DEFAULT_SEED` and
+applies `check_seed` to every stream key.
 """
 
 from __future__ import annotations
@@ -39,14 +40,21 @@ def check_count(value, least: int | None, what: str) -> int:
     raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
 
 
-def check_finite(value, what: str) -> float:
-    """`value` as a float if a finite real, not a bool or text; else ValueError naming `what`."""
+def _as_real(value):
+    """`value` as a float if a real number in the double range, not a bool or text; else None."""
     try:
-        if isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value):
+        if isinstance(value, numbers.Real) and type(value) is not bool:
             return float(value)
     except OverflowError:       # an int or Fraction beyond the double range
         pass
-    raise ValueError(f"{what} must be a finite number, not {value!r}")
+    return None
+
+
+def check_finite(value, what: str) -> float:
+    """`value` as a float if a finite real, by `_as_real`; else ValueError naming `what`."""
+    if (real := _as_real(value)) is None or not math.isfinite(real):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+    return real
 
 
 def check_seed(seed) -> int:
@@ -62,10 +70,9 @@ def _unit_breakpoints(raw, what: str, error: type) -> tuple:
 
     Ends within 1e-12 of -1/2 and 1/2 are snapped to them; a breach
     raises `error` with a message about the breakpoints of a `what`."""
-    try:
-        bp = [float(b) for b in raw]
-    except (TypeError, ValueError) as exc:
-        raise error(f"{what} breakpoints must be numbers ({exc})") from None
+    bp = [_as_real(b) for b in raw] if hasattr(raw, "__iter__") else [None]
+    if None in bp:
+        raise error(f"{what} breakpoints must be real numbers, not {raw!r}")
     if len(bp) < 2:
         raise error(f"a {what} needs at least two breakpoints")
     if not all(map(math.isfinite, bp)):    # NaN would pass every comparison below

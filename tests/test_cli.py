@@ -320,7 +320,7 @@ def test_simulate_rejects_an_infinite_zigzag_p(capsys):
     code, out, err = run(capsys, "simulate", "--map",
                          '{"type":"zigzag","p":Infinity,"xi":0.25}')
     assert (code, out) == (2, "")
-    assert err == "error[validation]: zigzag map needs a finite p, got inf\n"
+    assert err == "error[validation]: p must be an integer >= 1, not inf\n"
 
 
 def test_diffusion_rejects_a_non_integer_zigzag_p(capsys):
@@ -328,8 +328,8 @@ def test_diffusion_rejects_a_non_integer_zigzag_p(capsys):
     code, out, err = run(capsys, "diffusion", "--map", '{"type":"zigzag","p":2.7,"xi":0.25}',
                          "--method", "closed-form")
     assert (code, out) == (2, "")
-    assert err == "error[validation]: zigzag map needs an integer p, got 2.7\n"
-    for spec in (['{"type":"zigzag","p":2.0,"xi":0.25}'], ["zigzag", "p=2", "xi=0.25"]):
+    assert err == "error[validation]: p must be an integer >= 1, not 2.7\n"
+    for spec in (['{"type":"zigzag","p":2,"xi":0.25}'], ["zigzag", "p=2", "xi=0.25"]):
         code, out, _ = run(capsys, "diffusion", "--map", *spec, "--method", "closed-form")
         assert code == 0
         assert json.loads(out)["methods"]["closed-form"]["d"] == 1.125
@@ -563,6 +563,31 @@ _CONTRACT = [
                  2, "--step must be positive", id="scan-zero-step"),
     pytest.param(["scan", "--to", "5"],
                  2, "pass --lambda-grid or both --from and --to", id="scan-no-from"),
+    # every field of a map spec but its type is a number, and a bool is none
+    pytest.param(["simulate", "--map", '{"type":"zigzag","p":true,"xi":0.25}'],
+                 2, "p must be an integer >= 1, not True", id="zigzag-bool-p"),
+    pytest.param(["simulate", "--map", "zigzag", "p=1.0", "xi=0.25"],
+                 2, "p must be an integer >= 1, not 1.0", id="zigzag-float-p"),
+    pytest.param(["simulate", "--map", '{"type":"zigzag","p":1,"xi":false}'],
+                 2, "xi must be a finite number, not False", id="zigzag-bool-xi"),
+    pytest.param(["simulate", "--map", '{"type":"linear","lambda":true}'],
+                 2, "lam must be a finite number, not True", id="linear-bool-lambda"),
+    pytest.param(["simulate", "--map", '{"type":"pieces","breakpoints":[-0.5,0.5],'
+                  '"values":[[-1.5,true]]}'],
+                 2, "map value must be a finite number, not True", id="pieces-bool-value"),
+    pytest.param(["simulate", "--map", '{"type":"pieces","breakpoints":[-0.5,false,0.5],'
+                  '"values":[[-1.5,1.5],[-1.5,1.5]]}'],
+                 2, "map breakpoints must be real numbers, not [-0.5, False, 0.5]",
+                 id="pieces-bool-breakpoint"),
+    pytest.param(["simulate", "--map", '{"type":"linear","lambda":3,"name":"three"}'],
+                 2, "cannot parse algebraic constant 'three'", id="map-text-field"),
+    pytest.param(["diffusion", "--map", "linear", "lambda=3", "--method", "spectral",
+                  "--partition", "[-0.5,false,0.5]"],
+                 2, "partition breakpoints must be real numbers, not [-0.5, False, 0.5]",
+                 id="partition-bool"),
+    pytest.param(["diffusion", "--map", "linear", "lambda=3", "--method", "spectral",
+                  "--partition", "5"],
+                 2, "partition breakpoints must be real numbers, not 5", id="partition-number"),
 ]
 
 

@@ -21,6 +21,7 @@ from detdiff import (
     BilliardState,
     LatticeDensity,
     MarkovPartition,
+    PiecewiseLinearLiftMap,
     TransitionMatrixSet,
     approximate_step,
     build_transition_matrices,
@@ -39,10 +40,13 @@ from detdiff import (
     omega_factor,
     position_from_kicks,
     sawtooth_kick,
+    scan_lambda,
     shift_function,
     tangent_kick,
     theoretical_variance,
+    zigzag_map,
 )
+from detdiff.errors import MapDefinitionError, PartitionError
 from detdiff.reports import check_finite
 
 _UNIT = (-0.5, 0.5)
@@ -79,6 +83,16 @@ _ENTRIES = {
                                lambda v: position_from_kicks(v, [0.25, -0.5, 0.125])),
     "characteristic_matrix-t": ("t", 0.75, lambda v: characteristic_matrix(_TSET, v)),
     "compute_route-x0": ("x0", 0.25, lambda v: compute_route(linear_map(3.0), v, 4)),
+    "linear_map-lam": ("lam", 3.5, lambda v: linear_map(v)(_X)),
+    "PiecewiseLinearLiftMap-values": ("map value", 3.5,
+                                      lambda v: PiecewiseLinearLiftMap(_UNIT, [(-0.5, v)])(_X)),
+}
+# parameters inside (0, 1/2), where no integer is valid, so their numpy and
+# Fraction reals are checked in float32 and Fraction only
+_HALF_INTERVAL_ENTRIES = {
+    "zigzag_map-xi": ("xi", 0.25, lambda v: zigzag_map(1, v)(_X)),
+    "MarkovPartition.symmetric-positive_breakpoints": (
+        "positive breakpoint", 0.25, lambda v: MarkovPartition.symmetric([v], False)),
 }
 
 
@@ -88,9 +102,9 @@ def _plain(result):
     return result
 
 
-@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("entry", [*_ENTRIES, *_HALF_INTERVAL_ENTRIES])
 def test_each_entry_point_rejects_what_is_no_finite_number(entry):
-    name, good, call = _ENTRIES[entry]
+    name, good, call = {**_ENTRIES, **_HALF_INTERVAL_ENTRIES}[entry]
     for bad in (math.nan, math.inf, -math.inf, np.float64(np.nan), True, False, np.True_,
                 str(good), None):
         message = f"^{re.escape(name)} must be a finite number, not {re.escape(repr(bad))}$"
@@ -112,6 +126,73 @@ def test_each_entry_point_takes_a_numpy_or_fraction_real_as_the_float(entry, con
     good, call = _ENTRIES[entry][1:]
     value = convert(good)
     np.testing.assert_equal(_plain(call(value)), _plain(call(float(value))))
+
+
+@pytest.mark.parametrize("convert", [np.float32, Fraction])
+@pytest.mark.parametrize("entry", list(_HALF_INTERVAL_ENTRIES))
+def test_each_half_interval_entry_takes_a_numpy_or_fraction_real_as_the_float(entry, convert):
+    good, call = _HALF_INTERVAL_ENTRIES[entry][1:]
+    value = convert(good)
+    np.testing.assert_equal(_plain(call(value)), _plain(call(float(value))))
+
+
+# a billiard step and the callable whose value it reads: (name in the message, call)
+_CALLABLES = {
+    "approximate_step-kick": ("the kick", lambda f: approximate_step(BilliardState(0.0, 0.1), f)),
+    "exact_step-normal_angle": ("the normal angle",
+                                lambda f: exact_step(BilliardState(0.0, 0.1, 1.0, f))),
+}
+
+
+@pytest.mark.parametrize("entry", list(_CALLABLES))
+def test_each_billiard_step_reads_its_callable_by_the_rule(entry):
+    what, call = _CALLABLES[entry]
+    for bad in (True, False, np.True_, "0.5", None, 1j, np.complex128(0.5), np.array([0.5])):
+        message = f"^{re.escape(what)} must be a finite number, not {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(lambda x: bad)
+    # a non-finite value keeps the wording of `simulate_channel`
+    for bad in (math.nan, np.float32(-np.inf), np.array(math.inf)):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} returned a non-finite value$"):
+            call(lambda x: bad)
+    # a numpy or Fraction real, or a 0-d array, steps as its float
+    for good in (np.float32(0.125), Fraction(1, 8), np.array(0.125), np.int64(0)):
+        assert call(lambda x: good).x_curr == call(lambda x: float(good)).x_curr
+
+
+@pytest.mark.parametrize("bad", [1j, True, "3", None, math.inf, np.float64(np.nan)],
+                         ids=["complex", "bool", "text", "none", "inf", "numpy-nan"])
+def test_scan_lambda_records_a_lambda_that_is_no_finite_number_as_a_failed_point(bad):
+    bad_row, good_row = scan_lambda([bad, 3.0], 50, 5, 1)
+    assert good_row == scan_lambda([3.0], 50, 5, 1)[0]
+    assert bad_row.pop("error") == f"ValueError: lam must be a finite number, not {bad!r}"
+    assert bad_row.pop("exit_code") == 2
+    # the point as given, a real one as its float
+    assert repr(bad_row.pop("lambda")) == repr(float(bad) if isinstance(bad, float) else bad)
+    assert all(math.isnan(v) for v in bad_row.values())
+
+
+# entry point taking breakpoints: (what breakpoints, error, call on a breakpoint list)
+_BREAKPOINT_ENTRIES = {
+    "PiecewiseLinearLiftMap": ("map", MapDefinitionError,
+                               lambda bp: PiecewiseLinearLiftMap(bp, [(-1.5, 1.5)] * 2)),
+    "MarkovPartition": ("partition", PartitionError, MarkovPartition),
+    "LatticeDensity": ("lattice density", PartitionError,
+                       lambda bp: LatticeDensity(0, [[1.0, 1.0]], bp)),
+    "TransitionMatrixSet": ("transition matrix set", PartitionError,
+                            lambda bp: TransitionMatrixSet((0,), [np.eye(2)], bp)),
+}
+
+
+@pytest.mark.parametrize("entry", list(_BREAKPOINT_ENTRIES))
+def test_each_breakpoint_entry_takes_real_numbers_only(entry):
+    what, error, call = _BREAKPOINT_ENTRIES[entry]
+    for bad in ((-0.5, "0", 0.5), (-0.5, False, 0.5), (-0.5, np.False_, 0.5),
+                (-0.5, 0j, 0.5), (-0.5, None, 0.5), 0.5):
+        message = f"^{re.escape(what)} breakpoints must be real numbers, not {re.escape(repr(bad))}"
+        with pytest.raises(error, match=message + "$"):
+            call(bad)
+    call((np.float32(-0.5), Fraction(0), 0.5))      # numpy and Fraction reals pass
 
 
 @pytest.mark.parametrize("value,expected", [

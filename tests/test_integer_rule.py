@@ -30,6 +30,7 @@ from detdiff import (
     theoretical_variance,
     uniform_stream,
     unit_pulse,
+    zigzag_map,
 )
 from detdiff.reports import check_count
 from detdiff.rng import resolve_threads
@@ -71,6 +72,7 @@ _ENTRIES = {
     "compute_route-n": ("n", 1, 4, lambda v: compute_route(linear_map(3.0), 0.25, v)),
     "theoretical_variance-n": ("n", 0, 4, lambda v: theoretical_variance(v, 3.0)),
     "resolve_threads-threads": ("threads", 1, 2, resolve_threads),
+    "zigzag_map-p": ("p", 1, 2, lambda v: zigzag_map(v, 0.25)(_X)),
 }
 
 

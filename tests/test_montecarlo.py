@@ -298,6 +298,46 @@ def test_dithered_ensembles_reach_the_exact_d(name):
             assert sigma > 0 and abs(got - exact) <= 4.0 * sigma, (seed, got, exact, sigma)
 
 
+def _lattice_cdf(dens, x):
+    """The CDF of lattice density `dens` at sorted points x: exact, linear inside each cell."""
+    bp = np.asarray(dens.breakpoints)
+    # every cell's left end, unit by unit, then the right end of the last one
+    ends = np.append((np.arange(dens.k_min, dens.k_max + 1)[:, None] + bp[:-1]).ravel(),
+                     dens.k_max + 0.5)
+    return np.interp(x, ends, np.concatenate([[0.0], np.cumsum(dens.masses.ravel())]))
+
+
+# seven Markov maps, each with the partition on which `evolve` is exact;
+# even-4 is lambda = 4 on the half split again, as the catalog builds it
+_LAW_MAPS = {
+    "linear-3": (linear_map(3.0), MarkovPartition.unit()),
+    "linear-4": (linear_map(4.0), _HALF_SPLIT),
+    "drift": (_DRIFT, _HALF_SPLIT),
+    "zigzag": (_ZIGZAG, MarkovPartition(tuple(_ZIGZAG.breakpoints))),
+    **{name: (CASES[name].lift_map(), CASES[name].partition())
+       for name in ("two-plus-sqrt3", "even-4", "cubic-4p71")},
+}
+
+
+@pytest.mark.parametrize("n", [1, 20, 50])
+@pytest.mark.parametrize("name", list(_LAW_MAPS))
+def test_ensemble_follows_the_exact_law_of_its_lattice_density(name, n, ensemble_constants):
+    # from the uniform start, `evolve`'s lattice density after n steps is the
+    # exact law of x_n, so the KS statistic of the whole ensemble path (start
+    # law, stream, map step, dither, chunk seams) against its CDF has sqrt(N) KS
+    # Kolmogorov-distributed; the bound is that law's 0.1% point, fixed in
+    # advance.  Chunks of 1000 samples put 99 seams into the ensemble
+    lift_map, partition = _LAW_MAPS[name]
+    tset = build_transition_matrices(lift_map, partition)
+    law = evolve(tset, unit_pulse(tset.breakpoints), n)
+    with ensemble_constants(chunk=1000):
+        samples = simulate_ensemble(lift_map, N, n, DEFAULT_SEED)
+    f = _lattice_cdf(law, np.sort(samples))
+    i = np.arange(N)
+    ks = max(np.max((i + 1) / N - f), np.max(f - i / N))
+    assert math.sqrt(N) * ks < 1.95
+
+
 def _traced_peak(f, *args, **kwargs):
     """Peak traced memory, in bytes, while f runs."""
     tracemalloc.start()
