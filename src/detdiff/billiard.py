@@ -233,9 +233,9 @@ def simulate_channel(kick: Callable, n_samples: int, n_steps: int, seed: int,
             np.add(v, np.multiply(u, lam, out=kicked) if sawtooth else kick(u), out=v)
             u += v
 
-        moments = []
-        # checkpoint c lies c - 1 steps from x_1
-        for x in _iterate_chunk(step, u, np.zeros_like(u), [c - 1 for c in cps]):
+        moments, pos = [], np.empty_like(u)
+        # checkpoint c lies c - 1 steps from x_1; each is reduced from the one buffer
+        for x in _iterate_chunk(step, u, np.zeros_like(u), [c - 1 for c in cps], [pos] * len(cps)):
             # NaN is sticky through the carry loop, so every earlier non-finite kick shows here
             if not np.isfinite(x).all():
                 raise ValueError("the kick returned a non-finite value")

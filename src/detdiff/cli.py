@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from .transfer import TransitionMatrixSet
 
 _SCAN_POINTS_MAX = 10_000       # points of a --from/--to/--step grid
-_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*")      # text that `_numbers` reads as an int
+_INT_RE = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")      # the text int() reads in base 10
 _SURD_RE = re.compile(
     r"""^\s*
     (?:(?P<a>[+-]?\d+(?:\.\d+)?)\s*)?              # optional rational part
@@ -65,13 +65,13 @@ def _json_int(text: str) -> int:
 
 
 def _numbers(value):
-    """Each text leaf of `value`, lists walked, as an int by `_json_int` if an integer
-    literal, else by `parse_algebraic`; JSON numbers and bools are left to the rules."""
+    """Each text leaf of `value`, lists walked, as an int if base-10 int() text (of any
+    size), else by `parse_algebraic`; numbers and bools are left to the rules."""
     if isinstance(value, list):
         return [_numbers(v) for v in value]
     if not isinstance(value, str):
         return value
-    return _json_int(value) if _INT_RE.fullmatch(value) else parse_algebraic(value)
+    return int(value) if _INT_RE.fullmatch(value) else parse_algebraic(value)
 
 
 def _load_json_arg(value: str):
@@ -84,9 +84,10 @@ def _load_json_arg(value: str):
 
 
 def _map_spec_from_args(tokens) -> dict:
-    """--map accepts inline JSON, a JSON file path, or 'type key=value ...'."""
+    """--map accepts inline JSON, a JSON file path as its only token, or 'type key=value ...'."""
     head = tokens[0]
-    if head.lstrip().startswith("{") or os.path.exists(head):
+    # a text spec has fields after its type, so a file named like a type cannot shadow it
+    if head.lstrip().startswith("{") or (len(tokens) == 1 and os.path.exists(head)):
         if len(tokens) > 1:
             raise MapDefinitionError("unexpected extra tokens after JSON map spec")
         spec = _load_json_arg(head)
@@ -141,7 +142,7 @@ def _partition_for(args, lift_map) -> TransitionMatrixSet:
 def _checkpoints(text: str) -> list:
     """--checkpoints: sorted, unique, positive step counts, or MapDefinitionError."""
     try:
-        return sorted({check_count(int(c), 1, "--checkpoints") for c in text.split(",")})
+        return sorted({check_count(_numbers(c), 1, "--checkpoints") for c in text.split(",")})
     except ValueError:
         raise MapDefinitionError(
             f"--checkpoints {text!r} is not a list of positive step counts") from None
@@ -178,10 +179,9 @@ def cmd_solve_partition(args):
         raise MapDefinitionError("pass exactly one of --system or --three-interval")
     if args.three_interval:
         try:
-            m, n, e1, e2 = (int(v) for v in args.three_interval.split(","))
+            m, n, e1, e2 = (_numbers(v) for v in args.three_interval.split(","))
         except ValueError as exc:
-            raise MapDefinitionError(
-                "--three-interval expects 'm,n,eps1,eps2'") from exc
+            raise MapDefinitionError("--three-interval expects 'm,n,eps1,eps2'") from exc
         from .partition import solve_three_interval
 
         lam, xi = solve_three_interval(m, n, e1, e2)
@@ -274,22 +274,22 @@ def cmd_scan(args):
         if not lams:
             raise MapDefinitionError(f"--lambda-grid {args.lambda_grid!r} holds no point")
     else:
-        lo = getattr(args, "from")
-        if lo is None or args.to is None:
+        bounds = {"--from": getattr(args, "from"), "--to": args.to, "--step": args.step}
+        if None in bounds.values():
             raise MapDefinitionError("pass --lambda-grid or both --from and --to")
-        for name, bound in (("--from", lo), ("--to", args.to), ("--step", args.step)):
-            check_finite(bound, name)       # before numpy loads, like the counts
-        if args.step <= 0:
+        # before numpy loads, like the counts
+        lo, to, step = (check_finite(_numbers(v), name) for name, v in bounds.items())
+        if step <= 0:
             raise MapDefinitionError("--step must be positive")
-        if args.to < lo:
-            raise MapDefinitionError(f"--to {args.to} is below --from {lo}")
-        span = (args.to - lo) / args.step
+        if to < lo:
+            raise MapDefinitionError(f"--to {to} is below --from {lo}")
+        span = (to - lo) / step
         # span counts steps; one a rounding error short of an integer reaches --to
         count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
         if count > _SCAN_POINTS_MAX:
             raise MapDefinitionError(
                 f"scan grid of {count:.3g} points exceeds {_SCAN_POINTS_MAX}")
-        lams = [lo + i * args.step for i in range(count)]
+        lams = [lo + i * step for i in range(count)]
     from .montecarlo import scan_lambda
 
     rows = scan_lambda(lams, args.N, args.n, args.seed)
@@ -399,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON boundary-equation system (inline or file)")
 
     def add_run(p, default_n):
-        p.add_argument("--N", type=int, default=100_000, help="ensemble size")
-        p.add_argument("--n", type=int, default=default_n, help="iteration steps")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--N", default=100_000, help="ensemble size")
+        p.add_argument("--n", default=default_n, help="iteration steps")
+        p.add_argument("--seed", default=DEFAULT_SEED)
 
     p = sub.add_parser("solve-partition", help="solve a boundary-equation system")
     p.add_argument("--system", help="JSON system (inline or file)")
@@ -419,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diffusion)
 
     p = sub.add_parser("scan", help="Monte Carlo D(lambda) scan to CSV")
-    p.add_argument("--from", type=float, dest="from")
-    p.add_argument("--to", type=float)
-    p.add_argument("--step", type=float, default=0.25,
+    p.add_argument("--from", dest="from")
+    p.add_argument("--to")
+    p.add_argument("--step", default=0.25,
                    help=f"grid step from --from to --to; at most {_SCAN_POINTS_MAX} points")
     p.add_argument("--lambda-grid", help="comma-separated grid, overrides --from/--to")
     add_run(p, default_n=50)
@@ -471,9 +471,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         if hasattr(args, "seed"):   # and so --N and --n: checked before any numeric import
-            check_seed(args.seed)
-            check_count(args.N, 2, "--N")
-            check_count(args.n, 1, "--n")
+            args.seed = check_seed(_numbers(args.seed))
+            args.N = check_count(_numbers(args.N), 2, "--N")
+            args.n = check_count(_numbers(args.n), 1, "--n")
         return args.func(args)
     except Exception as exc:
         code = exit_code(exc)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import MapDefinitionError
-from .reports import _unit_breakpoints, check_count, check_finite
+from .reports import _as_real, _unit_breakpoints, check_count, check_finite
 
 __all__ = _EXPORTS["maps"]
 
@@ -34,10 +34,14 @@ def _label(x, out=None):
 
 
 def _real(x, what: str):
-    """x as a float array; ValueError "<what> requires real input, not complex", never a cast."""
-    if (arr := np.asarray(x)).dtype.kind == "c":
-        raise ValueError(f"{what} requires real input, not complex")
-    return arr.astype(float, copy=False)
+    """x as a float array by `reports._as_real`: integer and float arrays pass, an object
+    array entry by entry; else ValueError "<what> requires real input, not <kind>"."""
+    if (arr := np.asarray(x)).dtype.kind in "iuf":
+        return arr.astype(float, copy=False)
+    if arr.dtype.kind == "O" and None not in (reals := [_as_real(v) for v in arr.flat]):
+        return np.array(reals, dtype=float).reshape(arr.shape)
+    kind = {"b": "bool", "U": "text", "S": "bytes", "c": "complex"}.get(arr.dtype.kind, arr.dtype)
+    raise ValueError(f"{what} requires real input, not {kind}")
 
 
 def _finite(x, what: str, dtype=float):
@@ -356,9 +360,10 @@ def reconstruct_initial(lift_map: PiecewiseLinearLiftMap, route) -> Interval:
     Built by nesting preimages backwards from the last visited cell.  The
     result is the closed hull of all admissible branches; its width is at
     most min|slope|^-(n-1) for maps that are injective on each unit cell.
-    An empty interval signals an inadmissible route.
+    An empty interval signals an inadmissible route; each label is an
+    integer by `reports.check_count`, or ValueError.
     """
-    route = tuple(int(k) for k in route)
+    route = tuple(check_count(k, None, "route label") for k in route)
     if not route:
         raise ValueError("route must be nonempty")
     if not lift_map.is_stretching():

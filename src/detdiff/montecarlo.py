@@ -43,10 +43,10 @@ the package needs only numpy; `ks_normal` evaluates it on ascending
 input, only on the blocks of 64 sorted samples where the gap can peak.
 
 Memory is bounded by the outputs, plus one N-sized temporary, plus
-per-chunk scratch.  A chunk allocates its fractions and cells, and its
-carry, map and dither buffers, once; a dithered step then allocates
-only a bit generator and the dither's raw lanes, half the size of the
-chunk's fractions, and the last positions overwrite the cells.
+per-chunk scratch.  A chunk allocates its fractions and its carry, map
+and dither buffers once, and writes each horizon straight into its slice
+of that horizon's output, the last slice holding its cells; a dithered
+step then allocates only a bit generator and half-size raw dither lanes.
 `estimate_stats` rejects non-finite samples instead of copying the rest: the
 centred copy inside the variance and then the sorted copy of
 `ks_normal` are the N-sized temporaries, never alive together, and the
@@ -134,18 +134,18 @@ def _run_chunks(run, n_samples, threads):
         return list(pool.map(lambda r: run(*r), ranges))
 
 
-def _iterate_chunk(step, u, cell, horizons):
-    """Yield cell + u after each step count in `horizons`; u and cell move in place.
+def _iterate_chunk(step, u, cell, horizons, outs):
+    """Write cell + u into outs[i] after horizons[i] steps, then yield it; u and cell move in place.
 
     Each step, `step(u, t)` moves the fractions in place, then the whole
     part `maps._label(u)` of each goes into its integer-valued cell through
-    one reused carry buffer.  The last positions overwrite the cell.  This
-    is the overflow rule of every simulator: an overflow raises
-    OverflowError, and a non-finite fraction, which only a caller's kick
-    can make, turns NaN (carry inf - inf) for the caller to reject.
+    one reused carry buffer.  The last of `outs` may be the cell itself, as
+    no step follows.  This is the overflow rule of every simulator: an
+    overflow raises OverflowError, and a non-finite fraction, which only a
+    caller's kick can make, turns NaN (carry inf - inf) for the caller to reject.
     """
     carry = np.empty_like(u)
-    for done, horizon in zip([0, *horizons], horizons):
+    for done, horizon, out in zip([0, *horizons], horizons, outs):
         try:
             with np.errstate(over="raise", invalid="ignore"):
                 for t in range(done, horizon):
@@ -153,26 +153,26 @@ def _iterate_chunk(step, u, cell, horizons):
                     _label(u, out=carry)
                     u -= carry
                     cell += carry
-                x = np.add(cell, u, out=cell if horizon == horizons[-1] else None)
+                np.add(cell, u, out=out)
         except FloatingPointError:
             raise OverflowError("ensemble position overflows double precision") from None
-        yield x
+        yield out
 
 
 def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
     """Positions of n_samples lifting-map orbits after each step count in `horizons`.
 
-    Each chunk runs `_iterate_chunk` with a step that maps each fraction
-    through its piece and, at the steps t = 0 mod P of a dithered map, adds
-    the dither made from lane w = (t // P) n_samples + i of `rng._lanes`
-    of its key for sample i, so results do not depend on the chunking:
-    d = (w + 1/2 - 2^31) 2^-53, exact.  The callers check the horizons.
+    Each chunk runs `_iterate_chunk` on its slices of the outputs, the last one its
+    cells, with a step that maps each fraction through its piece and, at the steps
+    t = 0 mod P of a dithered map, adds the dither made from lane w = (t // P) n_samples
+    + i of `rng._lanes` of its key for sample i, so results do not depend on the
+    chunking: d = (w + 1/2 - 2^31) 2^-53, exact.  The callers check the horizons.
     """
     n_samples = check_count(n_samples, 1, "n_samples")
     seed = check_seed(seed)
     period = _dither_period(lift_map)
     dither_key = seed ^ _DITHER_KEY_SALT
-    outs = [np.empty(n_samples) for _ in horizons]
+    outs = [np.empty(n_samples) for _ in horizons[1:]] + [np.zeros(n_samples)]
 
     def run(start, stop):
         u = uniform_stream(seed, start, stop - start)
@@ -187,8 +187,9 @@ def _lift_ensemble(lift_map, n_samples, horizons, seed, threads):
                 np.multiply(lanes, _LANE_SCALE, out=dither)
                 u += np.add(dither, _LANE_OFFSET, out=dither)
 
-        for out, x in zip(outs, _iterate_chunk(step, u, np.zeros_like(u), horizons)):
-            out[start:stop] = x
+        chunk = [out[start:stop] for out in outs]      # the last holds the cells
+        for _ in _iterate_chunk(step, u, chunk[-1], horizons, chunk):
+            pass
 
     _run_chunks(run, n_samples, threads)
     return outs

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from . import _EXPORTS
 from .errors import PartitionError, RootSolveError, SystemStructureError
-from .reports import _unit_breakpoints, check_finite
+from .reports import _unit_breakpoints, check_count, check_finite
 
 __all__ = _EXPORTS["partition"]
 
@@ -76,15 +76,6 @@ class MarkovPartition:
 # ---------------------------------------------------------------------------
 
 
-def _as_int(value):
-    """value as an int, or None when it is not an integral number."""
-    try:
-        i = int(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return i if i == value else None
-
-
 def _peval(p, x):
     """Horner's rule: exact for an int x, one rounding per step for a float x."""
     acc = 0
@@ -132,12 +123,11 @@ def largest_real_root(int_coeffs):
     largest root in (lo, hi] until lo and hi are adjacent doubles; the
     count at their exact midpoint then picks the nearer one; hi starts
     above the exact Cauchy bound, capped at the largest double.  Raises
-    ValueError for a non-integer coefficient, RootSolveError for a constant
-    polynomial or no root above 1, PartitionError for a root above the cap.
+    ValueError for a coefficient that is no integer (`reports.check_count`),
+    RootSolveError for a constant polynomial or no root above 1,
+    PartitionError for a root above the cap.
     """
-    p = [_as_int(c) for c in int_coeffs]
-    if None in p:
-        raise ValueError(f"coefficients {tuple(int_coeffs)} are not all integers")
+    p = [check_count(c, None, "coefficient") for c in int_coeffs]
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     if len(p) < 2:
@@ -178,8 +168,9 @@ class Equation:
     """One boundary condition: lam * lhs = const + coef * ref.
 
     `lhs` is an unknown name or the literal "half" standing for the fixed
-    boundary 1/2.  `const` is an integer or half-integer, `coef` is -1, 0
-    or +1, numbers (not strings or bools), and `ref` names another (or the same) unknown.
+    boundary 1/2.  `const` is an integer or half-integer number (not a string or
+    bool), `coef` the integer -1, 0 or +1 (`reports.check_count`: not 1.0 or True),
+    and `ref` names another (or the same) unknown.
     """
 
     lhs: str
@@ -195,7 +186,7 @@ class Equation:
         if const is None or const.denominator not in (1, 2):
             raise SystemStructureError(
                 f"constant {self.const!r} is neither integer nor half-integer")
-        coef = None if isinstance(self.coef, bool) else _as_int(self.coef)
+        coef = check_count(self.coef, None, "coef", SystemStructureError)
         if coef not in (-1, 0, 1):
             raise SystemStructureError(f"coefficient {self.coef!r} must be -1, 0 or +1")
         object.__setattr__(self, "const", const)
@@ -381,14 +372,15 @@ def solve_three_interval(m: int, n: int, eps1: int, eps2: int):
     `solve_partition_system` but without its residual gate.  In closed form,
     with d = (2n - eps2)^2 + 8 m eps1 >= (2n - 3)^2 > 0,
     lam = (2n + eps2 + sqrt(d)) / 2 and xi = 2m / (2n - eps2 + sqrt(d)).
-    PartitionError is raised for m or n that are not such integers, for
+    PartitionError is raised for m, n, eps1 or eps2 that are not such
+    integers (`reports.check_count`: not 1.0 or True), for
     a slope beyond the largest double, and when xi is outside (0, 1/2).
     """
-    ints = _as_int(m), _as_int(n)
-    if None in ints or not 0 < ints[0] < ints[1]:
-        raise PartitionError(f"need integers 0 < m < n, got m={m}, n={n}")
-    m, n = ints
-    if eps1 not in (-1, 1) or eps2 not in (-1, 1):
+    m = check_count(m, 1, "m", PartitionError)
+    n = check_count(n, m + 1, "n", PartitionError)      # so 0 < m < n
+    eps1 = check_count(eps1, None, "eps1", PartitionError)
+    eps2 = check_count(eps2, None, "eps2", PartitionError)
+    if {eps1, eps2} - {-1, 1}:
         raise PartitionError("eps1 and eps2 must be +1 or -1")
     lam, (xi,), _ = _solve(PartitionEquationSystem(
         ("xi",), (Equation("xi", m, eps2, "xi"), Equation("half", n, eps1, "xi"))))

@@ -25,8 +25,8 @@ _BREAKPOINT_TOL = 1e-12     # how far the breakpoint rule lets an end miss -1/2 
 DEFAULT_SEED = 20140502
 
 
-def check_count(value, least: int | None, what: str) -> int:
-    """`value` as an int if an integer >= `least` (any if None); else ValueError naming `what`.
+def check_count(value, least: int | None, what: str, error: type = ValueError) -> int:
+    """`value` as an int if an integer >= `least` (any if None); else `error` naming `what`.
 
     Python and numpy integers pass, by `operator.index`; bools, floats and
     anything else are rejected, never truncated.
@@ -37,7 +37,7 @@ def check_count(value, least: int | None, what: str) -> int:
     except TypeError:
         pass
     bound = "" if least is None else f" >= {least}"
-    raise ValueError(f"{what} must be an integer{bound}, not {value!r}")
+    raise error(f"{what} must be an integer{bound}, not {value!r}")
 
 
 def _as_real(value):

@@ -372,7 +372,7 @@ def test_solve_partition_rejects_non_integer_fields(capsys, field):
 def test_system_hash_does_not_depend_on_how_numbers_are_spelled(capsys):
     spelled = {"unknowns": ["xi"], "equations": [
         {"lhs": "xi", "target": {"const": 0.5, "coef": 0}},
-        {"lhs": "half", "target": {"const": 2.0, "coef": -1.0, "ref": "xi"}}]}
+        {"lhs": "half", "target": {"const": 2.0, "coef": -1, "ref": "xi"}}]}
     reports = []
     for system in (EXAMPLE_SYSTEM, spelled):
         code, out, _ = run(capsys, "solve-partition", "--system", json.dumps(system))
@@ -588,6 +588,28 @@ _CONTRACT = [
     pytest.param(["diffusion", "--map", "linear", "lambda=3", "--method", "spectral",
                   "--partition", "5"],
                  2, "partition breakpoints must be real numbers, not 5", id="partition-number"),
+    # every numeric option is read by `_numbers` and checked by its rule, in one
+    # line: argparse's own int and float readers wrote a three-line usage error
+    pytest.param(["simulate", "--map", "linear", "lambda=3", "--N", "1e5"],
+                 2, "--N must be an integer >= 2, not 100000.0", id="float-N"),
+    pytest.param(["simulate", "--map", "linear", "lambda=3", "--n", "2.5"],
+                 2, "--n must be an integer >= 1, not 2.5", id="float-n"),
+    pytest.param(["billiard", "--lambda", "3", "--seed", "sqrt(2)"],
+                 2, "seed must be an integer >= 0, not 1.4142135623730951", id="surd-seed"),
+    pytest.param(["simulate", "--map", "linear", "lambda=3", "--N", "abc"],
+                 2, "cannot parse algebraic constant 'abc'", id="text-N"),
+    pytest.param(["scan", "--from", "abc", "--to", "5"],
+                 2, "cannot parse algebraic constant 'abc'", id="text-from"),
+    # and int() of --three-interval took 1.0 as no integer, so no rule saw it
+    pytest.param(["solve-partition", "--three-interval", "1,2,1.0,-1"],
+                 2, "eps1 must be an integer, not 1.0", id="three-interval-float-eps1"),
+    pytest.param(["solve-partition", "--three-interval", "1,2.0,1,-1"],
+                 2, "n must be an integer >= 2, not 2.0", id="three-interval-float-n"),
+    # what argparse read stays valid: surds and integers of any spelling int() reads
+    pytest.param(["scan", "--from", "2+sqrt(3)", "--to", "4", "--N", "50", "--n", "5"],
+                 0, "", id="scan-surd-from"),
+    pytest.param(["simulate", "--map", "linear", "lambda=3", "--N", " 1_000 ", "--n", "+5",
+                  "--seed", "0"], 0, "", id="int-spellings"),
 ]
 
 
@@ -688,6 +710,29 @@ def test_a_negative_option_value_reads_as_with_equals(capsys, argv):
     assert spaced == run(capsys, *joined)
     assert spaced[0] == 0 or spaced == (
         2, "", "error[validation]: --from must be a finite number, not -inf\n")
+
+
+def test_scan_bounds_are_read_like_a_lambda_grid(capsys):
+    # a surd bound was no float to argparse; an integer one is still a float lambda
+    args = ["--N", "200", "--n", "5"]
+    code, out, _ = run(capsys, "scan", "--from", "2+sqrt(3)", "--to", "4", *args)
+    grid = run(capsys, "scan", "--lambda-grid", "2+sqrt(3)", *args)[1]
+    assert code == 0 and out.split("\n")[:3] == grid.split("\n")[:3]
+    out = run(capsys, "scan", "--from", "3", "--to", "5", "--step", "1", *args)[1]
+    assert [row.split(",")[0] for row in out.strip().split("\n")[2:]] == ["3.0", "4.0", "5.0"]
+
+
+def test_a_file_named_like_a_map_type_does_not_shadow_a_text_spec(capsys, tmp_path,
+                                                                   monkeypatch):
+    # a text spec has fields after its type, so only a lone token is read as a file
+    argv = ["diffusion", "--map", "linear", "lambda=3", "--method", "closed-form"]
+    monkeypatch.chdir(tmp_path)
+    alone = run(capsys, *argv)
+    assert alone[0] == 0 and alone[2] == ""
+    (tmp_path / "linear").write_text(_LIN3)
+    assert run(capsys, *argv) == alone
+    code, out, _ = run(capsys, "diffusion", "--map", "linear", "--method", "closed-form")
+    assert code == 0 and json.loads(out)["map"] == json.loads(_LIN3)
 
 
 @pytest.mark.parametrize("grid", [",", " , ,"])
@@ -839,6 +884,9 @@ _PARSE_ONLY = [
     ["billiard", "--lambda", "3", "--checkpoints", "0,5"],
     ["scan", "--from", "3", "--to", "3", "--N", "1", "--n", "5"],
     ["scan", "--from", "inf", "--to", "5"],
+    ["scan", "--from", "abc", "--to", "5"],
+    ["simulate", "--map", "linear", "lambda=3", "--N", "1e5"],
+    ["solve-partition", "--three-interval", "1,2,1.0,-1"],
     ["billiard", "--lambda", "nan"],
     ["solve-partition"],
     ["solve-partition", "--three-interval", "1,2,1,-1", "--system", "{}"],

@@ -5,8 +5,8 @@ a finite Python, numpy or `Fraction` real passes as the float of equal
 value, and NaN, an infinity, a bool (numpy's too), text or anything else
 raises one ValueError naming the parameter.  The domain bounds (lam > 2,
 d > 0, h > 0, ...) run after the rule, with their own wordings.  Each
-real array goes through `maps._real`, which rejects complex input instead
-of dropping its imaginary part.
+real array goes through `maps._real`, which reads it by the same rule: bool,
+text, bytes and complex arrays are rejected instead of cast.
 """
 
 import dataclasses
@@ -241,3 +241,21 @@ def test_each_array_entry_point_rejects_complex_input(entry):
         with pytest.raises(ValueError, match=message):
             call(bad)
     call(np.array([0.25, 0.125]))       # the real parts pass
+
+
+@pytest.mark.parametrize("entry", list(_ARRAY_ENTRIES))
+def test_each_array_entry_point_reads_entries_by_the_scalar_rule(entry):
+    # a cast took text, bools and bytes as numbers; the scalar rule takes none
+    what, call = _ARRAY_ENTRIES[entry]
+    for bad, kind in ((np.array([True, False]), "bool"), (["0.25", "0.125"], "text"),
+                      (np.array([b"1", b"2"]), "bytes"), ([0.25, None], "object"),
+                      ([Fraction(1, 4), 1j], "object"),
+                      (np.array([0.25, True], dtype=object), "object")):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} requires real input, "
+                                             f"not {kind}$"):
+            call(bad)
+    # integer arrays and object arrays of reals pass as their floats
+    floats = np.array([0.25, 0.125])
+    for good in (np.array([Fraction(1, 4), np.float32(0.125)], dtype=object), floats * 8):
+        np.testing.assert_equal(_plain(call(good)), _plain(call(good.astype(float))))
+    np.testing.assert_equal(_plain(call(np.array([2, 1]))), _plain(call(floats * 8)))

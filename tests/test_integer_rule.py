@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from detdiff import (
+    Equation,
     MarkovPartition,
     build_transition_matrices,
     compute_route,
@@ -22,16 +23,20 @@ from detdiff import (
     estimate_stats,
     evolve,
     gaussian_profile,
+    largest_real_root,
     linear_map,
+    reconstruct_initial,
     sawtooth_kick,
     scan_lambda,
     simulate_channel,
     simulate_ensemble,
+    solve_three_interval,
     theoretical_variance,
     uniform_stream,
     unit_pulse,
     zigzag_map,
 )
+from detdiff.errors import PartitionError, SystemStructureError
 from detdiff.reports import check_count
 from detdiff.rng import resolve_threads
 
@@ -99,6 +104,43 @@ def test_each_entry_point_rejects_what_is_no_integer_at_or_above_its_least(entry
 def test_each_entry_point_takes_a_numpy_integer_as_the_python_one(entry):
     good, call = _ENTRIES[entry][2:]
     np.testing.assert_equal(_plain(call(np.int64(good))), _plain(call(good)))
+
+
+# integers the exact layer and the routes read, each rejected with the class its
+# entry documents: (name in the message, error, least value, a valid value, call)
+_CLASSED = {
+    "largest_real_root-coefficient": ("coefficient", ValueError, None, 1,
+                                      lambda v: largest_real_root((v, -4, 1))),
+    "Equation-coef": ("coef", SystemStructureError, None, -1,
+                      lambda v: Equation("half", 2, v, "xi")),
+    "solve_three_interval-m": ("m", PartitionError, 1, 1,
+                               lambda v: solve_three_interval(v, 2, 1, -1)),
+    "solve_three_interval-n": ("n", PartitionError, 2, 2,
+                               lambda v: solve_three_interval(1, v, 1, -1)),
+    "solve_three_interval-eps1": ("eps1", PartitionError, None, 1,
+                                  lambda v: solve_three_interval(1, 2, v, -1)),
+    "solve_three_interval-eps2": ("eps2", PartitionError, None, -1,
+                                  lambda v: solve_three_interval(1, 2, 1, v)),
+    "reconstruct_initial-label": ("route label", ValueError, None, 1,
+                                  lambda v: reconstruct_initial(linear_map(3.0), (0, v))),
+}
+
+
+@pytest.mark.parametrize("entry", list(_CLASSED))
+def test_each_exact_entry_rejects_what_is_no_integer_with_its_own_class(entry):
+    name, error, least, good, call = _CLASSED[entry]
+    bound = "" if least is None else f" >= {least}"
+    # int() took 1.0 and True as 1, and truncated 1.7 to 1
+    for bad in (float(good), good + 0.7, True, np.True_, str(good), None):
+        message = f"^{re.escape(name)} must be an integer{bound}, not {re.escape(repr(bad))}$"
+        with pytest.raises(error, match=message):
+            call(bad)
+
+
+@pytest.mark.parametrize("entry", list(_CLASSED))
+def test_each_exact_entry_takes_a_numpy_integer_as_the_python_one(entry):
+    good, call = _CLASSED[entry][3:]
+    assert call(np.int64(good)) == call(good)
 
 
 @pytest.mark.parametrize("env,shown", [

@@ -189,6 +189,18 @@ def test_lane_dither_does_not_depend_on_chunks_or_threads(ensemble_constants):
         np.testing.assert_array_equal(simulate_ensemble(linear_map(4.0), 1010, 5, seed=17), ref)
 
 
+@pytest.mark.parametrize("lift_map", [zigzag_map(1, 0.25), linear_map(4.0)],
+                         ids=["zigzag", "dithered-4"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_horizon_is_written_as_simulated_alone(lift_map, threads, ensemble_constants):
+    # chunks write every horizon straight into their slice of its output, the
+    # last slice doubling as their cells; 2500 samples end in a short chunk
+    with ensemble_constants(chunk=1000):
+        early, late = montecarlo._lift_ensemble(lift_map, 2500, [13, 30], 9, threads)
+        np.testing.assert_array_equal(early, simulate_ensemble(lift_map, 2500, 13, 9))
+        np.testing.assert_array_equal(late, simulate_ensemble(lift_map, 2500, 30, 9))
+
+
 @pytest.mark.parametrize("n", [montecarlo._CHUNK - 1, montecarlo._CHUNK + 1,
                                2 * montecarlo._CHUNK + 1])
 def test_chunk_edges_do_not_change_samples(n, ensemble_constants):

@@ -106,12 +106,18 @@ def test_three_interval_parameter_validation():
         solve_three_interval(0, 2, 1, 1)
     with pytest.raises(PartitionError):
         solve_three_interval(1, 2, 0, 1)
+    with pytest.raises(PartitionError, match=r"^eps1 and eps2 must be \+1 or -1$"):
+        solve_three_interval(1, 2, 1, 2)
 
 
-@pytest.mark.parametrize("m,n", [(1, 2.5), (1.5, 3), (1, math.inf)])
-def test_three_interval_rejects_non_integers(m, n):
+@pytest.mark.parametrize("m,n,message", [
+    (1, 2.5, "n must be an integer >= 2, not 2.5"),
+    (1.5, 3, "m must be an integer >= 1, not 1.5"),
+    (1, math.inf, "n must be an integer >= 2, not inf"),
+], ids=["n-2.5", "m-1.5", "n-inf"])
+def test_three_interval_rejects_non_integers(m, n, message):
     # int() would truncate 2.5 to 2 and solve the n = 2 system instead
-    with pytest.raises(PartitionError, match="need integers"):
+    with pytest.raises(PartitionError, match=f"^{message}$"):
         solve_three_interval(m, n, 1, -1)
 
 
@@ -244,7 +250,7 @@ def test_largest_real_root_errors():
         largest_real_root((2, 1))           # root at -2 < 1
     with pytest.raises(RootSolveError):
         largest_real_root((5,))             # constant
-    with pytest.raises(ValueError, match="not all integers"):
+    with pytest.raises(ValueError, match="^coefficient must be an integer, not 1.5$"):
         largest_real_root((1.5, -4, 1))     # not truncated to (1, -4, 1)
 
 
@@ -497,8 +503,8 @@ def test_system_structure_validation():
 
 
 def test_equation_coefficient_becomes_an_int():
-    # the integer matrix of the solver needs an int coef, not -1.0
-    eq = Equation("half", 2, -1.0, "xi")
+    # the integer matrix of the solver needs an int coef, not a numpy integer
+    eq = Equation("half", 2, np.int64(-1), "xi")
     assert type(eq.coef) is int and eq == Equation("half", 2, -1, "xi")
     system = PartitionEquationSystem(("xi",), (Equation("xi", Fraction(1, 2)), eq))
     assert solve_partition_system(system).polynomial == (1, -4, 1)
@@ -572,8 +578,9 @@ def test_from_dict_rejects_instead_of_rounding(target):
 
 
 def test_from_dict_accepts_integral_floats():
+    # as constants: a coefficient obeys the integer rule, so -1.0 is rejected
     data = {"unknowns": ["xi"],
-            "equations": [{"lhs": "xi", "target": {"const": 1.5, "coef": -1.0, "ref": "xi"}},
+            "equations": [{"lhs": "xi", "target": {"const": 1.5, "coef": -1, "ref": "xi"}},
                           {"lhs": "half", "target": {"const": 2.0, "coef": -1, "ref": "xi"}}]}
     system = PartitionEquationSystem.from_dict(data)
     assert system.equations == (Equation("xi", Fraction(3, 2), -1, "xi"),
